@@ -19,8 +19,8 @@ import sys
 from . import __version__
 from .cover import brick_cover, load_cover, save_cover, verify_cover
 from .errors import BandDimError, UsageError
-from .extract import (build_translation_system, extract_cover, matrix_unit_identities,
-                      threshold_setup)
+from .extract import build_translation_system, extract_cover, threshold_setup
+from .extract import matrix_unit_identities  # only for perfbench tracing
 from .operators import BandOperator
 from .space import generate_space, load_space, save_space
 from .witness import (build_upper_witness, check_witness, hat_normalize,
@@ -84,12 +84,11 @@ def _witness_report(witness, tol):
 def _extraction_report(witness, r, out_cover=None):
     td = threshold_setup(witness)
     pts = build_translation_system(witness, td)
-    ident = matrix_unit_identities(pts)
     extracted = extract_cover(pts, witness.space, r)
     if out_cover:
         save_cover(extracted.cover, witness.space, out_cover)
     doc = extracted.to_json(witness.space)
-    doc["identities"] = ident.to_json()
+    doc["identities"] = pts.identities.to_json()
     doc["constants"] = {"delta": float(td.delta), "eta": float(td.eta),
                         "eps": float(td.eps)}
     doc["corners"] = [{"color": c.color, "j": c.j, "s": c.s} for c in td.corners]

@@ -164,6 +164,7 @@ def verify_cover(cover, space, r):
     missing = sorted(set(range(space.n)) - union)
     gaps, seps = [], []
     max_diam = 0.0
+    near = space.within_mask(r)
     for fam in cover.families:
         for s in fam:
             max_diam = max(max_diam, space.diameter(s))
@@ -171,12 +172,9 @@ def verify_cover(cover, space, r):
         separated = True
         for a in range(len(fam)):
             for b in range(a + 1, len(fam)):
-                pa, pb = list(fam[a]), list(fam[b])
-                sub = space.dist[np.ix_(pa, pb)]
-                flat = int(sub.argmin())
-                x, y = pa[flat // len(pb)], pb[flat % len(pb)]
-                gap = min(gap, float(sub.min()))
-                if space.within(x, y, r):
+                block = np.ix_(list(fam[a]), list(fam[b]))
+                gap = min(gap, float(space.dist[block].min()))
+                if near[block].any():
                     separated = False
         gaps.append(gap)
         seps.append(separated)
@@ -197,39 +195,41 @@ def verify_cover(cover, space, r):
 EXACT_SEARCH_CAP = 64
 
 
-def _diam_ok(space, pts, R):
+def _diam_ok(wide, pts):
     pts = list(pts)
     if len(pts) < 2:
         return True
-    sub = space.dist[np.ix_(pts, pts)]
-    flat = int(sub.argmax())
-    return space.within(pts[flat // len(pts)], pts[flat % len(pts)], R)
+    return bool(wide[np.ix_(pts, pts)].all())
 
 
-def _place(space, comps, p, r, R):
-    """Add point p to a color's component list; None if a diameter breaks R."""
-    touching = [c for c in comps if any(space.within(p, q, r) for q in c)]
-    rest = [c for c in comps if not any(space.within(p, q, r) for q in c)]
+def _place(near, wide, comps, p):
+    """Add point p to a color's component list; None if a diameter breaks R.
+
+    ``near`` and ``wide`` are the within-r and within-R masks of the space.
+    """
+    touching, rest = [], []
+    for c in comps:
+        (touching if near[p, list(c)].any() else rest).append(c)
     merged = {p}
     for c in touching:
         merged |= c
-    if not _diam_ok(space, merged, R):
+    if not _diam_ok(wide, merged):
         return None
     return rest + [merged]
 
 
-def _search(space, order, pos, state, limit, r, R):
+def _search(near, wide, order, pos, state, limit):
     if pos == len(order):
         return state
     p = order[pos]
     used = sum(1 for comps in state if comps)
     for c in range(min(used + 1, limit)):
-        placed = _place(space, state[c], p, r, R)
+        placed = _place(near, wide, state[c], p)
         if placed is None:
             continue
         nxt = list(state)
         nxt[c] = placed
-        found = _search(space, order, pos + 1, nxt, limit, r, R)
+        found = _search(near, wide, order, pos + 1, nxt, limit)
         if found is not None:
             return found
     return None
@@ -246,6 +246,7 @@ def min_colors_search(space, r, R, max_colors, mode="exact"):
     if max_colors < 1:
         raise InvalidParameterError("max_colors must be >= 1")
     order = list(range(space.n))
+    near, wide = space.within_mask(r), space.within_mask(R)
     if mode == "greedy":
         state = [[]]
         for p in order:
@@ -254,7 +255,7 @@ def min_colors_search(space, r, R, max_colors, mode="exact"):
                     if len(state) == max_colors:
                         return None
                     state.append([])
-                placed = _place(space, state[c], p, r, R)
+                placed = _place(near, wide, state[c], p)
                 if placed is not None:
                     state[c] = placed
                     break
@@ -266,7 +267,7 @@ def min_colors_search(space, r, R, max_colors, mode="exact"):
         raise SizeLimitError(
             f"exact search capped at {EXACT_SEARCH_CAP} points; use mode='greedy'")
     for limit in range(1, max_colors + 1):
-        state = _search(space, order, 0, [[] for _ in range(limit)], limit, r, R)
+        state = _search(near, wide, order, 0, [[] for _ in range(limit)], limit)
         if state is not None:
             used = [comps for comps in state if comps]
             return len(used) - 1, make_cover(space, used, r)

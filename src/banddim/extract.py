@@ -59,8 +59,9 @@ def decompose_neighbors(space, r, fiber_dim=1):
     """
     if float(r) < 0:
         raise InvalidParameterError("scale r must be nonnegative")
-    pairs = [(x, y) for x in range(space.n) for y in range(space.n)
-             if space.within(x, y, r)]
+    # argwhere walks the mask row by row, so the pairs come out in the
+    # lexicographic order the greedy split depends on.
+    pairs = [tuple(p) for p in np.argwhere(space.within_mask(r)).tolist()]
     parts, firsts, seconds = [], [], []
     for (x, y) in pairs:
         for t in range(len(parts)):
@@ -203,6 +204,7 @@ class PartialTranslationSystem:
     delta: float
     eta: float
     borderline: list = field(default_factory=list)
+    identities: object = None  # IdentityReport, set when the system is verified
 
     def corner_index(self, color, j):
         for ci, cs in enumerate(self.corners):
@@ -307,7 +309,7 @@ def build_translation_system(witness, td, verify=True, tol=1e-8):
 
     pts = PartialTranslationSystem(corners, sigma_bar, delta, eta, borderline)
     if verify:
-        _verify_translation_system(pts, tol)
+        pts.identities = _verify_translation_system(pts, tol)
     return pts
 
 
@@ -340,6 +342,7 @@ def _verify_translation_system(pts, tol):
     if not rep.flag:
         raise InvalidWitnessError(
             f"matrix-unit identity {rep.worst_identity} deviates by {rep.worst:.3e}")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +533,12 @@ def extract_cover(pts, space, r):
 
     families = []
     class_sizes = []
+    near = space.within_mask(r)
     for color in colors:
         pool = per_color[color]
         uf = _UnionFind(pool)
-        for ii, x in enumerate(pool):
-            for y in pool[ii + 1:]:
-                if space.within(x, y, r):
-                    uf.union(x, y)
+        for a, b in np.argwhere(np.triu(near[np.ix_(pool, pool)], 1)).tolist():
+            uf.union(pool[a], pool[b])
         classes = {}
         for x in pool:
             classes.setdefault(uf.find(x), set()).add(x)

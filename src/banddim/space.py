@@ -4,14 +4,17 @@ A :class:`FiniteMetricSpace` is an ordered list of point ids together with a
 full symmetric distance matrix.  Spaces generated from integer boxes keep an
 integer distance matrix plus a rational spacing, so every comparison against a
 scale ``r`` is exact; spaces loaded from JSON fall back to doubles with a
-1e-12 comparison tolerance.  All other modules reference points by their index
-into ``points``.
+1e-12 comparison tolerance.  Every test of dist <= r in the package (cover
+separation, enlargements, the r-neighbor relation, r-chains, ball counts)
+goes through :meth:`FiniteMetricSpace.within_mask`, the one place that rule
+lives.  All other modules reference points by their index into ``points``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,22 +68,16 @@ class FiniteMetricSpace:
     def index(self, point):
         return self._index[point]
 
-    def within(self, i, j, radius):
-        """Exact (or 1e-12-tolerant) test of dist(i, j) <= radius."""
+    def within_mask(self, radius):
+        """Boolean n x n matrix of dist(i, j) <= radius.
+
+        Exact spaces compare integer distances against floor(radius / spacing),
+        which is exact because the integer distances are integral; loaded
+        spaces compare doubles with a 1e-12 tolerance.
+        """
         if self.exact:
-            return Fraction(int(self.dist_int[i, j])) * self.spacing <= Fraction(radius)
-        return self.dist[i, j] <= float(radius) + FLOAT_TOL
-
-    def dist_to_set(self, subset):
-        """Vector of distances from every point to the subset (inf if empty)."""
-        idx = list(subset)
-        if not idx:
-            return np.full(self.n, np.inf)
-        return self.dist[:, idx].min(axis=1)
-
-    def set_within(self, i, subset, radius):
-        """Exact test of dist(i, subset) <= radius (False for empty subset)."""
-        return any(self.within(i, j, radius) for j in subset)
+            return self.dist_int <= math.floor(Fraction(radius) / self.spacing)
+        return self.dist <= float(radius) + FLOAT_TOL
 
     def diameter(self, subset=None):
         idx = list(subset) if subset is not None else range(self.n)
@@ -89,17 +86,14 @@ class FiniteMetricSpace:
         sub = self.dist[np.ix_(idx, idx)]
         return float(sub.max())
 
-    def set_gap(self, a, b):
-        """Minimum distance between two nonempty point sets."""
-        ia, ib = list(a), list(b)
-        return float(self.dist[np.ix_(ia, ib)].min())
-
     # -- validation ----------------------------------------------------
 
     def _validate_axioms(self):
         d = self.dist
         if d.shape != (self.n, self.n):
             raise InvalidParameterError("distance matrix shape mismatch")
+        if not np.all(np.isfinite(d)):
+            raise InvalidParameterError("non-finite distance (inf or NaN)")
         if np.any(d < 0):
             raise InvalidParameterError("negative distance")
         if not np.allclose(d, d.T, atol=FLOAT_TOL, rtol=0.0):
@@ -119,15 +113,6 @@ class FiniteMetricSpace:
     def __repr__(self):
         kind = self.grid_meta.family if self.grid_meta else "loaded"
         return f"FiniteMetricSpace({kind}, n={self.n})"
-
-
-def _coordinate_distance(p, q, metric):
-    diffs = [abs(a - b) for a, b in zip(p, q)]
-    if metric == "l1":
-        return sum(diffs)
-    if metric == "linf":
-        return max(diffs)
-    raise InvalidParameterError(f"unknown metric {metric!r}")
 
 
 def generate_space(family, *, length=None, sides=None, metric="linf", spacing=1):
@@ -190,11 +175,7 @@ def ulf_profile(space, radii):
     for r in radii:
         if float(r) < 0:
             raise InvalidParameterError("radii must be nonnegative")
-        best = 0
-        for i in range(space.n):
-            count = sum(1 for j in range(space.n) if space.within(i, j, r))
-            best = max(best, count)
-        entries[r] = best
+        entries[r] = int(space.within_mask(r).sum(axis=1).max(initial=0))
     return UlfProfile(entries)
 
 
@@ -202,14 +183,8 @@ def enlarge(space, subset, r):
     """Metric enlargement {x : dist(x, subset) <= r}; empty subset gives {}."""
     if float(r) < 0:
         raise InvalidParameterError("enlargement radius must be nonnegative")
-    subset = list(subset)
-    if not subset:
-        return frozenset()
-    out = set()
-    for i in range(space.n):
-        if space.set_within(i, subset, r):
-            out.add(i)
-    return frozenset(out)
+    near = space.within_mask(r)[:, list(subset)].any(axis=1)
+    return frozenset(np.nonzero(near)[0].tolist())
 
 
 # -- JSON interface ----------------------------------------------------
@@ -238,15 +213,15 @@ def save_space(space, path):
 def load_space(path):
     """Load a space file, validating all three metric axioms (double mode).
 
-    When the file carries a generator block whose regenerated space matches
-    the stored matrix, the exact integer representation is adopted; anything
-    else stays in double mode.
+    When the file carries a generator block whose regenerated space has the
+    same points and agrees with the stored matrix, the exact integer
+    representation is returned without validation, since it is a metric by
+    construction; anything else is validated and stays in double mode.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     points = [_id_from_json(p) for p in doc["points"]]
     dist = np.asarray(doc["dist"], dtype=float)
-    loaded = FiniteMetricSpace(points, dist)
     gen = doc.get("generator")
     if gen:
         spacing = Fraction(gen["spacing"])
@@ -255,7 +230,7 @@ def load_space(path):
         else:
             regen = generate_space("grid", sides=gen["sides"], metric=gen["metric"],
                                    spacing=spacing)
-        if regen.points == loaded.points and np.allclose(regen.dist, loaded.dist,
-                                                         atol=FLOAT_TOL, rtol=0.0):
+        if regen.points == points and regen.dist.shape == dist.shape and \
+                np.allclose(regen.dist, dist, atol=FLOAT_TOL, rtol=0.0):
             return regen
-    return loaded
+    return FiniteMetricSpace(points, dist)

@@ -66,27 +66,6 @@ class DiagDimWitness:
         return [(i, self.phi.restrict_to_color(i)) for i in self.algebra.colors()]
 
 
-def _ball_counts(space, subset, r_int):
-    """Integer vector counting, per point, how many radii m in 1..r_int reach
-    the subset: |{m : dist(x, subset) <= m}|."""
-    idx = list(subset)
-    counts = np.zeros(space.n, dtype=np.int64)
-    if not idx:
-        return counts
-    if space.exact:
-        d_units = space.dist_int[:, idx].min(axis=1)
-        for x in range(space.n):
-            d_len = Fraction(int(d_units[x])) * space.spacing
-            lo = max(1, math.ceil(d_len))
-            counts[x] = max(0, r_int - lo + 1)
-    else:
-        d_len = space.dist[:, idx].min(axis=1)
-        for x in range(space.n):
-            lo = max(1, math.ceil(d_len[x] - 1e-12))
-            counts[x] = max(0, r_int - lo + 1)
-    return counts
-
-
 def condition2_errors(witness, test_set=None):
     """Per-element norms ||phi(psi(a)) - a|| over the test set."""
     ops = witness.test_set if test_set is None else test_set
@@ -120,11 +99,13 @@ def build_upper_witness(space, cover, r, fiber_dim, test_set=None, epsilon=None)
     color_counts = []
     summands, windows, color_of_summand = [], [], []
     per_set_counts = []
+    masks = [space.within_mask(m) for m in range(1, r + 1)]
     for i, fam in enumerate(cover.families):
         total = np.zeros(space.n, dtype=np.int64)
         sets_counts = []
         for j, U in enumerate(fam):
-            cnt = _ball_counts(space, U, r)
+            # |{m in 1..r : dist(x, U) <= m}| for every point x
+            cnt = sum(mask[:, list(U)].any(axis=1) for mask in masks)
             sets_counts.append(cnt)
             total += cnt
         color_counts.append(total)

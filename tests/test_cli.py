@@ -129,3 +129,13 @@ def test_test_set_extension(tmp_path):
     back = load_witness(wdir)
     got = back.test_set[-1]
     assert np.allclose(got.to_dense(), extra.to_dense())
+
+
+def test_cover_check_rejects_non_finite_space(tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"points": [0, 1],
+                                 "dist": [[0, float("inf")], [float("inf"), 0]]}))
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"r": 1.0, "families": [[[0], [1]]]}))
+    assert main(["cover", "check", "--space", str(space), "--cover", str(cover),
+                 "--r", "1"]) == 3

@@ -44,7 +44,7 @@ def test_grid_l1_matches_brute_force():
 def test_spacing_scales_distances():
     sp = generate_space("interval", length=4, spacing="1/2")
     assert sp.dist[0, 3] == 1.5
-    assert sp.within(0, 3, 1.5) and not sp.within(0, 3, 1.4999999)
+    assert sp.within_mask(1.5)[0, 3] and not sp.within_mask(1.4999999)[0, 3]
 
 
 def test_zero_size_dimension_rejected():
@@ -151,4 +151,23 @@ def test_loader_validates_axioms(tmp_path):
     zero_diag = {"points": [0, 1], "dist": [[0, 0], [0, 0]]}
     path.write_text(json.dumps(zero_diag))
     with pytest.raises(InvalidParameterError):
+        load_space(path)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_loader_rejects_non_finite_distances(tmp_path, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"points": [0, 1], "dist": [[0, bad], [bad, 0]]}))
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        load_space(path)
+
+
+def test_generator_mismatch_still_validates(tmp_path):
+    sp = generate_space("interval", length=3)
+    path = tmp_path / "space.json"
+    save_space(sp, path)
+    doc = json.loads(path.read_text())
+    doc["dist"] = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]  # 5 > 1 + 1, unlike the generator
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidParameterError, match="triangle"):
         load_space(path)
