@@ -23,8 +23,8 @@ from .extract import build_translation_system, extract_cover, threshold_setup
 from .extract import matrix_unit_identities  # only for perfbench tracing
 from .operators import BandOperator
 from .space import generate_space, load_space, save_space
-from .witness import (build_upper_witness, check_witness, hat_normalize,
-                      load_witness, save_witness)
+from .witness import (build_upper_witness, check_witness, condition2_errors,
+                      hat_normalize, load_witness, save_witness)
 
 STAGES = ["space", "cover", "witness", "check", "hat", "extract", "report"]
 
@@ -51,12 +51,6 @@ def _provenance(config):
             "package_version": __version__}
 
 
-def _space_from_args(args):
-    if getattr(args, "space", None):
-        return load_space(args.space)
-    raise UsageError("--space is required")
-
-
 def _gen_space(spec):
     family = spec.get("family", "interval")
     if family == "interval":
@@ -77,8 +71,16 @@ def _test_set(space, fiber, scale, extra_files=()):
     return ops
 
 
-def _witness_report(witness, tol):
-    return check_witness(witness, tol=tol).to_json()
+def _build_witness(space, cover, r, fiber, test_scale, test_ops, epsilon):
+    """The witness at scale r; the test scale defaults to r, which gives the
+    default test set of ``build_upper_witness`` when no operator files are
+    added."""
+    scale = r if test_scale is None else test_scale
+    test_set = _test_set(space, fiber, scale, test_ops or ())
+    witness = build_upper_witness(space, cover, r, fiber, test_set=test_set,
+                                  epsilon=epsilon)
+    witness.meta["r"] = r
+    return witness
 
 
 def _extraction_report(witness, r, out_cover=None):
@@ -107,14 +109,14 @@ def _cmd_space_gen(args):
 
 
 def _cmd_cover_gen(args):
-    space = _space_from_args(args)
+    space = load_space(args.space)
     cover = brick_cover(space, args.r, args.brick_side)
     save_cover(cover, space, args.out)
     return 0
 
 
 def _cmd_cover_check(args):
-    space = _space_from_args(args)
+    space = load_space(args.space)
     cover = load_cover(args.cover, space)
     report = verify_cover(cover, space, args.r)
     _emit(report.to_json(), args.out)
@@ -122,22 +124,17 @@ def _cmd_cover_check(args):
 
 
 def _cmd_witness_build(args):
-    space = _space_from_args(args)
+    space = load_space(args.space)
     cover = load_cover(args.cover, space)
-    test_set = None
-    if args.test_scale is not None or args.test_op:
-        scale = args.test_scale if args.test_scale is not None else args.r
-        test_set = _test_set(space, args.fiber, scale, args.test_op or ())
-    witness = build_upper_witness(space, cover, args.r, args.fiber,
-                                  test_set=test_set, epsilon=args.epsilon)
-    witness.meta["r"] = args.r
+    witness = _build_witness(space, cover, args.r, args.fiber, args.test_scale,
+                             args.test_op, args.epsilon)
     save_witness(witness, args.out)
     return 0
 
 
 def _cmd_witness_check(args):
     witness = load_witness(args.witness)
-    _emit(_witness_report(witness, args.tol), args.out)
+    _emit(check_witness(witness, tol=args.tol).to_json(), args.out)
     return 0
 
 
@@ -158,14 +155,13 @@ def _cmd_extract(args):
 
 
 def _cmd_sweep(args):
-    space = _space_from_args(args)
+    space = load_space(args.space)
+    test_set = _test_set(space, args.fiber, args.test_scale)
     rows = []
     for r in args.r:
         side = args.brick_side_factor * r
         cover = brick_cover(space, r, side)
-        test_set = _test_set(space, args.fiber, args.test_scale)
         witness = build_upper_witness(space, cover, r, args.fiber, test_set=test_set)
-        from .witness import condition2_errors
         err = max(condition2_errors(witness))
         rows.append({"r": r, "brick_side": side, "error": err,
                      "epsilon": witness.epsilon})
@@ -249,19 +245,12 @@ def _cmd_run(args):
                 save_cover(cover, space, os.path.join(out, "cover.json"))
                 artifacts["cover"] = "cover.json"
             elif stage == "witness":
-                test_set = None
-                if cfg.get("test_scale") is not None or cfg.get("test_ops"):
-                    scale = cfg.get("test_scale", r)
-                    test_set = _test_set(space, fiber, scale,
-                                         cfg.get("test_ops", ()))
-                witness = build_upper_witness(space, cover, r, fiber,
-                                              test_set=test_set,
-                                              epsilon=cfg.get("epsilon"))
-                witness.meta["r"] = r
+                witness = _build_witness(space, cover, r, fiber, cfg.get("test_scale"),
+                                         cfg.get("test_ops"), cfg.get("epsilon"))
                 save_witness(witness, os.path.join(out, "witness"))
                 artifacts["witness"] = "witness"
             elif stage == "check":
-                _write(_witness_report(witness, tol),
+                _write(check_witness(witness, tol=tol).to_json(),
                        os.path.join(out, "check_report.json"))
                 artifacts["check"] = "check_report.json"
             elif stage == "hat":

@@ -59,46 +59,24 @@ class BandAlgebra:
         blk[i % m, j % m] = 1.0
         return BandOperator(self.space, m, {(i // m, j // m): blk})
 
+    # -- coordinates (small algebras) ------------------------------------
+
+    def corners(self):
+        """(matrix dim, coordinate-unit factory) of the single matrix corner."""
+        return [(self.matrix_dim, self.unit)]
+
+    def from_dense(self, mat):
+        return BandOperator.from_dense(self.space, self.fiber_dim, mat, tol=1e-14)
+
+    def pack(self, x):
+        return x.to_dense().reshape(-1)
+
+    def unpack(self, vec):
+        d = self.matrix_dim
+        return BandOperator.from_dense(self.space, self.fiber_dim, vec.reshape(d, d))
+
     def __repr__(self):
         return f"BandAlgebra(n={self.space.n}, m={self.fiber_dim})"
-
-
-def elem_norm(x):
-    if isinstance(x, BandOperator):
-        return operator_norm(x)
-    return x.norm()
-
-
-def elem_funcalc(x, f):
-    if isinstance(x, BandOperator):
-        return hermitian_funcalc(x, f)
-    return x.funcalc(f)
-
-
-def hermitian_funcalc(op, f):
-    """Scalar functional calculus of a Hermitian band operator.
-
-    Propagation-zero operators are handled blockwise; anything else goes
-    through a dense eigendecomposition.
-    """
-    if all(x == y for (x, y) in op.blocks):
-        blocks = {}
-        for (x, _), b in op.blocks.items():
-            w, v = np.linalg.eigh(b)
-            blocks[(x, x)] = (v * np.asarray(f(w))) @ v.conj().T
-        out = dict(blocks)
-        # Points with no stored block carry the value f(0).
-        f0 = complex(np.asarray(f(np.array([0.0])))[0])
-        if abs(f0) > 0.0:
-            eye = f0 * np.eye(op.fiber_dim)
-            for x in range(op.space.n):
-                if (x, x) not in out:
-                    out[(x, x)] = eye.copy()
-        return BandOperator(op.space, op.fiber_dim, out)
-    dense = op.to_dense()
-    w, v = np.linalg.eigh(dense)
-    mat = (v * np.asarray(f(w))) @ v.conj().T
-    return BandOperator.from_dense(op.space, op.fiber_dim, mat, tol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +222,17 @@ class DenseCpMap(CpMap):
         self.domain = domain
         self.codomain = codomain
         self.matrix = np.asarray(matrix, dtype=complex)
-        if self.matrix.shape != (coord_dim(codomain), coord_dim(domain)):
+        if self.matrix.shape != (codomain.coord_dim, domain.coord_dim):
             raise InvalidParameterError("coordinate matrix has wrong shape")
 
     def apply(self, x):
-        return unpack_coords(self.codomain, self.matrix @ pack_coords(self.domain, x))
+        return self.codomain.unpack(self.matrix @ self.domain.pack(x))
 
     @classmethod
     def from_callable(cls, domain, codomain, fn):
         cols = []
         for u in basis_elements(domain):
-            cols.append(pack_coords(codomain, fn(u)))
+            cols.append(codomain.pack(fn(u)))
         return cls(domain, codomain, np.stack(cols, axis=1))
 
 
@@ -274,9 +252,9 @@ class KrausMap(CpMap):
         self.kraus = [np.asarray(V, dtype=complex) for V in kraus]
 
     def apply(self, x):
-        mat = to_dense(x)
+        mat = x.to_dense()
         out = sum(V @ mat @ V.conj().T for V in self.kraus)
-        return from_dense(self.codomain, out)
+        return self.codomain.from_dense(out)
 
 
 class SandwichedMap(CpMap):
@@ -364,87 +342,8 @@ class FactoredMap(CpMap):
         return None if inner is None else ("factored", inner)
 
 
-class FunctionalCalculusMap(CpMap):
-    """Image f(phi) of an order-zero map: a -> f(h) . pi(a)."""
-
-    def __init__(self, factorization, f, f_of_h):
-        self.factorization = factorization
-        self.f = f
-        self.f_of_h = f_of_h
-        self.domain = factorization.domain
-        self.codomain = factorization.codomain
-
-    def apply(self, x):
-        return self.f_of_h @ self.factorization.pi(x)
-
-    def order_zero_certificate(self):
-        return ("functional-calculus", self.factorization.source_certificate)
-
-
-# ---------------------------------------------------------------------------
-# Coordinate helpers (small algebras only)
-# ---------------------------------------------------------------------------
-
-def coord_dim(algebra):
-    return algebra.coord_dim
-
-
-def to_dense(x):
-    if isinstance(x, BandOperator):
-        return x.to_dense()
-    if len(x.parts) != 1:
-        raise InvalidParameterError("dense form needs a single-summand element")
-    return x.parts[0]
-
-
-def from_dense(algebra, mat):
-    if isinstance(algebra, BandAlgebra):
-        return BandOperator.from_dense(algebra.space, algebra.fiber_dim, mat, tol=1e-14)
-    if len(algebra.summands) != 1:
-        raise InvalidParameterError("dense form needs a single-summand algebra")
-    return FdElement(algebra, [mat])
-
-
-def pack_coords(algebra, x):
-    if isinstance(x, BandOperator):
-        return x.to_dense().reshape(-1)
-    return np.concatenate([p.reshape(-1) for p in x.parts])
-
-
-def unpack_coords(algebra, vec):
-    if isinstance(algebra, BandAlgebra):
-        d = algebra.matrix_dim
-        return BandOperator.from_dense(algebra.space, algebra.fiber_dim,
-                                       vec.reshape(d, d), tol=0.0)
-    parts = []
-    pos = 0
-    for d in algebra.block_dims:
-        parts.append(vec[pos:pos + d * d].reshape(d, d))
-        pos += d * d
-    return FdElement(algebra, parts)
-
-
-def _corners(algebra):
-    """(matrix dim, unit factory) per matrix corner of the algebra."""
-    if isinstance(algebra, BandAlgebra):
-        return [(algebra.matrix_dim, algebra.unit)]
-    out = []
-    m = algebra.fiber_dim
-
-    def factory(k):
-        def unit(i, j):
-            parts = [np.zeros((d, d), dtype=complex) for d in algebra.block_dims]
-            parts[k][i, j] = 1.0
-            return FdElement(algebra, parts)
-        return unit
-
-    for k, s in enumerate(algebra.summands):
-        out.append((s.size * m, factory(k)))
-    return out
-
-
 def basis_elements(algebra):
-    for dim, unit in _corners(algebra):
+    for dim, unit in algebra.corners():
         for i in range(dim):
             for j in range(dim):
                 yield unit(i, j)
@@ -458,41 +357,10 @@ CHOI_COORD_CAP = 512
 CHOI_ASSEMBLY_CAP = 4096
 
 
-def _active_dense(images):
+def _joint_dense(images):
     """Dense matrices of the images restricted to their joint active coords."""
-    if isinstance(images[0], BandOperator):
-        m = images[0].fiber_dim
-        pts = set()
-        for im in images:
-            for (x, y) in im.blocks:
-                pts.update((x, y))
-        coords = [p * m + a for p in sorted(pts) for a in range(m)]
-        if not coords:
-            coords = [0]
-        sel = np.array(coords)
-        return [im.to_dense()[np.ix_(sel, sel)] for im in images]
-    offsets = []
-    pos = 0
-    for d in images[0].algebra.block_dims:
-        offsets.append(pos)
-        pos += d
-    active = set()
-    for im in images:
-        for k, p in enumerate(im.parts):
-            rows = np.argwhere(np.abs(p).max(axis=1) > 0.0).reshape(-1)
-            cols = np.argwhere(np.abs(p).max(axis=0) > 0.0).reshape(-1)
-            active.update(offsets[k] + r for r in rows)
-            active.update(offsets[k] + c for c in cols)
-    coords = sorted(active) if active else [0]
-    full = []
-    for im in images:
-        mat = np.zeros((pos, pos), dtype=complex)
-        for k, p in enumerate(im.parts):
-            d = p.shape[0]
-            mat[offsets[k]:offsets[k] + d, offsets[k]:offsets[k] + d] = p
-        sel = np.array(coords)
-        full.append(mat[np.ix_(sel, sel)])
-    return full
+    coords = sorted(set().union(*(im.active_coords() for im in images))) or [0]
+    return [im.dense_on(coords) for im in images]
 
 
 @dataclass
@@ -516,7 +384,7 @@ def choi_check(phi, truncation=CHOI_COORD_CAP, psd_tol=1e-10):
     compressed to the coordinates the images touch; both reductions preserve
     complete positivity, so a PSD failure on the truncation refutes the map.
     """
-    eff = min(coord_dim(phi.domain), truncation)
+    eff = min(phi.domain.coord_dim, truncation)
     if eff > CHOI_COORD_CAP:
         raise SizeLimitError(
             f"domain truncation of coordinate dimension {eff} exceeds the "
@@ -525,18 +393,18 @@ def choi_check(phi, truncation=CHOI_COORD_CAP, psd_tol=1e-10):
     min_eig = math.inf
     herm_defect = 0.0
     dims = []
-    for dim, unit in _corners(phi.domain):
+    for dim, unit in phi.domain.corners():
         n = min(dim, int(math.isqrt(budget)))
         if n < 1:
             break
         images = [[phi.apply(unit(i, j)) for j in range(n)] for i in range(n)]
         flat = [im for row in images for im in row]
-        dense = _active_dense(flat)
+        dense = _joint_dense(flat)
         nc = dense[0].shape[0]
         while n > 1 and n * nc > CHOI_ASSEMBLY_CAP:
             n -= 1
             flat = [images[i][j] for i in range(n) for j in range(n)]
-            dense = _active_dense(flat)
+            dense = _joint_dense(flat)
             nc = dense[0].shape[0]
         choi = np.zeros((n * nc, n * nc), dtype=complex)
         for i in range(n):
@@ -582,17 +450,14 @@ def _windows_disjoint(windows):
 
 def _split_positives(x, rng):
     """A pair of orthogonal positives carved from a random Hermitian."""
-    if isinstance(x, BandOperator):
-        vals = np.linalg.eigvalsh(x.to_dense())
-    else:
-        vals = np.concatenate([np.linalg.eigvalsh(p) for p in x.parts])
+    vals = np.concatenate(x.eigenvalues())
     lo, hi = float(vals.min()), float(vals.max())
     if hi <= lo:
         return None
     cut = rng.uniform(lo, hi)
-    a = elem_funcalc(x, lambda t: np.maximum(t - cut, 0.0))
-    b = elem_funcalc(x, lambda t: np.maximum(cut - t, 0.0))
-    na, nb = elem_norm(a), elem_norm(b)
+    a = x.funcalc(lambda t: np.maximum(t - cut, 0.0))
+    b = x.funcalc(lambda t: np.maximum(cut - t, 0.0))
+    na, nb = a.norm(), b.norm()
     if na < 1e-9 or nb < 1e-9:
         return None
     return (1.0 / na) * a, (1.0 / nb) * b
@@ -601,8 +466,7 @@ def _split_positives(x, rng):
 def _structural_order_zero(phi):
     """True when the map carries a verified structural order-zero certificate."""
     cert = phi.order_zero_certificate()
-    while cert is not None and cert[0] in ("factored", "functional-calculus",
-                                           "supported-homomorphism"):
+    while cert is not None and cert[0] in ("factored", "supported-homomorphism"):
         cert = cert[1]
     if cert is None:
         return False
@@ -631,7 +495,7 @@ def order_zero_check(phi, trials=200, seed=0, tol=1e-9):
         if pair is None:
             continue
         a, b = pair
-        worst = max(worst, elem_norm(phi.apply(a) @ phi.apply(b)))
+        worst = max(worst, (phi.apply(a) @ phi.apply(b)).norm())
         done += 1
     return OrderZeroReport(worst <= tol, worst, "sampled", done)
 
@@ -695,8 +559,8 @@ def factorize_order_zero(phi, tol=1e-10, validate=True, trials=8, seed=0):
         cut = OrderZeroFactorization.PINV_REL_CUTOFF * max(float(np.max(t)), 0.0)
         return (t > cut).astype(float)
 
-    pinv = elem_funcalc(h, pinv_fn)
-    support = elem_funcalc(h, supp_fn)
+    pinv = h.funcalc(pinv_fn)
+    support = h.funcalc(supp_fn)
     fact = OrderZeroFactorization(phi, h, pinv, support)
     if validate:
         _validate_factorization(fact, tol, trials, seed)
@@ -705,19 +569,19 @@ def factorize_order_zero(phi, tol=1e-10, validate=True, trials=8, seed=0):
 
 def _validate_factorization(fact, tol, trials, seed):
     rng = np.random.default_rng(seed)
-    scale = max(1.0, elem_norm(fact.h))
+    scale = max(1.0, fact.h.norm())
     samples = [fact.domain.identity()]
     for _ in range(trials):
         samples.append(fact.domain.random_hermitian(rng))
     pis = [fact.pi(a) for a in samples]
     for a, pa in zip(samples, pis):
-        na = max(1.0, elem_norm(a))
-        dev = elem_norm(fact.source.apply(a) - fact.h @ pa) / (scale * na)
+        na = max(1.0, a.norm())
+        dev = (fact.source.apply(a) - fact.h @ pa).norm() / (scale * na)
         if dev > tol:
             raise FactorizationError(
                 "factorization identity phi(a) = h.pi(a) fails",
                 identity="phi=h.pi", deviation=dev)
-        dev = elem_norm(fact.h @ pa - pa @ fact.h) / (scale * na)
+        dev = (fact.h @ pa - pa @ fact.h).norm() / (scale * na)
         if dev > tol:
             raise FactorizationError(
                 "h does not commute with pi(a)", identity="[h,pi]=0", deviation=dev)
@@ -725,10 +589,10 @@ def _validate_factorization(fact, tol, trials, seed):
     for i in range(min(3, len(samples))):
         for j in range(min(3, len(samples))):
             a, b = samples[i], samples[j]
-            nn = max(1.0, elem_norm(a) * elem_norm(b))
+            nn = max(1.0, a.norm() * b.norm())
             lhs = s @ fact.pi(a @ b) @ s
             rhs = (s @ fact.pi(a) @ s) @ (s @ fact.pi(b) @ s)
-            dev = elem_norm(lhs - rhs) / nn
+            dev = (lhs - rhs).norm() / nn
             if dev > tol:
                 raise FactorizationError(
                     "pi is not multiplicative on the support of h",
@@ -746,8 +610,7 @@ def functional_calculus(f, phi, tol=1e-10):
         raise InvalidFunctionError("functional calculus requires f(0) = 0")
     fact = phi if isinstance(phi, OrderZeroFactorization) else \
         factorize_order_zero(phi, tol=tol)
-    f_of_h = elem_funcalc(fact.h, f)
-    return FunctionalCalculusMap(fact, f, f_of_h)
+    return FactoredMap(fact.h.funcalc(f), _PiWrapper(fact))
 
 
 # ---------------------------------------------------------------------------

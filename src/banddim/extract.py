@@ -23,10 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from .cover import make_cover, verify_cover
-from .cpmaps import bump_function, factorize_order_zero, hermitian_funcalc
+from .cpmaps import bump_function, factorize_order_zero
 from .errors import (AmbiguousSupportError, CoverGapError, DiagonalViolationError,
                      InvalidParameterError, InvalidWitnessError)
-from .operators import BandOperator, operator_norm
+from .operators import BandOperator, operator_norm, spectral_norm
 from .space import ulf_profile
 
 
@@ -221,7 +221,7 @@ def _point_compression_norm(op, x):
         return 0.0
     B = np.vstack(col)
     C = np.hstack(row)
-    return float(np.linalg.norm(B @ C, 2))
+    return spectral_norm(B @ C)
 
 
 def _column_compression(op, x):
@@ -252,8 +252,8 @@ def build_translation_system(witness, td, verify=True, tol=1e-8):
     for corner in td.corners:
         phi_ij = witness.phi.corner_map(corner.summand_index, corner.kept_slots)
         fact = factorize_order_zero(phi_ij, trials=2)
-        f_of_h = hermitian_funcalc(fact.h, f_fun)
-        g_of_h = hermitian_funcalc(fact.h, g_fun)
+        f_of_h = fact.h.funcalc(f_fun)
+        g_of_h = fact.h.funcalc(g_fun)
         dom = phi_ij.domain
         s = corner.s
         f_img, g_img = {}, {}
@@ -381,7 +381,7 @@ def _diag_positive_deviation(op, tol):
     dev = 0.0
     for (x, y), b in op.blocks.items():
         if x != y:
-            dev = max(dev, float(np.linalg.norm(b, 2)))
+            dev = max(dev, spectral_norm(b))
         else:
             h = (b + b.conj().T) / 2.0
             dev = max(dev, float(np.abs(b - h).max()))
@@ -521,7 +521,7 @@ def extract_cover(pts, space, r):
         for color in colors:
             blocks = col_index[color].get(x)
             if blocks:
-                mass += float(np.linalg.norm(np.vstack(blocks), 2))
+                mass += spectral_norm(np.vstack(blocks))
         if mass > 0.75 and x not in covered:
             coverage_violations.append(space.points[x])
 

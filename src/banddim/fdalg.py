@@ -11,10 +11,12 @@ algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import IncompatibilityError, InvalidParameterError
+from .operators import spectral_norm
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,33 @@ class FiniteDimAlgebra:
             parts.append(scale * (g + g.conj().T) / 2.0)
         return FdElement(self, parts)
 
+    # -- coordinates (small algebras) ------------------------------------
+
+    def corners(self):
+        """(matrix dim, coordinate-unit factory (i, j) -> element) per summand."""
+        return [(d, partial(self._coord_unit, k)) for k, d in enumerate(self.block_dims)]
+
+    def _coord_unit(self, k, i, j):
+        parts = [np.zeros((d, d), dtype=complex) for d in self.block_dims]
+        parts[k][i, j] = 1.0
+        return FdElement(self, parts)
+
+    def from_dense(self, mat):
+        if len(self.summands) != 1:
+            raise InvalidParameterError("dense form needs a single-summand algebra")
+        return FdElement(self, [mat])
+
+    def pack(self, x):
+        return np.concatenate([p.reshape(-1) for p in x.parts])
+
+    def unpack(self, vec):
+        parts = []
+        pos = 0
+        for d in self.block_dims:
+            parts.append(vec[pos:pos + d * d].reshape(d, d))
+            pos += d * d
+        return FdElement(self, parts)
+
     def __repr__(self):
         sizes = [s.size for s in self.summands]
         return f"FiniteDimAlgebra(sizes={sizes}, fiber={self.fiber_dim})"
@@ -128,8 +157,7 @@ class FdElement:
         return FdElement(self.algebra, [p.conj().T for p in self.parts])
 
     def norm(self):
-        vals = [np.linalg.norm(p, 2) for p in self.parts if p.size]
-        return float(max(vals)) if vals else 0.0
+        return max((spectral_norm(p) for p in self.parts), default=0.0)
 
     def is_hermitian(self, tol=1e-12):
         return all(np.allclose(p, p.conj().T, atol=tol) for p in self.parts)
@@ -155,7 +183,7 @@ class FdElement:
             np.fill_diagonal(view, 0.0)
             for a, b in np.argwhere(view > 0.0):
                 blk = p[a * m:(a + 1) * m, b * m:(b + 1) * m]
-                mass = max(mass, float(np.linalg.norm(blk, 2)))
+                mass = max(mass, spectral_norm(blk))
         return mass
 
     def is_canonical_diagonal(self, tol):
@@ -163,6 +191,34 @@ class FdElement:
         if mass == 0.0:
             return True, 0.0
         return mass <= tol * max(1.0, self.norm()), mass
+
+    def to_dense(self):
+        """The block-diagonal matrix of the summand parts."""
+        return self.dense_on(range(sum(self.algebra.block_dims)))
+
+    def active_coords(self):
+        """Sorted block-diagonal coordinates of the nonzero rows and columns."""
+        active = set()
+        offset = 0
+        for p in self.parts:
+            mags = np.abs(p)
+            used = (mags.max(axis=1) > 0.0) | (mags.max(axis=0) > 0.0)
+            active.update((offset + np.flatnonzero(used)).tolist())
+            offset += p.shape[0]
+        return sorted(active)
+
+    def dense_on(self, coords):
+        """The block-diagonal matrix restricted to the given sorted coordinates."""
+        coords = np.asarray(coords, dtype=int)
+        out = np.zeros((len(coords), len(coords)), dtype=complex)
+        offset = 0
+        for p in self.parts:
+            d = p.shape[0]
+            sel = np.flatnonzero((coords >= offset) & (coords < offset + d))
+            local = coords[sel] - offset
+            out[np.ix_(sel, sel)] = p[np.ix_(local, local)]
+            offset += d
+        return out
 
     def fiber_block(self, k, a, b):
         m = self.algebra.fiber_dim

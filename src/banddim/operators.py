@@ -207,11 +207,54 @@ class BandOperator:
         return not self.blocks
 
     def to_dense(self):
+        return self.dense_on(range(self.space.n * self.fiber_dim))
+
+    def active_coords(self):
+        """Sorted dense coordinates of the points the operator touches."""
         m = self.fiber_dim
-        out = np.zeros((self.space.n * m, self.space.n * m), dtype=complex)
+        pts = sorted({p for key in self.blocks for p in key})
+        return [p * m + a for p in pts for a in range(m)]
+
+    def dense_on(self, coords):
+        """Dense matrix on the given sorted coordinates, which must hold the
+        whole fiber of every touched point."""
+        m = self.fiber_dim
+        pos = {c: i for i, c in enumerate(coords)}
+        out = np.zeros((len(coords), len(coords)), dtype=complex)
         for (x, y), b in self.blocks.items():
-            out[x * m:(x + 1) * m, y * m:(y + 1) * m] = b
+            i, j = pos[x * m], pos[y * m]
+            out[i:i + m, j:j + m] = b
         return out
+
+    def norm(self):
+        return operator_norm(self)
+
+    def eigenvalues(self):
+        """Eigenvalues of a Hermitian operator, as a one-entry list."""
+        return [np.linalg.eigvalsh(self.to_dense())]
+
+    def funcalc(self, f):
+        """Scalar functional calculus of a Hermitian operator.
+
+        Propagation-zero operators are handled blockwise; anything else goes
+        through a dense eigendecomposition.
+        """
+        if self.is_diagonal:
+            blocks = {}
+            for (x, _), b in self.blocks.items():
+                w, v = np.linalg.eigh(b)
+                blocks[(x, x)] = (v * np.asarray(f(w))) @ v.conj().T
+            # Points with no stored block carry the value f(0).
+            f0 = complex(np.asarray(f(np.array([0.0])))[0])
+            if abs(f0) > 0.0:
+                eye = f0 * np.eye(self.fiber_dim)
+                for x in range(self.space.n):
+                    if (x, x) not in blocks:
+                        blocks[(x, x)] = eye.copy()
+            return BandOperator(self.space, self.fiber_dim, blocks)
+        w, v = np.linalg.eigh(self.to_dense())
+        mat = (v * np.asarray(f(w))) @ v.conj().T
+        return BandOperator.from_dense(self.space, self.fiber_dim, mat, tol=1e-14)
 
     def apply(self, vec):
         m = self.fiber_dim
@@ -245,17 +288,11 @@ def prop_support(op):
     return support, prop
 
 
-def _active_dense(op):
-    """Dense matrix over the points the operator actually touches; zero
-    rows and columns do not change singular values."""
-    pts = sorted({p for key in op.blocks for p in key})
-    pos = {p: i for i, p in enumerate(pts)}
-    m = op.fiber_dim
-    mat = np.zeros((len(pts) * m, len(pts) * m), dtype=complex)
-    for (x, y), b in op.blocks.items():
-        i, j = pos[x], pos[y]
-        mat[i * m:(i + 1) * m, j * m:(j + 1) * m] = b
-    return mat
+def spectral_norm(mat):
+    """Largest singular value of a dense matrix; 0.0 for an empty one."""
+    if mat.size == 0:
+        return 0.0
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
 def operator_norm(op, dense_threshold=DENSE_NORM_THRESHOLD, tol=POWER_TOL,
@@ -264,9 +301,10 @@ def operator_norm(op, dense_threshold=DENSE_NORM_THRESHOLD, tol=POWER_TOL,
     power iteration on T*T above it."""
     if op.is_zero:
         return 0.0
-    active = {p for key in op.blocks for p in key}
-    if len(active) * op.fiber_dim <= dense_threshold:
-        return float(np.linalg.svd(_active_dense(op), compute_uv=False)[0])
+    coords = op.active_coords()
+    if len(coords) <= dense_threshold:
+        # zero rows and columns do not change singular values
+        return spectral_norm(op.dense_on(coords))
     dim = op.space.n * op.fiber_dim
     rng = np.random.default_rng(0)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -313,7 +351,7 @@ def diagonal_membership(op, tol):
     mass = 0.0
     for (x, y), b in op.blocks.items():
         if x != y:
-            mass = max(mass, float(np.linalg.norm(b, 2)))
+            mass = max(mass, spectral_norm(b))
     if mass == 0.0:
         return DiagonalReport(True, 0.0)
     scale = max(1.0, operator_norm(op))

@@ -223,7 +223,9 @@ def load_space(path):
     points = [_id_from_json(p) for p in doc["points"]]
     dist = np.asarray(doc["dist"], dtype=float)
     gen = doc.get("generator")
-    if gen:
+    # A block naming another point count cannot match; regenerating it could
+    # build a far larger space than the file holds.
+    if gen and math.prod(gen["sides"]) == len(points):
         spacing = Fraction(gen["spacing"])
         if gen["family"] == "interval":
             regen = generate_space("interval", length=gen["sides"][0], spacing=spacing)

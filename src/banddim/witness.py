@@ -37,7 +37,7 @@ from .cpmaps import (BandAlgebra, CompressionMap, InclusionMap, SandwichedMap,
 from .errors import (CoverGapError, IncompatibilityError, InvalidParameterError,
                      InvalidWitnessError, PreconditionError)
 from .fdalg import FiniteDimAlgebra, Summand
-from .operators import BandOperator, operator_norm
+from .operators import BandOperator, operator_norm, spectral_norm
 from .space import FiniteMetricSpace
 
 
@@ -369,9 +369,6 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
 
     # All hat-map images are dense over the witness windows, so the checks
     # below run on dense matrices.
-    sv = lambda mat: float(np.linalg.svd(mat, compute_uv=False)[0]) \
-        if mat.size else 0.0
-
     def phi_hat_dense(x):
         return scale * witness.phi.apply_dense(p @ x @ p)
 
@@ -379,13 +376,13 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
     for a in witness.test_set:
         lhs = phi_hat_dense(psi_hat.apply(a))
         rhs = scale * witness.phi.apply_dense(witness.psi.apply(a))
-        scale_dev = max(scale_dev, sv(lhs - rhs))
+        scale_dev = max(scale_dev, spectral_norm(lhs - rhs))
 
     squares = witness.test_set + [a @ a for a in witness.test_set]
     approx_worst = 0.0
     for a in squares:
         approx_worst = max(approx_worst,
-                           sv(phi_hat_dense(psi_hat.apply(a)) - a.to_dense()))
+                           spectral_norm(phi_hat_dense(psi_hat.apply(a)) - a.to_dense()))
     approx_bound = eps ** 2 / 27.0
 
     rng = np.random.default_rng(seed)
@@ -402,7 +399,7 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
         phi_b = phi_hat_dense(b)
         for pa, image in zip(hat_psis, hat_images):
             lhs = phi_hat_dense(pa @ b)
-            mult_worst = max(mult_worst, sv(lhs - image @ phi_b))
+            mult_worst = max(mult_worst, spectral_norm(lhs - image @ phi_b))
     mult_bound = 6.0 * math.sqrt(eps ** 2 / 81.0)
 
     report = {

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from banddim.cover import brick_cover, make_cover, verify_cover
-from banddim.cpmaps import choi_check, cop_check, elem_norm, factorize_order_zero, transpose_map
+from banddim.cpmaps import choi_check, cop_check, factorize_order_zero, transpose_map
 from banddim.extract import (build_translation_system, decompose_neighbors,
                              extract_cover, matrix_unit_identities,
                              threshold_constants, threshold_setup)
@@ -120,11 +120,11 @@ def test_criterion_6_factorization_round_trip():
             a = phi.domain.random_hermitian(rng)
             b = phi.domain.random_hermitian(rng)
             worst_resid = max(worst_resid,
-                              elem_norm(phi.apply(a) - fact.h @ fact.pi(a)))
+                              (phi.apply(a) - fact.h @ fact.pi(a)).norm())
             lhs = s @ fact.pi(a @ b) @ s
             rhs = (s @ fact.pi(a) @ s) @ (s @ fact.pi(b) @ s)
-            nn = max(1.0, elem_norm(a) * elem_norm(b))
-            worst_mult = max(worst_mult, elem_norm(lhs - rhs) / nn)
+            nn = max(1.0, a.norm() * b.norm())
+            worst_mult = max(worst_mult, (lhs - rhs).norm() / nn)
     ok = worst_resid <= 1e-10 and worst_mult <= 1e-10
     assert _line(6, ok, f"100 seeded maps: residual {worst_resid:.2e}, "
                         f"multiplicativity {worst_mult:.2e}")

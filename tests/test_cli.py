@@ -1,6 +1,9 @@
+import filecmp
 import json
 import os
+import pathlib
 
+import banddim.cli
 from banddim.cli import main
 
 
@@ -139,3 +142,74 @@ def test_cover_check_rejects_non_finite_space(tmp_path):
     cover.write_text(json.dumps({"r": 1.0, "families": [[[0], [1]]]}))
     assert main(["cover", "check", "--space", str(space), "--cover", str(cover),
                  "--r", "1"]) == 3
+
+
+def test_null_test_scale_with_test_ops_uses_r(tmp_path):
+    import numpy as np
+    from banddim.operators import BandOperator, save_operator
+    from banddim.space import generate_space
+    from banddim.witness import load_witness
+
+    sp = generate_space("interval", length=40)
+    extra = BandOperator.partial_translation(sp, 1, [(x + 2, x) for x in range(38)])
+    op_path = tmp_path / "extra.json"
+    save_operator(extra, op_path)
+    path, cfg = write_config(tmp_path, test_scale=None, test_ops=[str(op_path)])
+    assert main(["run", "--config", str(path)]) == 0
+    back = load_witness(os.path.join(cfg["out_dir"], "witness"))
+    assert np.array_equal(back.test_set[-1].to_dense(), extra.to_dense())
+
+
+def _same_files(a, b):
+    if os.path.isdir(a):
+        cmp = filecmp.dircmp(a, b)
+        _, mismatch, errors = filecmp.cmpfiles(a, b, cmp.common_files, shallow=False)
+        return (not cmp.left_only and not cmp.right_only and not cmp.common_dirs
+                and not mismatch and not errors)
+    return filecmp.cmp(a, b, shallow=False)
+
+
+def test_run_matches_subcommand_chain(tmp_path):
+    path, cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == 0
+    run_dir = cfg["out_dir"]
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    j = lambda name: str(sub / name)
+    chain = [
+        ["space", "gen", "--family", "interval", "--length", "40",
+         "--out", j("space.json")],
+        ["cover", "gen", "--space", j("space.json"), "--r", "2",
+         "--brick-side", "10", "--out", j("cover.json")],
+        ["witness", "build", "--space", j("space.json"), "--cover", j("cover.json"),
+         "--r", "2", "--fiber", "1", "--test-scale", "1", "--out", j("witness")],
+        ["witness", "check", "--witness", j("witness"), "--out", j("check_report.json")],
+        ["witness", "hat", "--witness", j("witness"), "--seed", "0",
+         "--out", j("hat_report.json")],
+        ["extract", "--witness", j("witness"), "--cover-out", j("extracted_cover.json"),
+         "--out", j("extraction_report.json")],
+    ]
+    for argv in chain:
+        assert main(argv) == 0, argv
+    for name in ("space.json", "cover.json", "witness", "check_report.json",
+                 "hat_report.json", "extraction_report.json", "extracted_cover.json"):
+        assert _same_files(os.path.join(run_dir, name), j(name)), name
+
+
+def test_benchmark_patch_points(tmp_path, monkeypatch):
+    """The benchmark's traced run wraps banddim functions where callers look
+    them up; a moved or renamed function breaks ``install`` or the counts."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
+    import tracing
+
+    original = banddim.cli.check_witness
+    path, _ = write_config(tmp_path, stages=["space", "cover", "witness", "check", "hat"])
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert main(["run", "--config", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert {"witness.build", "witness.check", "witness.hat"} <= {s[0] for s in tracer.spans}
+    assert tracer.calls["operators.norm"] > 0
+    assert banddim.cli.check_witness is original

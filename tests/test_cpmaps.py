@@ -3,7 +3,7 @@ import pytest
 
 from banddim.cpmaps import (BandAlgebra, CompressionMap, DenseCpMap, FactoredMap,
                             InclusionMap, KrausMap, PointBijectionHom, bump_function,
-                            choi_check, cop_check, elem_norm, factorize_order_zero,
+                            choi_check, cop_check, factorize_order_zero,
                             functional_calculus, order_zero_check, transpose_map)
 from banddim.errors import (FactorizationError, InvalidFunctionError,
                             InvalidParameterError, SizeLimitError)
@@ -16,6 +16,61 @@ from conftest import random_factored_map
 
 def matrix_algebra(n, fiber=1):
     return FiniteDimAlgebra([Summand(0, "M", n)], fiber)
+
+
+def dense_oracle(x):
+    """Dense matrix written directly from the stored blocks or parts."""
+    if isinstance(x, BandOperator):
+        m = x.fiber_dim
+        out = np.zeros((x.space.n * m,) * 2, dtype=complex)
+        for (u, v), b in x.blocks.items():
+            out[u * m:(u + 1) * m, v * m:(v + 1) * m] = b
+        return out
+    dims = [p.shape[0] for p in x.parts]
+    out = np.zeros((sum(dims),) * 2, dtype=complex)
+    for p, o in zip(x.parts, np.cumsum([0] + dims)):
+        out[o:o + p.shape[0], o:o + p.shape[0]] = p
+    return out
+
+
+def sparse_elements(rng):
+    sp = generate_space("interval", length=9)
+    op = BandOperator(sp, 2, {k: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                              for k in [(1, 2), (2, 2), (6, 4)]})
+    alg = FiniteDimAlgebra([Summand(0, "a", 2), Summand(1, "b", 3)], 2)
+    parts = [np.zeros((d, d), dtype=complex) for d in alg.block_dims]
+    parts[0][1, 3] = 1.0 + 2j
+    parts[1][4, 4] = -1.0
+    parts[1][0, 5] = 0.5
+    return [op, FdElement(alg, parts)]
+
+
+# -- element interface ----------------------------------------------------
+
+def test_active_coords_and_dense_on_match_dense_oracle():
+    for x in sparse_elements(np.random.default_rng(3)):
+        dense = dense_oracle(x)
+        coords = x.active_coords()
+        rest = [c for c in range(dense.shape[0]) if c not in coords]
+        assert not dense[rest].any() and not dense[:, rest].any()
+        assert np.array_equal(x.dense_on(coords), dense[np.ix_(coords, coords)])
+        assert np.array_equal(x.to_dense(), dense)
+        assert x.norm() == pytest.approx(np.linalg.svd(dense, compute_uv=False)[0],
+                                         rel=1e-12)
+
+
+def test_band_funcalc_blockwise_matches_dense_oracle():
+    rng = np.random.default_rng(4)
+    sp = generate_space("interval", length=6)
+    blocks = {}
+    for x in (0, 2, 3):
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        blocks[(x, x)] = g + g.conj().T
+    op = BandOperator(sp, 2, blocks)
+    f = lambda t: np.maximum(t, 0.0) + 0.5  # f(0) != 0 reaches the blockless points
+    w, v = np.linalg.eigh(dense_oracle(op))
+    assert np.allclose(op.funcalc(f).to_dense(), (v * f(w)) @ v.conj().T, atol=1e-12)
+    assert np.allclose(np.sort(op.eigenvalues()[0]), w, atol=1e-12)
 
 
 # -- Choi checks ----------------------------------------------------------
@@ -93,7 +148,7 @@ def test_factorize_homomorphism():
     h_dense = fact.h.to_dense()
     assert np.allclose(h_dense @ h_dense, h_dense)  # image of the unit is a projection
     a = matrix_algebra(2).matrix_unit(0, 0, 1)
-    assert elem_norm(fact.pi(a) - hom.apply(a)) < 1e-12
+    assert (fact.pi(a) - hom.apply(a)).norm() < 1e-12
 
 
 def test_factorize_scalar_multiple_of_identity():
@@ -103,7 +158,7 @@ def test_factorize_scalar_multiple_of_identity():
         fact = factorize_order_zero(phi)
         assert np.allclose(fact.h.parts[0], t * np.eye(2))
         a = alg.random_hermitian(np.random.default_rng(1))
-        assert elem_norm(fact.pi(a) - a) < 1e-10
+        assert (fact.pi(a) - a).norm() < 1e-10
 
 
 def test_factorize_recovers_random_factored_maps():
@@ -112,13 +167,13 @@ def test_factorize_recovers_random_factored_maps():
     for _ in range(10):
         phi = random_factored_map(rng, sp)
         fact = factorize_order_zero(phi)
-        assert elem_norm(fact.h - phi.apply(phi.domain.identity())) < 1e-12
+        assert (fact.h - phi.apply(phi.domain.identity())).norm() < 1e-12
         for _ in range(3):
             a = phi.domain.random_hermitian(rng)
-            assert elem_norm(phi.apply(a) - fact.h @ fact.pi(a)) <= 1e-10
+            assert (phi.apply(a) - fact.h @ fact.pi(a)).norm() <= 1e-10
         rebuilt = fact.rebuild()
         a = phi.domain.random_hermitian(rng)
-        assert elem_norm(rebuilt.apply(a) - phi.apply(a)) <= 1e-10
+        assert (rebuilt.apply(a) - phi.apply(a)).norm() <= 1e-10
 
 
 def test_factorize_rejects_non_order_zero():
@@ -139,7 +194,7 @@ def test_functional_calculus_identity_function():
     phi = random_factored_map(rng, sp)
     f_phi = functional_calculus(lambda t: t, phi)
     a = phi.domain.random_hermitian(rng)
-    assert elem_norm(f_phi.apply(a) - phi.apply(a)) < 1e-10
+    assert (f_phi.apply(a) - phi.apply(a)).norm() < 1e-10
 
 
 def test_functional_calculus_square_spectral_mapping():
@@ -175,7 +230,7 @@ def test_contractive_functions_give_contractive_images():
     phi = random_factored_map(rng, generate_space("interval", length=10))
     g = bump_function("g_delta", delta=0.3)
     image = functional_calculus(g, phi).apply(phi.domain.identity())
-    assert elem_norm(image) <= 1.0 + 1e-12
+    assert image.norm() <= 1.0 + 1e-12
 
 
 # -- bump functions ---------------------------------------------------------
@@ -334,7 +389,7 @@ def test_cpmap_json_round_trip_structural(tmp_path):
     save_cpmap(phi, tmp_path / "phi.json")
     back_phi = load_cpmap(tmp_path / "phi.json", sp)
     e = alg.random_hermitian(rng)
-    assert elem_norm(phi.apply(e) - back_phi.apply(e)) < 1e-12
+    assert (phi.apply(e) - back_phi.apply(e)).norm() < 1e-12
 
 
 def test_cpmap_json_round_trip_dense(tmp_path):
@@ -387,11 +442,11 @@ def test_unit_image_identities_with_nontrivial_h():
              for k in range(3) for l in range(3)}
     for k in range(3):
         for l in range(3):
-            assert elem_norm(f_img[(k, l)].adjoint() - f_img[(l, k)]) <= 1e-12
-            assert elem_norm(g_img[(k, l)].adjoint() - g_img[(l, k)]) <= 1e-12
+            assert (f_img[(k, l)].adjoint() - f_img[(l, k)]).norm() <= 1e-12
+            assert (g_img[(k, l)].adjoint() - g_img[(l, k)]).norm() <= 1e-12
             for m in range(3):
-                assert elem_norm(f_img[(k, l)] @ g_img[(l, m)]
-                                 - f_img[(k, m)]) <= 1e-12
+                assert (f_img[(k, l)] @ g_img[(l, m)]
+                        - f_img[(k, m)]).norm() <= 1e-12
     # the sub-delta orbit position is annihilated, the middle one survives
     assert all(abs(x) >= 6 for (x, y) in f_img[(0, 0)].blocks)
     assert f_img[(0, 0)].block(6, 6)[0, 0] > 0

@@ -171,3 +171,21 @@ def test_generator_mismatch_still_validates(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidParameterError, match="triangle"):
         load_space(path)
+
+
+def test_generator_of_another_size_is_not_regenerated(tmp_path, monkeypatch):
+    import banddim.space
+
+    calls = []
+    real = banddim.space.generate_space
+    monkeypatch.setattr(banddim.space, "generate_space",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({
+        "points": [0, 1], "dist": [[0, 1], [1, 0]],
+        "generator": {"family": "interval", "sides": [3000], "metric": None,
+                      "spacing": "1"}}))
+    back = load_space(path)
+    assert calls == []
+    assert back.points == [0, 1] and not back.exact
+    assert back.dist[0, 1] == 1.0
