@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (FactorizationError, IncompatibilityError, InvalidFunctionError,
                      InvalidParameterError, SizeLimitError)
 from .fdalg import FdElement, FiniteDimAlgebra, Summand
-from .operators import BandOperator, operator_norm
+from .operators import BandOperator, check_dense_size, operator_norm
 
 
 class BandAlgebra:
@@ -49,6 +49,7 @@ class BandAlgebra:
 
     def random_hermitian(self, rng, scale=1.0):
         d = self.matrix_dim
+        check_dense_size(d)
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         return BandOperator.from_dense(self.space, self.fiber_dim,
                                        scale * (g + g.conj().T) / 2.0)
@@ -168,6 +169,7 @@ class InclusionMap(CpMap):
 
     def apply_dense(self, elem):
         """Image as a dense matrix (vectorized scatter, for dense elements)."""
+        check_dense_size(self.codomain.matrix_dim)
         out = np.zeros((self.codomain.matrix_dim,) * 2, dtype=complex)
         for coords, part in zip(self.window_coords(), elem.parts):
             out[np.ix_(coords, coords)] += part
@@ -203,7 +205,9 @@ class InclusionMap(CpMap):
         m = self.codomain.fiber_dim
         blk = np.eye(m, dtype=complex) if fiber is None else np.asarray(fiber, complex)
         window = self.windows[k]
-        return BandOperator(self.codomain.space, m, {(window[a], window[b]): blk})
+        # a single block has no larger block to be pruned against
+        return BandOperator(self.codomain.space, m, {(window[a], window[b]): blk},
+                            prune=False)
 
     def corner_map(self, k, kept_slots):
         """Restriction to the corner of summand k given by the kept slots."""
@@ -340,6 +344,15 @@ class FactoredMap(CpMap):
     def order_zero_certificate(self):
         inner = self.pi_map.order_zero_certificate()
         return None if inner is None else ("factored", inner)
+
+
+def unit_image(phi, k, a, b, fiber=None):
+    """phi of the slot matrix unit e_{a,b} of summand k tensor a fiber block
+    (the fiber identity when None): the map's single-block ``image_of_unit``
+    when it has one, ``apply`` on the unit element otherwise."""
+    if hasattr(phi, "image_of_unit"):
+        return phi.image_of_unit(k, a, b, fiber)
+    return phi.apply(phi.domain.matrix_unit(k, a, b, fiber))
 
 
 def basis_elements(algebra):
@@ -827,7 +840,7 @@ def cop_check(fact, diagonal=None, tol=1e-9):
     checked = 0
     for k, s in enumerate(fact.domain.summands):
         for a in range(s.size):
-            c = fact.pi(fact.domain.slot_projection(k, a))
+            c = fact.pinv @ unit_image(fact.source, k, a, a)
             checked += 1
             if _scalar_diagonal(c):
                 continue

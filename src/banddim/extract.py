@@ -10,7 +10,10 @@ witness algebra down to matrix corners over the fiber.
 corner through the f_delta / g_delta functional calculus of the corner's
 order-zero map, reads off the sets U_k where the diagonal images carry more
 than eta^2 of a point, and extracts the partial bijections sigma_bar between
-them from singleton supports of conjugated operators.  ``extract_cover``
+them from singleton supports of conjugated operators.  When the corner map
+has single-block unit images (an inclusion map), each image is one fiber
+block and the corner is held as (s, s, m, m) arrays; otherwise it is held
+as one band operator per matrix unit.  ``extract_cover``
 closes each color's U-set under r-chains; the classes form the extracted
 colored cover and their sizes are compared against the corner sizes.
 """
@@ -23,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cover import make_cover, verify_cover
-from .cpmaps import bump_function, factorize_order_zero
+from .cpmaps import bump_function, factorize_order_zero, unit_image
 from .errors import (AmbiguousSupportError, CoverGapError, DiagonalViolationError,
                      InvalidParameterError, InvalidWitnessError)
 from .operators import BandOperator, operator_norm, spectral_norm
@@ -185,32 +188,8 @@ def threshold_setup(witness, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 SUPPORT_RESIDUAL_TOL = 1e-6
-
-
-@dataclass
-class CornerSystem:
-    corner: CornerData
-    phi_map: object
-    factorization: object
-    f_img: dict
-    g_img: dict
-    U: dict
-
-
-@dataclass
-class PartialTranslationSystem:
-    corners: list
-    sigma_bar: dict  # (corner index, k, l) -> {x: y}
-    delta: float
-    eta: float
-    borderline: list = field(default_factory=list)
-    identities: object = None  # IdentityReport, set when the system is verified
-
-    def corner_index(self, color, j):
-        for ci, cs in enumerate(self.corners):
-            if cs.corner.color == color and cs.corner.j == j:
-                return ci
-        raise KeyError((color, j))
+IDENTITY_NAMES = ("diag_positive_f", "diag_positive_g", "adjoint_f", "adjoint_g",
+                  "absorb")
 
 
 def _point_compression_norm(op, x):
@@ -231,17 +210,236 @@ def _column_compression(op, x):
     return left @ right
 
 
+def _diag_positive_deviation(op):
+    """Distance from being a positive propagation-zero operator."""
+    dev = 0.0
+    for (x, y), b in op.blocks.items():
+        if x != y:
+            dev = max(dev, spectral_norm(b))
+        else:
+            h = (b + b.conj().T) / 2.0
+            dev = max(dev, float(np.abs(b - h).max()))
+            w = np.linalg.eigvalsh(h)
+            dev = max(dev, max(0.0, -float(w[0])))
+    return dev
+
+
+class OperatorImages:
+    """A corner's f- and g-images as one band operator per matrix unit.
+
+    The path for corner maps without single-block unit images, and the
+    reference the block path is tested against; its identities cost s^3
+    operator products.
+    """
+
+    def __init__(self, f_img, g_img, s):
+        self.f_img = f_img
+        self.g_img = g_img
+        self.s = s
+
+    @classmethod
+    def from_unit_images(cls, phi, fact, f_of_h, g_of_h, s):
+        f_img, g_img = {}, {}
+        for k in range(s):
+            for l in range(s):
+                pi_kl = fact.pinv @ unit_image(phi, 0, k, l)
+                f_img[(k, l)] = f_of_h @ pi_kl
+                g_img[(k, l)] = g_of_h @ pi_kl
+        return cls(f_img, g_img, s)
+
+    def f_image(self, k, l):
+        return self.f_img[(k, l)]
+
+    def g_image(self, k, l):
+        return self.g_img[(k, l)]
+
+    def diagonal_point_norms(self):
+        """Per k, the pairs (x, ||f_kk 1_x f_kk||) over the points f_kk touches."""
+        out = []
+        for k in range(self.s):
+            fkk = self.f_img[(k, k)]
+            pts = sorted({x for (x, y) in fkk.blocks} | {y for (x, y) in fkk.blocks})
+            out.append([(x, _point_compression_norm(fkk, x)) for x in pts])
+        return out
+
+    def conjugate_targets(self, k, x):
+        """Per l, the one point carrying g_lk (f_kk 1_x f_kk) g_kl, or None
+        when its mass is zero or spreads beyond the residual bound."""
+        inner = _column_compression(self.f_img[(k, k)], x)
+        targets = []
+        for l in range(self.s):
+            xi = self.g_img[(l, k)] @ inner @ self.g_img[(k, l)]
+            masses = {}
+            total = 0.0
+            best_y, best = None, -1.0
+            for (u, v), b in xi.blocks.items():
+                w = float(np.linalg.norm(b))
+                total += w
+                if u == v:
+                    masses[u] = masses.get(u, 0.0) + w
+            for y, w in masses.items():
+                if w > best:
+                    best_y, best = y, w
+            if total <= 0.0 or (total - best) > SUPPORT_RESIDUAL_TOL * total:
+                best_y = None
+            targets.append(best_y)
+        return targets
+
+    def identity_deviations(self):
+        s = self.s
+        f_img, g_img = self.f_img, self.g_img
+        devs = dict.fromkeys(IDENTITY_NAMES, 0.0)
+        for k in range(s):
+            devs["diag_positive_f"] = max(devs["diag_positive_f"],
+                                          _diag_positive_deviation(f_img[(k, k)]))
+            devs["diag_positive_g"] = max(devs["diag_positive_g"],
+                                          _diag_positive_deviation(g_img[(k, k)]))
+        for k in range(s):
+            for l in range(s):
+                diff = f_img[(k, l)].adjoint() - f_img[(l, k)]
+                if not diff.is_zero:
+                    devs["adjoint_f"] = max(devs["adjoint_f"], operator_norm(diff))
+                diff = g_img[(k, l)].adjoint() - g_img[(l, k)]
+                if not diff.is_zero:
+                    devs["adjoint_g"] = max(devs["adjoint_g"], operator_norm(diff))
+        for k in range(s):
+            for l in range(s):
+                for mm in range(s):
+                    lhs = f_img[(k, l)] @ g_img[(l, mm)] - f_img[(k, mm)]
+                    if not lhs.is_zero:
+                        devs["absorb"] = max(devs["absorb"], operator_norm(lhs))
+                    rhs = g_img[(k, l)] @ f_img[(l, mm)] - f_img[(k, mm)]
+                    if not rhs.is_zero:
+                        devs["absorb"] = max(devs["absorb"], operator_norm(rhs))
+        return devs
+
+
+def _nonzero_norm(blocks):
+    """Largest spectral norm over the blocks that are not exactly zero."""
+    blocks = blocks.reshape(-1, *blocks.shape[-2:])
+    nonzero = blocks[blocks.any(axis=(1, 2))]
+    return float(spectral_norm(nonzero).max()) if len(nonzero) else 0.0
+
+
+def _diag_positive_blocks(blocks):
+    """Largest distance of the (s, m, m) blocks from positive matrices."""
+    h = (blocks + blocks.conj().swapaxes(1, 2)) / 2.0
+    return max(0.0, float(np.abs(blocks - h).max()),
+               -float(np.linalg.eigvalsh(h)[:, 0].min()))
+
+
+class BlockImages:
+    """A corner's f- and g-images as fiber blocks.
+
+    Image (k, l) is the single block F[k, l] (G[k, l]) at the point pair
+    (W[k], W[l]); F and G have shape (s, s, m, m).  The U-sets, the sigma_bar
+    conjugates and the identities run as batched numpy products, one row k
+    at a time, so memory stays O(s^2 m^2).  A difference block that is
+    exactly zero counts as no deviation, as an empty operator does on the
+    operator path; every other block is measured by its spectral norm.
+    """
+
+    def __init__(self, space, window, F, G):
+        self.space = space
+        self.window = tuple(window)
+        self.F = F
+        self.G = G
+        self.s = len(self.window)
+
+    @classmethod
+    def from_unit_images(cls, phi, fact, f_of_h, g_of_h, s):
+        """Blocks f(h)_x (pinv_x u_kl) at x = W[k], from the single-block unit
+        images u_kl; h = phi(1) of such a map is propagation zero, so f(h),
+        g(h) and pinv(h) act through their diagonal blocks."""
+        m = phi.codomain.fiber_dim
+        units = np.empty((s, s, m, m), dtype=complex)
+        window = [None] * s
+        for k in range(s):
+            for l in range(s):
+                ((x, _), block), = unit_image(phi, 0, k, l).blocks.items()
+                window[k], units[k, l] = x, block
+
+        def diagonal(op):
+            return np.stack([op.block(x, x) for x in window])[:, None]
+
+        pi = diagonal(fact.pinv) @ units
+        return cls(phi.codomain.space, window, diagonal(f_of_h) @ pi,
+                   diagonal(g_of_h) @ pi)
+
+    def _image(self, blocks, k, l):
+        return BandOperator(self.space, blocks.shape[-1],
+                            {(self.window[k], self.window[l]): blocks[k, l]})
+
+    def f_image(self, k, l):
+        return self._image(self.F, k, l)
+
+    def g_image(self, k, l):
+        return self._image(self.G, k, l)
+
+    def _diagonal(self, blocks):
+        return blocks[np.arange(self.s), np.arange(self.s)]
+
+    def diagonal_point_norms(self):
+        """Per k, the pair (W[k], ||F_kk F_kk||), or nothing when F_kk is zero."""
+        fkk = self._diagonal(self.F)
+        vals = spectral_norm(fkk @ fkk)
+        return [[(self.window[k], float(vals[k]))] if fkk[k].any() else []
+                for k in range(self.s)]
+
+    def conjugate_targets(self, k, x):
+        """Per l, the point W[l] carrying (G_lk F_kk F_kk) G_kl, or None when
+        that block is zero; x is W[k], the only point a U-set can hold."""
+        fkk = self.F[k, k]
+        xi = (self.G[:, k] @ (fkk @ fkk)) @ self.G[k]
+        return [self.window[l] if xi[l].any() else None for l in range(self.s)]
+
+    def identity_deviations(self):
+        F, G = self.F, self.G
+        absorb = 0.0
+        for k in range(self.s):
+            absorb = max(absorb, _nonzero_norm(F[k][:, None] @ G - F[k][None]),
+                         _nonzero_norm(G[k][:, None] @ F - F[k][None]))
+        return {"diag_positive_f": _diag_positive_blocks(self._diagonal(F)),
+                "diag_positive_g": _diag_positive_blocks(self._diagonal(G)),
+                "adjoint_f": _nonzero_norm(F.conj().swapaxes(2, 3) - F.swapaxes(0, 1)),
+                "adjoint_g": _nonzero_norm(G.conj().swapaxes(2, 3) - G.swapaxes(0, 1)),
+                "absorb": absorb}
+
+
+@dataclass
+class CornerSystem:
+    corner: CornerData
+    phi_map: object
+    factorization: object
+    images: object  # BlockImages or OperatorImages
+    U: dict = field(default_factory=dict)
+
+
+@dataclass
+class PartialTranslationSystem:
+    corners: list
+    sigma_bar: dict  # (corner index, k, l) -> {x: y}
+    delta: float
+    eta: float
+    borderline: list = field(default_factory=list)
+    identities: object = None  # IdentityReport, set when the system is verified
+
+    def corner_index(self, color, j):
+        for ci, cs in enumerate(self.corners):
+            if cs.corner.color == color and cs.corner.j == j:
+                return ci
+        raise KeyError((color, j))
+
+
 def build_translation_system(witness, td, verify=True, tol=1e-8):
     """Functional-calculus images of the generalized matrix units and the
     partial bijections they induce.
 
     For each corner, the f_delta and g_delta images of all matrix units are
-    computed through the corner's order-zero factorization.  U_k collects the
-    points where the k-th diagonal image compresses to norm strictly above
-    eta^2 (values within 1e-9 of eta^2 are flagged as borderline).  For
-    x in U_k the conjugate g_{l,k} (f_{k,k} 1_x f_{k,k}) g_{k,l} must be
-    supported in a single point, which defines sigma_bar_{k,l}(x); residual
-    mass above 1e-6 of the total raises an error naming the indices.
+    computed through the corner's order-zero factorization: as fiber blocks
+    when the corner map has single-block unit images (``image_of_unit``),
+    as band operators otherwise.  The U-sets and sigma_bar follow from
+    :func:`assemble_translation_system`.
     """
     delta = float(td.delta)
     eta = float(td.eta)
@@ -252,27 +450,32 @@ def build_translation_system(witness, td, verify=True, tol=1e-8):
     for corner in td.corners:
         phi_ij = witness.phi.corner_map(corner.summand_index, corner.kept_slots)
         fact = factorize_order_zero(phi_ij, trials=2)
-        f_of_h = fact.h.funcalc(f_fun)
-        g_of_h = fact.h.funcalc(g_fun)
-        dom = phi_ij.domain
-        s = corner.s
-        f_img, g_img = {}, {}
-        for k in range(s):
-            for l in range(s):
-                pi_kl = fact.pi(dom.matrix_unit(0, k, l))
-                f_img[(k, l)] = f_of_h @ pi_kl
-                g_img[(k, l)] = g_of_h @ pi_kl
-        corners.append(CornerSystem(corner, phi_ij, fact, f_img, g_img, {}))
+        images = BlockImages if hasattr(phi_ij, "image_of_unit") else OperatorImages
+        corners.append(CornerSystem(corner, phi_ij, fact, images.from_unit_images(
+            phi_ij, fact, fact.h.funcalc(f_fun), fact.h.funcalc(g_fun), corner.s)))
 
+    pts = assemble_translation_system(corners, delta, eta)
+    if verify:
+        pts.identities = _verify_translation_system(pts, tol)
+    return pts
+
+
+def assemble_translation_system(corners, delta, eta):
+    """U-sets and sigma_bar of corner systems whose images are computed.
+
+    U_k collects the points where the k-th diagonal f-image compresses to
+    norm strictly above eta^2 (values within 1e-9 of eta^2 are flagged as
+    borderline).  For x in U_k the conjugate g_{l,k} (f_{k,k} 1_x f_{k,k})
+    g_{k,l} must be supported in a single point, which defines
+    sigma_bar_{k,l}(x); zero mass, or residual mass above 1e-6 of the total,
+    raises an error naming the indices.
+    """
     borderline = []
     eta_sq = eta * eta
     for ci, cs in enumerate(corners):
-        for k in range(cs.corner.s):
-            fkk = cs.f_img[(k, k)]
-            pts = sorted({x for (x, y) in fkk.blocks} | {y for (x, y) in fkk.blocks})
+        for k, norms in enumerate(cs.images.diagonal_point_norms()):
             members = []
-            for x in pts:
-                val = _point_compression_norm(fkk, x)
+            for x, val in norms:
                 if abs(val - eta_sq) <= 1e-9:
                     borderline.append((ci, k, x, val))
                 if val > eta_sq:
@@ -283,34 +486,18 @@ def build_translation_system(witness, td, verify=True, tol=1e-8):
     for ci, cs in enumerate(corners):
         s = cs.corner.s
         for k in range(s):
+            targets = {x: cs.images.conjugate_targets(k, x) for x in cs.U[k]}
             for l in range(s):
                 mapping = {}
                 for x in cs.U[k]:
-                    inner = _column_compression(cs.f_img[(k, k)], x)
-                    xi = cs.g_img[(l, k)] @ inner @ cs.g_img[(k, l)]
-                    masses = {}
-                    total = 0.0
-                    best_y, best = None, -1.0
-                    for (u, v), b in xi.blocks.items():
-                        w = float(np.linalg.norm(b))
-                        total += w
-                        if u == v:
-                            masses[u] = masses.get(u, 0.0) + w
-                    for y, w in masses.items():
-                        if w > best:
-                            best_y, best = y, w
-                    if best_y is None or total <= 0.0 or \
-                            (total - best) > SUPPORT_RESIDUAL_TOL * total:
+                    y = targets[x][l]
+                    if y is None:
                         raise AmbiguousSupportError(
                             "conjugated operator is not supported in a single point",
                             indices=(cs.corner.color, cs.corner.j, k, l, x))
-                    mapping[x] = best_y
+                    mapping[x] = y
                 sigma_bar[(ci, k, l)] = mapping
-
-    pts = PartialTranslationSystem(corners, sigma_bar, delta, eta, borderline)
-    if verify:
-        pts.identities = _verify_translation_system(pts, tol)
-    return pts
+    return PartialTranslationSystem(corners, sigma_bar, delta, eta, borderline)
 
 
 def _verify_translation_system(pts, tol):
@@ -376,50 +563,14 @@ class IdentityReport:
                 "worst": self.worst, "flag": self.flag}
 
 
-def _diag_positive_deviation(op, tol):
-    """Distance from being a positive propagation-zero operator."""
-    dev = 0.0
-    for (x, y), b in op.blocks.items():
-        if x != y:
-            dev = max(dev, spectral_norm(b))
-        else:
-            h = (b + b.conj().T) / 2.0
-            dev = max(dev, float(np.abs(b - h).max()))
-            w = np.linalg.eigvalsh(h)
-            dev = max(dev, max(0.0, -float(w[0])))
-    return dev
-
-
 def matrix_unit_identities(pts, tol=1e-8):
     """Evaluate the five matrix-unit-image identities on every index tuple:
     diagonal images are positive diagonal operators, adjoints swap indices,
     and f-images absorb g-images under composition."""
-    devs = {"diag_positive_f": 0.0, "diag_positive_g": 0.0,
-            "adjoint_f": 0.0, "adjoint_g": 0.0, "absorb": 0.0}
+    devs = dict.fromkeys(IDENTITY_NAMES, 0.0)
     for cs in pts.corners:
-        s = cs.corner.s
-        for k in range(s):
-            devs["diag_positive_f"] = max(devs["diag_positive_f"],
-                                          _diag_positive_deviation(cs.f_img[(k, k)], tol))
-            devs["diag_positive_g"] = max(devs["diag_positive_g"],
-                                          _diag_positive_deviation(cs.g_img[(k, k)], tol))
-        for k in range(s):
-            for l in range(s):
-                diff = cs.f_img[(k, l)].adjoint() - cs.f_img[(l, k)]
-                if not diff.is_zero:
-                    devs["adjoint_f"] = max(devs["adjoint_f"], operator_norm(diff))
-                diff = cs.g_img[(k, l)].adjoint() - cs.g_img[(l, k)]
-                if not diff.is_zero:
-                    devs["adjoint_g"] = max(devs["adjoint_g"], operator_norm(diff))
-        for k in range(s):
-            for l in range(s):
-                for mm in range(s):
-                    lhs = cs.f_img[(k, l)] @ cs.g_img[(l, mm)] - cs.f_img[(k, mm)]
-                    if not lhs.is_zero:
-                        devs["absorb"] = max(devs["absorb"], operator_norm(lhs))
-                    rhs = cs.g_img[(k, l)] @ cs.f_img[(l, mm)] - cs.f_img[(k, mm)]
-                    if not rhs.is_zero:
-                        devs["absorb"] = max(devs["absorb"], operator_norm(rhs))
+        for name, dev in cs.images.identity_deviations().items():
+            devs[name] = max(devs[name], dev)
     return IdentityReport(devs, tol)
 
 
@@ -508,7 +659,7 @@ def extract_cover(pts, space, r):
             if cs.corner.color != color:
                 continue
             for k in range(cs.corner.s):
-                op = cs.f_img[(k, k)]
+                op = cs.images.f_image(k, k)
                 total = op if total is None else total + op
         cols = {}
         if total is not None:

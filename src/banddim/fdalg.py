@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .errors import IncompatibilityError, InvalidParameterError
-from .operators import spectral_norm
+from .operators import check_dense_size, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -210,6 +210,7 @@ class FdElement:
     def dense_on(self, coords):
         """The block-diagonal matrix restricted to the given sorted coordinates."""
         coords = np.asarray(coords, dtype=int)
+        check_dense_size(len(coords))
         out = np.zeros((len(coords), len(coords)), dtype=complex)
         offset = 0
         for p in self.parts:

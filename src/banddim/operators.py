@@ -16,13 +16,25 @@ import json
 
 import numpy as np
 
-from .errors import ConvergenceError, IncompatibilityError, InvalidParameterError
+from .errors import (ConvergenceError, IncompatibilityError, InvalidParameterError,
+                     SizeLimitError)
 from .space import _id_from_json, _id_to_json
 
 PRUNE_REL = 1e-14
 DENSE_NORM_THRESHOLD = 2048
 POWER_TOL = 1e-10
 POWER_MAXITER = 50_000
+DENSE_BYTES_LIMIT = 1 << 30
+
+
+def check_dense_size(dim):
+    """Raise before a dense complex dim x dim matrix above DENSE_BYTES_LIMIT
+    bytes is allocated."""
+    nbytes = dim * dim * np.dtype(complex).itemsize
+    if nbytes > DENSE_BYTES_LIMIT:
+        raise SizeLimitError(
+            f"a dense {dim}x{dim} complex matrix needs {nbytes} bytes, above the "
+            f"limit of {DENSE_BYTES_LIMIT} bytes")
 
 
 def _same_space(s1, s2):
@@ -219,6 +231,7 @@ class BandOperator:
         """Dense matrix on the given sorted coordinates, which must hold the
         whole fiber of every touched point."""
         m = self.fiber_dim
+        check_dense_size(len(coords))
         pos = {c: i for i, c in enumerate(coords)}
         out = np.zeros((len(coords), len(coords)), dtype=complex)
         for (x, y), b in self.blocks.items():
@@ -289,7 +302,10 @@ def prop_support(op):
 
 
 def spectral_norm(mat):
-    """Largest singular value of a dense matrix; 0.0 for an empty one."""
+    """Largest singular value of a dense matrix; 0.0 for an empty one.  A
+    stack of shape (..., p, q) gives the array of its matrices' values."""
+    if mat.ndim > 2:
+        return np.linalg.svd(mat, compute_uv=False)[..., 0]
     if mat.size == 0:
         return 0.0
     return float(np.linalg.svd(mat, compute_uv=False)[0])

@@ -33,7 +33,7 @@ import numpy as np
 from .cover import verify_cover
 from .cpmaps import (BandAlgebra, CompressionMap, InclusionMap, SandwichedMap,
                      bump_function, cop_check, factorize_order_zero,
-                     order_zero_check)
+                     order_zero_check, unit_image)
 from .errors import (CoverGapError, IncompatibilityError, InvalidParameterError,
                      InvalidWitnessError, PreconditionError)
 from .fdalg import FiniteDimAlgebra, Summand
@@ -209,11 +209,6 @@ def _check_condition5(witness, tol):
     element = ""
     rng = np.random.default_rng(0)
     phi = witness.phi
-    if hasattr(phi, "image_of_unit"):
-        image = phi.image_of_unit
-    else:
-        def image(k, a, b, fiber=None):
-            return phi.apply(witness.algebra.matrix_unit(k, a, b, fiber))
     combos = []
     for k, s in enumerate(witness.algebra.summands):
         for a in range(s.size):
@@ -221,7 +216,7 @@ def _check_condition5(witness, tol):
                 combos.append((k, a, b))
     fiber_units = [(g, d) for g in range(m) for d in range(m)]
     for (k, a, b) in combos:
-        rep = normalizer_check(image(k, a, b), tol)
+        rep = normalizer_check(unit_image(phi, k, a, b), tol)
         worst = max(worst, rep.worst)
         if not rep.flag:
             return False, worst, f"matrix_unit[{k},{a},{b}]x1"
@@ -229,7 +224,7 @@ def _check_condition5(witness, tol):
             for (g, dd) in fiber_units:
                 fiber = np.zeros((m, m), dtype=complex)
                 fiber[g, dd] = 1.0
-                rep = normalizer_check(image(k, a, b, fiber), tol)
+                rep = normalizer_check(unit_image(phi, k, a, b, fiber), tol)
                 worst = max(worst, rep.worst)
                 if not rep.flag:
                     return False, worst, f"diagonal[{k},{a}]xe[{g},{dd}]"
@@ -240,7 +235,7 @@ def _check_condition5(witness, tol):
             g, dd = int(rng.integers(m)), int(rng.integers(m))
             fiber = np.zeros((m, m), dtype=complex)
             fiber[g, dd] = 1.0
-            rep = normalizer_check(image(k, a, b, fiber), tol)
+            rep = normalizer_check(unit_image(phi, k, a, b, fiber), tol)
             worst = max(worst, rep.worst)
             if not rep.flag:
                 return False, worst, f"matrix_unit[{k},{a},{b}]xe[{g},{dd}]"

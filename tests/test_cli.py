@@ -203,13 +203,17 @@ def test_benchmark_patch_points(tmp_path, monkeypatch):
     import tracing
 
     original = banddim.cli.check_witness
-    path, _ = write_config(tmp_path, stages=["space", "cover", "witness", "check", "hat"])
+    path, _ = write_config(tmp_path, stages=["space", "cover", "witness", "check", "hat",
+                                             "extract"])
     tracer = tracing.Tracer()
     try:
         tracer.install()
         assert main(["run", "--config", str(path)]) == 0
     finally:
         tracer.uninstall()
-    assert {"witness.build", "witness.check", "witness.hat"} <= {s[0] for s in tracer.spans}
+    assert {"witness.build", "witness.check", "witness.hat",
+            "extract.translation"} <= {s[0] for s in tracer.spans}
+    # the per-layer identities metric needs exactly one span per extraction
+    assert tracer.count("extract.identities") == 1
     assert tracer.calls["operators.norm"] > 0
     assert banddim.cli.check_witness is original

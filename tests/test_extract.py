@@ -156,8 +156,8 @@ def test_adjoint_identity_via_dense_oracle(pts150):
     _, pts = pts150
     cs = pts.corners[0]
     for (k, l) in [(0, 1), (2, 5), (7, 3)]:
-        lhs = cs.f_img[(k, l)].adjoint().to_dense()
-        rhs = cs.f_img[(l, k)].to_dense()
+        lhs = cs.images.f_image(k, l).adjoint().to_dense()
+        rhs = cs.images.f_image(l, k).to_dense()
         assert np.abs(lhs - rhs).max() <= 1e-8
 
 
@@ -165,8 +165,8 @@ def test_absorption_identity_via_dense_oracle(pts150):
     _, pts = pts150
     cs = pts.corners[1]
     for (k, l, m) in [(0, 1, 2), (3, 3, 3), (5, 2, 7)]:
-        lhs = cs.f_img[(k, l)].to_dense() @ cs.g_img[(l, m)].to_dense()
-        rhs = cs.f_img[(k, m)].to_dense()
+        lhs = cs.images.f_image(k, l).to_dense() @ cs.images.g_image(l, m).to_dense()
+        rhs = cs.images.f_image(k, m).to_dense()
         assert np.abs(lhs - rhs).max() <= 1e-8
 
 
@@ -187,7 +187,8 @@ def test_sigma_bar_conjugate_supported_in_single_point(pts150):
     cs = pts.corners[0]
     from banddim.extract import _column_compression
     x = cs.U[3][0]
-    xi = cs.g_img[(8, 3)] @ _column_compression(cs.f_img[(3, 3)], x) @ cs.g_img[(3, 8)]
+    img = cs.images
+    xi = img.g_image(8, 3) @ _column_compression(img.f_image(3, 3), x) @ img.g_image(3, 8)
     diag_pts = {u for (u, v) in xi.blocks}
     assert len(diag_pts) == 1
     assert diag_pts == {pts.sigma_bar[(0, 3, 8)][x]}

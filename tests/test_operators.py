@@ -173,3 +173,30 @@ def test_power_iteration_convergence_error():
     with pytest.raises(ConvergenceError) as err:
         operator_norm(T, dense_threshold=1, maxiter=2)
     assert err.value.residual is not None
+
+
+def test_dense_size_guard(monkeypatch, tmp_path):
+    """Dense (n m)^2 allocations above the byte limit raise SizeLimitError
+    naming the size, and a run that reaches one exits 3.  The limit is
+    lowered to 1 MiB: the 300-point interval with fiber 2 needs 5760000
+    bytes per dense matrix."""
+    import json
+
+    import banddim.operators
+    from banddim.cli import main
+    from banddim.cpmaps import BandAlgebra
+    from banddim.errors import SizeLimitError
+
+    monkeypatch.setattr(banddim.operators, "DENSE_BYTES_LIMIT", 1 << 20)
+    sp = generate_space("interval", length=300)
+    with pytest.raises(SizeLimitError, match="5760000 bytes"):
+        BandOperator.identity(sp, 2).to_dense()
+    with pytest.raises(SizeLimitError, match="5760000 bytes"):
+        BandAlgebra(sp, 2).random_hermitian(np.random.default_rng(0))
+    cfg = {"space": {"family": "interval", "length": 300}, "cover": {"brick_side": 30},
+           "r": 5, "fiber": 2, "test_scale": 1,
+           "stages": ["space", "cover", "witness", "check"],
+           "out_dir": str(tmp_path / "out")}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 3

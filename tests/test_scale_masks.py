@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banddim.cover import brick_cover, make_cover, verify_cover
-from banddim.extract import (CornerData, CornerSystem, PartialTranslationSystem,
-                             decompose_neighbors, extract_cover)
+from banddim.extract import (CornerData, CornerSystem, OperatorImages,
+                             PartialTranslationSystem, decompose_neighbors,
+                             extract_cover)
 from banddim.operators import BandOperator
 from banddim.space import (FLOAT_TOL, FiniteMetricSpace, enlarge, generate_space,
                            ulf_profile)
@@ -171,7 +172,8 @@ def test_extract_cover_classes_match_pair_rule(case, data):
         corner = CornerData(color, 0, color, tuple(range(len(fam))))
         U = {k: tuple(sorted(s)) for k, s in enumerate(fam)}
         f_img = {(k, k): zero for k in U}
-        corners.append(CornerSystem(corner, None, None, f_img, {}, U))
+        corners.append(CornerSystem(corner, None, None,
+                                    OperatorImages(f_img, {}, len(U)), U))
     pts = PartialTranslationSystem(corners, {}, 0.0, 0.0)
     ec = extract_cover(pts, sp, radius)
     expected = [chain_classes_ref(sp, sorted(set().union(*fam)), radius)
