@@ -21,10 +21,9 @@ from .cover import brick_cover, load_cover, save_cover, verify_cover
 from .errors import BandDimError, UsageError
 from .extract import build_translation_system, extract_cover, threshold_setup
 from .extract import matrix_unit_identities  # only for perfbench tracing
-from .operators import BandOperator
 from .space import generate_space, load_space, save_space
 from .witness import (build_upper_witness, check_witness, condition2_errors,
-                      hat_normalize, load_witness, save_witness)
+                      default_test_set, hat_normalize, load_witness, save_witness)
 
 STAGES = ["space", "cover", "witness", "check", "hat", "extract", "report"]
 
@@ -62,10 +61,8 @@ def _gen_space(spec):
 
 
 def _test_set(space, fiber, scale, extra_files=()):
-    from .extract import decompose_neighbors
     from .operators import load_operator
-    decomp = decompose_neighbors(space, scale, fiber_dim=fiber)
-    ops = [BandOperator.identity(space, fiber)] + list(decomp.operators)
+    ops = default_test_set(space, scale, fiber)
     for path in extra_files:
         ops.append(load_operator(path, space))
     return ops

@@ -626,6 +626,21 @@ class ExtractedCover:
         return doc
 
 
+def _diagonal_columns(pts, space, color):
+    """Per point x, the blocks in column x of the sum of the color's diagonal
+    f-images.  Same-color corners have disjoint windows, so the images never
+    share a block and their sum is their union, pruned once."""
+    diagonal = [cs.images.f_image(k, k) for cs in pts.corners
+                if cs.corner.color == color for k in range(cs.corner.s)]
+    cols = {}
+    if diagonal:
+        blocks = {key: b for op in diagonal for key, b in op.blocks.items()}
+        total = BandOperator._raw(space, diagonal[0].fiber_dim, blocks)
+        for (u, x), b in total.blocks.items():
+            cols.setdefault(x, []).append(b)
+    return cols
+
+
 def extract_cover(pts, space, r):
     """Equivalence classes of r-chains inside the U-sets, one color at a time.
 
@@ -652,20 +667,7 @@ def extract_cover(pts, space, r):
     # Coverage guarantee: a point whose summed diagonal f-image column
     # carries norm above 3/4 must lie in some U-set; record violations of
     # the implication before raising on uncovered points.
-    col_index = {}
-    for color in colors:
-        total = None
-        for cs in pts.corners:
-            if cs.corner.color != color:
-                continue
-            for k in range(cs.corner.s):
-                op = cs.images.f_image(k, k)
-                total = op if total is None else total + op
-        cols = {}
-        if total is not None:
-            for (u, x), b in total.blocks.items():
-                cols.setdefault(x, []).append(b)
-        col_index[color] = cols
+    col_index = {color: _diagonal_columns(pts, space, color) for color in colors}
     coverage_violations = []
     for x in range(space.n):
         mass = 0.0

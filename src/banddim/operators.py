@@ -21,6 +21,7 @@ from .errors import (ConvergenceError, IncompatibilityError, InvalidParameterErr
 from .space import _id_from_json, _id_to_json
 
 PRUNE_REL = 1e-14
+CERT_MARGIN = 1e-10
 DENSE_NORM_THRESHOLD = 2048
 POWER_TOL = 1e-10
 POWER_MAXITER = 50_000
@@ -309,6 +310,31 @@ def spectral_norm(mat):
     if mat.size == 0:
         return 0.0
     return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
+def max_spectral_norm(mats):
+    """Exactly ``max(spectral_norm(M) for M in mats)``, 0.0 when empty.
+
+    Only a matrix that may raise the running maximum ``best`` pays for an
+    SVD.  Any other matrix M is skipped on a certificate: its entries are
+    finite and ``best^2 (1 - CERT_MARGIN) I - M^H M`` has a Cholesky factor,
+    so ||M|| < best.  The margin covers the rounding of the Gram product and
+    the backward error of the factorization; the finiteness test is needed
+    because numpy's Cholesky returns NaN factors where the SVD raises.
+    """
+    best = None
+    for mat in mats:
+        if best is not None and np.isfinite(mat).all():
+            gram = mat.conj().T @ mat
+            shifted = best * best * (1.0 - CERT_MARGIN) * np.eye(len(gram)) - gram
+            try:
+                np.linalg.cholesky(shifted)
+                continue
+            except np.linalg.LinAlgError:
+                pass
+        value = spectral_norm(mat)
+        best = value if best is None else max(best, value)
+    return 0.0 if best is None else best
 
 
 def operator_norm(op, dense_threshold=DENSE_NORM_THRESHOLD, tol=POWER_TOL,

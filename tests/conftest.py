@@ -1,15 +1,19 @@
 """Shared fixtures: the interval-150 reference witness and its pipeline
-artifacts are expensive, so they are built once per session."""
+artifacts are expensive, so they are built once per session.  ``DIFF`` is
+the hypothesis profile of the differential tests."""
 
 import pytest
+from hypothesis import settings
 
 from banddim.cover import brick_cover
 from banddim.cpmaps import BandAlgebra, FactoredMap, PointBijectionHom
-from banddim.extract import build_translation_system, decompose_neighbors, threshold_setup
+from banddim.extract import build_translation_system, threshold_setup
 from banddim.fdalg import FiniteDimAlgebra, Summand
 from banddim.operators import BandOperator
 from banddim.space import generate_space
-from banddim.witness import build_upper_witness
+from banddim.witness import build_upper_witness, default_test_set
+
+DIFF = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @pytest.fixture(scope="session")
@@ -22,9 +26,8 @@ def witness150(interval150):
     """The reference witness: interval 150, r = 5, fiber 2, brick side 30,
     propagation-1 test operators."""
     cover = brick_cover(interval150, 5, 30)
-    decomp = decompose_neighbors(interval150, 1, fiber_dim=2)
-    test_set = [BandOperator.identity(interval150, 2)] + list(decomp.operators)
-    return build_upper_witness(interval150, cover, 5, 2, test_set=test_set)
+    return build_upper_witness(interval150, cover, 5, 2,
+                               test_set=default_test_set(interval150, 1, 2))
 
 
 @pytest.fixture(scope="session")

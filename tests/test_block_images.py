@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from banddim.cpmaps import bump_function
@@ -24,9 +24,7 @@ from banddim.extract import (BlockImages, CornerData, CornerSystem, OperatorImag
 from banddim.operators import BandOperator
 from banddim.space import generate_space
 
-from conftest import SMALL_WITNESS_POOL, build_small_witness
-
-DIFF = settings(max_examples=60, deadline=None, derandomize=True)
+from conftest import DIFF, SMALL_WITNESS_POOL, build_small_witness
 
 # eta = 0.5 puts ||(I/2)(I/2)|| = 1/4 exactly on the eta^2 threshold; fiber
 # matrix units are nonzero blocks whose products can vanish, so a conjugate

@@ -6,11 +6,12 @@ import pytest
 from banddim.cover import verify_cover
 from banddim.cpmaps import BandAlgebra, CompressionMap, ScaledMap
 from banddim.errors import CoverGapError, DiagonalViolationError
-from banddim.extract import (build_translation_system, decompose_neighbors,
-                             extract_cover, matrix_unit_identities,
-                             threshold_constants, threshold_setup)
+from banddim.extract import (_diagonal_columns, build_translation_system,
+                             decompose_neighbors, extract_cover,
+                             matrix_unit_identities, threshold_constants,
+                             threshold_setup)
 from banddim.fdalg import FiniteDimAlgebra, Summand
-from banddim.operators import BandOperator
+from banddim.operators import BandOperator, spectral_norm
 from banddim.space import generate_space, ulf_profile
 from banddim.witness import DiagDimWitness
 
@@ -257,6 +258,21 @@ def test_round_trip_on_2d_grid():
     assert ec.S <= ec.s_max
 
 
+def chained_diagonal_columns(pts, color):
+    """Reference for the coverage columns: the color's diagonal f-images
+    summed one ``BandOperator.__add__`` at a time."""
+    total = None
+    for cs in pts.corners:
+        if cs.corner.color == color:
+            for k in range(cs.corner.s):
+                op = cs.images.f_image(k, k)
+                total = op if total is None else total + op
+    cols = {}
+    for (u, x), b in total.blocks.items():
+        cols.setdefault(x, []).append(b)
+    return cols
+
+
 def test_round_trip_property_over_small_pool():
     from conftest import SMALL_WITNESS_POOL, build_small_witness
 
@@ -269,6 +285,21 @@ def test_round_trip_property_over_small_pool():
         assert ec.cover_report.passed, idx
         assert ec.cover.colors <= w.d + 1, idx
         assert ec.S <= ec.s_max, idx
+
+        colors = sorted({cs.corner.color for cs in pts.corners})
+        covered = {x for cs in pts.corners for k in range(cs.corner.s) for x in cs.U[k]}
+        mass = np.zeros(w.space.n)
+        for color in colors:
+            got = _diagonal_columns(pts, w.space, color)
+            want = chained_diagonal_columns(pts, color)
+            assert got.keys() == want.keys(), idx
+            for x, blocks in want.items():
+                assert len(got[x]) == len(blocks), idx
+                assert all(np.array_equal(a, b) for a, b in zip(got[x], blocks)), idx
+                mass[x] += spectral_norm(np.vstack(blocks))
+        assert ec.coverage_violations == [
+            w.space.points[x] for x in range(w.space.n)
+            if mass[x] > 0.75 and x not in covered], idx
 
 
 def test_pipeline_on_double_precision_space(tmp_path):

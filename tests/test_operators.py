@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from banddim.errors import IncompatibilityError, InvalidParameterError
 from banddim.operators import (BandOperator, DiagonalOperator, diagonal_membership,
-                               load_operator, normalizer_check, operator_norm,
-                               prop_support, save_operator)
+                               load_operator, max_spectral_norm, normalizer_check,
+                               operator_norm, prop_support, save_operator,
+                               spectral_norm)
 from banddim.space import generate_space
+
+from conftest import DIFF
 
 
 @pytest.fixture()
@@ -200,3 +205,64 @@ def test_dense_size_guard(monkeypatch, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path)]) == 3
+
+
+# Matrices for the certified maximum: fresh random ones, exact ties, copies
+# of the first one a few ulps below it (the certificate's margin must refuse
+# them) and 1e-13 above it, and zeros.
+STACK_KINDS = (["random", "tie", "zero", "up"]
+               + [f"down{k}" for k in range(6)])
+
+
+@DIFF
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 32),
+       cols=st.integers(1, 32), kinds=st.lists(st.sampled_from(STACK_KINDS),
+                                              max_size=12))
+@example(seed=0, rows=3, cols=3, kinds=[])
+@example(seed=0, rows=3, cols=3, kinds=["random"])
+@example(seed=0, rows=3, cols=2, kinds=["zero", "zero"])
+def test_max_spectral_norm_matches_svd_loop(seed, rows, cols, kinds):
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        scale = 10.0 ** rng.uniform(-3, 3)
+        return scale * (rng.standard_normal((rows, cols))
+                        + 1j * rng.standard_normal((rows, cols)))
+
+    base = draw()
+    mats = []
+    for kind in kinds:
+        if kind == "random":
+            mats.append(draw())
+        elif kind == "tie":
+            mats.append((mats[-1] if mats else base).copy())
+        elif kind == "zero":
+            mats.append(np.zeros((rows, cols), dtype=complex))
+        elif kind == "up":
+            mats.append(base * (1 + 1e-13))
+        else:
+            mats.append(base * (1 - int(kind[4:]) * 1e-16))
+    stacks = [mats]
+    # a copy a few ulps below the running maximum, met in both orders: the
+    # certificate decides on rounding-level gaps here
+    for k in range(1, 6):
+        down = base * (1 - k * 1e-16)
+        stacks += [[down, base], [base, down], [down, base * (1 + 1e-13)]]
+    for stack in stacks:
+        want = max((spectral_norm(m) for m in stack), default=0.0)
+        got = max_spectral_norm(iter(stack))
+        assert type(got) is float
+        assert got == want
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_max_spectral_norm_raises_on_nan(position):
+    rng = np.random.default_rng(position)
+    mats = [rng.standard_normal((4, 4)) + 0j for _ in range(3)]
+    mats[0] *= 10.0  # the running maximum is set before the NaN arrives
+    mats[position] = mats[position].copy()
+    mats[position][1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        max(spectral_norm(m) for m in mats)
+    with pytest.raises(np.linalg.LinAlgError):
+        max_spectral_norm(mats)

@@ -20,7 +20,7 @@ from banddim.space import (FLOAT_TOL, FiniteMetricSpace, enlarge, generate_space
                            ulf_profile)
 from banddim.witness import build_upper_witness
 
-DIFF = settings(max_examples=60, deadline=None, derandomize=True)
+from conftest import DIFF
 
 
 def within_ref(space, i, j, radius):

@@ -6,11 +6,11 @@ import pytest
 from banddim.cover import brick_cover, make_cover
 from banddim.cpmaps import order_zero_check
 from banddim.errors import IncompatibilityError, PreconditionError
-from banddim.operators import BandOperator, normalizer_check, operator_norm
+from banddim.operators import BandOperator, normalizer_check, operator_norm, spectral_norm
 from banddim.space import generate_space
 from banddim.witness import (build_upper_witness, check_witness, condition2_errors,
-                             hat_normalize, load_witness, permanence_combine,
-                             save_witness)
+                             default_test_set, hat_normalize, load_witness,
+                             permanence_combine, save_witness)
 
 
 def single_point_witness(fiber=2):
@@ -151,6 +151,36 @@ def test_hat_bounds_on_interval_witness():
     assert rep["multiplicativity_worst"] < 6.0 * math.sqrt(w.epsilon ** 2 / 81.0)
 
 
+def test_hat_worst_cases_match_brute_force():
+    """The certified maxima equal the SVD of every defect matrix, drawn in
+    the same rng order."""
+    w = interval_witness(length=40, r=2, side=10, fiber=2)
+    pair = hat_normalize(w, samples=10, seed=3)
+    psi1 = w.psi.apply(w.band.identity())
+
+    def phi_hat_dense(x):
+        return pair.scale * w.phi.apply_dense(pair.p @ x @ pair.p)
+
+    scale_dev = max(spectral_norm(
+        phi_hat_dense(pair.psi_hat.apply(a))
+        - pair.scale * w.phi.apply_dense(w.psi.apply(a))) for a in w.test_set)
+    approx = max(spectral_norm(phi_hat_dense(pair.psi_hat.apply(a)) - a.to_dense())
+                 for a in w.test_set + [a @ a for a in w.test_set])
+    rng = np.random.default_rng(3)
+    mult = []
+    for _ in range(10):
+        b = psi1 @ w.algebra.random_hermitian(rng) @ psi1
+        b = (1.0 / b.norm()) * b
+        for a in w.test_set:
+            pa = pair.psi_hat.apply(a)
+            mult.append(spectral_norm(phi_hat_dense(pa @ b)
+                                      - phi_hat_dense(pa) @ phi_hat_dense(b)))
+    assert len(mult) == 10 * len(w.test_set)
+    assert pair.report["scale_identity_deviation"] == scale_dev
+    assert pair.report["approximation_worst"] == approx
+    assert pair.report["multiplicativity_worst"] == max(mult)
+
+
 def test_hat_requires_condition2():
     w = interval_witness()
     w.epsilon = 1e-9  # far below the measured error
@@ -195,15 +225,28 @@ def test_tensor_matrix_keeps_dimension():
 
 def test_error_monotone_along_scales():
     sp = generate_space("interval", length=150)
-    from banddim.extract import decompose_neighbors
-    decomp = decompose_neighbors(sp, 1, fiber_dim=1)
-    test_set = [BandOperator.identity(sp, 1)] + list(decomp.operators)
+    test_set = default_test_set(sp, 1, 1)
     errors = []
     for r in (5, 10, 20, 40):
         cover = brick_cover(sp, r, 6 * r)
         w = build_upper_witness(sp, cover, r, 1, test_set=test_set)
         errors.append(max(condition2_errors(w)))
     assert all(errors[i + 1] <= errors[i] + 1e-12 for i in range(3))
+
+
+@pytest.mark.parametrize("family,params", [
+    ("interval", {"length": 12}),
+    ("grid", {"sides": [4, 5], "metric": "linf"}),
+])
+@pytest.mark.parametrize("scale", [0, 1, 3])
+def test_default_test_set_is_identity_then_distinct(family, params, scale):
+    sp = generate_space(family, **params)
+    ops = default_test_set(sp, scale, 2)
+    eye = BandOperator.identity(sp, 2)
+    assert ops[0].blocks.keys() == eye.blocks.keys()
+    assert all(np.array_equal(b, eye.blocks[k]) for k, b in ops[0].blocks.items())
+    supports = [frozenset(op.blocks) for op in ops]
+    assert len(set(supports)) == len(ops)
 
 
 def test_witness_save_load_round_trip(tmp_path):
