@@ -52,6 +52,10 @@ def _provenance(config):
 
 def _gen_space(spec):
     family = spec.get("family", "interval")
+    key = {"interval": "length", "grid": "sides"}.get(family)
+    if key not in spec:
+        raise UsageError(f"a {family} space needs the key {key!r}" if key else
+                         f"unknown space family {family!r}; expected 'interval' or 'grid'")
     if family == "interval":
         return generate_space("interval", length=spec["length"],
                               spacing=spec.get("spacing", 1))
@@ -269,6 +273,8 @@ def _cmd_run(args):
                 hashed = {k: v for k, v in cfg.items() if k != "out_dir"}
                 _write({"artifacts": merged, "provenance": _provenance(hashed)},
                        os.path.join(out, "report.json"))
+        except UsageError:
+            raise
         except BandDimError as exc:
             print(f"stage {stage!r} failed: {exc}", file=sys.stderr)
             return 3

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (FactorizationError, IncompatibilityError, InvalidFunctionError,
                      InvalidParameterError, SizeLimitError)
 from .fdalg import FdElement, FiniteDimAlgebra, Summand
-from .operators import BandOperator, check_dense_size, operator_norm
+from .operators import BandOperator, check_dense_size, check_fiber_dim, operator_norm
 
 
 class BandAlgebra:
@@ -31,7 +31,7 @@ class BandAlgebra:
 
     def __init__(self, space, fiber_dim):
         self.space = space
-        self.fiber_dim = int(fiber_dim)
+        self.fiber_dim = check_fiber_dim(fiber_dim)
 
     @property
     def matrix_dim(self):

@@ -17,14 +17,6 @@ class SizeLimitError(BandDimError):
     """An exact-mode computation exceeds its instance-size cap."""
 
 
-class ConvergenceError(BandDimError):
-    """An iterative solver failed to converge within its iteration cap."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class PreconditionError(BandDimError):
     """An operation's documented precondition does not hold."""
 

@@ -29,7 +29,8 @@ from .cover import make_cover, verify_cover
 from .cpmaps import bump_function, factorize_order_zero, unit_image
 from .errors import (AmbiguousSupportError, CoverGapError, DiagonalViolationError,
                      InvalidParameterError, InvalidWitnessError)
-from .operators import BandOperator, operator_norm, spectral_norm
+from .operators import (BandOperator, connected_components, group_by, operator_norm,
+                        spectral_norm)
 from .space import ulf_profile
 
 
@@ -578,24 +579,6 @@ def matrix_unit_identities(pts, tol=1e-8):
 # Cover extraction
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 @dataclass
 class ExtractedCover:
     cover: object
@@ -689,13 +672,9 @@ def extract_cover(pts, space, r):
     near = space.within_mask(r)
     for color in colors:
         pool = per_color[color]
-        uf = _UnionFind(pool)
-        for a, b in np.argwhere(np.triu(near[np.ix_(pool, pool)], 1)).tolist():
-            uf.union(pool[a], pool[b])
-        classes = {}
-        for x in pool:
-            classes.setdefault(uf.find(x), set()).add(x)
-        fam = [frozenset(c) for c in classes.values()]
+        chains = np.argwhere(np.triu(near[np.ix_(pool, pool)], 1)).tolist()
+        labels = connected_components(((pool[a], pool[b]) for a, b in chains), pool)
+        fam = [frozenset(c) for c in group_by(pool, labels.get)]
         fam.sort(key=lambda c: sorted(c))
         families.append(fam)
         class_sizes.append(sorted(len(c) for c in fam))

@@ -16,26 +16,56 @@ import json
 
 import numpy as np
 
-from .errors import (ConvergenceError, IncompatibilityError, InvalidParameterError,
-                     SizeLimitError)
+from .errors import IncompatibilityError, InvalidParameterError, SizeLimitError
 from .space import _id_from_json, _id_to_json
 
 PRUNE_REL = 1e-14
 CERT_MARGIN = 1e-10
-DENSE_NORM_THRESHOLD = 2048
-POWER_TOL = 1e-10
-POWER_MAXITER = 50_000
 DENSE_BYTES_LIMIT = 1 << 30
 
 
-def check_dense_size(dim):
-    """Raise before a dense complex dim x dim matrix above DENSE_BYTES_LIMIT
-    bytes is allocated."""
-    nbytes = dim * dim * np.dtype(complex).itemsize
+def check_dense_size(rows, cols=None):
+    """Raise before a dense complex rows x cols matrix (square when cols is
+    None) above DENSE_BYTES_LIMIT bytes is allocated."""
+    cols = rows if cols is None else cols
+    nbytes = rows * cols * np.dtype(complex).itemsize
     if nbytes > DENSE_BYTES_LIMIT:
         raise SizeLimitError(
-            f"a dense {dim}x{dim} complex matrix needs {nbytes} bytes, above the "
+            f"a dense {rows}x{cols} complex matrix needs {nbytes} bytes, above the "
             f"limit of {DENSE_BYTES_LIMIT} bytes")
+
+
+def check_fiber_dim(fiber_dim):
+    """The fiber dimension as an int; anything but an integer >= 1 raises."""
+    if not (type(fiber_dim) is int or isinstance(fiber_dim, np.integer)) or fiber_dim < 1:
+        raise InvalidParameterError(
+            f"fiber dimension must be an integer >= 1, got {fiber_dim!r}")
+    return int(fiber_dim)
+
+
+def connected_components(edges, nodes=()):
+    """Map every node (of ``nodes`` or an endpoint of the pairs ``edges``) to
+    the smallest node of its connected component."""
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b in edges:
+        a, b = find(parent.setdefault(a, a)), find(parent.setdefault(b, b))
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return {x: find(x) for x in parent}
+
+
+def group_by(items, label):
+    """Lists of the items with equal ``label(item)``, in first-seen order."""
+    groups = {}
+    for item in items:
+        groups.setdefault(label(item), []).append(item)
+    return list(groups.values())
 
 
 def _same_space(s1, s2):
@@ -68,7 +98,7 @@ class BandOperator:
 
     def __init__(self, space, fiber_dim, blocks, prune=True):
         self.space = space
-        self.fiber_dim = int(fiber_dim)
+        self.fiber_dim = check_fiber_dim(fiber_dim)
         self._diag = None
         cleaned = {}
         for (x, y), b in blocks.items():
@@ -103,7 +133,7 @@ class BandOperator:
 
     @classmethod
     def identity(cls, space, fiber_dim):
-        eye = np.eye(fiber_dim, dtype=complex)
+        eye = np.eye(check_fiber_dim(fiber_dim), dtype=complex)
         return cls(space, fiber_dim, {(x, x): eye for x in range(space.n)})
 
     @classmethod
@@ -114,25 +144,19 @@ class BandOperator:
         for x, v in values.items():
             v = np.asarray(v, dtype=complex)
             if v.ndim == 0:
-                v = complex(v) * np.eye(fiber_dim)
+                v = complex(v) * np.eye(check_fiber_dim(fiber_dim))
             blocks[(x, x)] = v
         return cls(space, fiber_dim, blocks)
 
     @classmethod
     def partial_translation(cls, space, fiber_dim, pairs):
         """Identity fiber blocks on the given (target, source) pairs."""
-        eye = np.eye(fiber_dim, dtype=complex)
+        eye = np.eye(check_fiber_dim(fiber_dim), dtype=complex)
         return cls(space, fiber_dim, {(x, y): eye for (x, y) in pairs})
 
     @classmethod
-    def single_block(cls, space, fiber_dim, x, y, block=None):
-        if block is None:
-            block = np.eye(fiber_dim)
-        return cls(space, fiber_dim, {(x, y): block})
-
-    @classmethod
     def from_dense(cls, space, fiber_dim, mat, tol=0.0):
-        m = fiber_dim
+        m = check_fiber_dim(fiber_dim)
         blocks = {}
         for x in range(space.n):
             for y in range(space.n):
@@ -231,54 +255,66 @@ class BandOperator:
     def dense_on(self, coords):
         """Dense matrix on the given sorted coordinates, which must hold the
         whole fiber of every touched point."""
+        pts = sorted({c // self.fiber_dim for c in coords})
+        return self._dense(pts, pts, self.blocks)
+
+    def _dense(self, rows, cols, keys):
+        """Dense matrix of the blocks ``keys`` on the sorted point lists
+        ``rows`` x ``cols``: the one place a band operator becomes dense."""
         m = self.fiber_dim
-        check_dense_size(len(coords))
-        pos = {c: i for i, c in enumerate(coords)}
-        out = np.zeros((len(coords), len(coords)), dtype=complex)
-        for (x, y), b in self.blocks.items():
-            i, j = pos[x * m], pos[y * m]
-            out[i:i + m, j:j + m] = b
+        check_dense_size(len(rows) * m, len(cols) * m)
+        row_at = {x: i * m for i, x in enumerate(rows)}
+        col_at = row_at if cols is rows else {y: j * m for j, y in enumerate(cols)}
+        out = np.zeros((len(rows) * m, len(cols) * m), dtype=complex)
+        for x, y in keys:
+            i, j = row_at[x], col_at[y]
+            out[i:i + m, j:j + m] = self.blocks[(x, y)]
         return out
+
+    def _eigh_components(self):
+        """Sorted points and eigendecomposition of each connected component
+        of the block support of a Hermitian operator."""
+        comps = []
+        labels = connected_components(self.blocks)
+        for keys in group_by(self.blocks, lambda key: labels[key[0]]):
+            pts = sorted({p for key in keys for p in key})
+            comps.append((pts, *np.linalg.eigh(self._dense(pts, pts, keys))))
+        return comps
 
     def norm(self):
         return operator_norm(self)
 
     def eigenvalues(self):
-        """Eigenvalues of a Hermitian operator, as a one-entry list."""
-        return [np.linalg.eigvalsh(self.to_dense())]
+        """Eigenvalues of a Hermitian operator, as a one-entry list: those of
+        each connected component of its block support, then one zero per
+        coordinate of the points it does not touch."""
+        ws = [w for _, w, _ in self._eigh_components()]
+        untouched = self.space.n * self.fiber_dim - sum(map(len, ws))
+        return [np.concatenate(ws + [np.zeros(untouched)])]
 
     def funcalc(self, f):
         """Scalar functional calculus of a Hermitian operator.
 
-        Propagation-zero operators are handled blockwise; anything else goes
-        through a dense eigendecomposition.
+        The operator is block diagonal over the connected components of its
+        block support, so each component is diagonalized on its own.  ``f``
+        sees the whole spectrum and a final 0 in one call; the points no
+        block touches carry f(0) times the identity block.
         """
-        if self.is_diagonal:
-            blocks = {}
-            for (x, _), b in self.blocks.items():
-                w, v = np.linalg.eigh(b)
-                blocks[(x, x)] = (v * np.asarray(f(w))) @ v.conj().T
-            # Points with no stored block carry the value f(0).
-            f0 = complex(np.asarray(f(np.array([0.0])))[0])
-            if abs(f0) > 0.0:
-                eye = f0 * np.eye(self.fiber_dim)
-                for x in range(self.space.n):
-                    if (x, x) not in blocks:
-                        blocks[(x, x)] = eye.copy()
-            return BandOperator(self.space, self.fiber_dim, blocks)
-        w, v = np.linalg.eigh(self.to_dense())
-        mat = (v * np.asarray(f(w))) @ v.conj().T
-        return BandOperator.from_dense(self.space, self.fiber_dim, mat, tol=1e-14)
-
-    def apply(self, vec):
         m = self.fiber_dim
-        out = np.zeros_like(vec)
-        for (x, y), b in self.blocks.items():
-            out[x * m:(x + 1) * m] += b @ vec[y * m:(y + 1) * m]
-        return out
-
-    def frobenius(self):
-        return float(np.sqrt(sum(float((np.abs(b) ** 2).sum()) for b in self.blocks.values())))
+        comps = self._eigh_components()
+        values = np.asarray(f(np.concatenate([w for _, w, _ in comps] + [np.zeros(1)])))
+        blocks = {}
+        start = 0
+        for pts, w, v in comps:
+            mat = (v * values[start:start + len(w)]) @ v.conj().T
+            start += len(w)
+            for i, x in enumerate(pts):
+                for j, y in enumerate(pts):
+                    blocks[(x, y)] = mat[i * m:(i + 1) * m, j * m:(j + 1) * m]
+        eye = complex(values[-1]) * np.eye(m)  # dropped by the constructor when 0
+        for x in range(self.space.n):
+            blocks.setdefault((x, x), eye)
+        return BandOperator(self.space, m, blocks)
 
     def __repr__(self):
         return f"BandOperator(n={self.space.n}, m={self.fiber_dim}, nnz={len(self.blocks)})"
@@ -337,35 +373,19 @@ def max_spectral_norm(mats):
     return 0.0 if best is None else best
 
 
-def operator_norm(op, dense_threshold=DENSE_NORM_THRESHOLD, tol=POWER_TOL,
-                  maxiter=POWER_MAXITER):
-    """Largest singular value, by dense SVD below the size threshold and by
-    power iteration on T*T above it."""
-    if op.is_zero:
-        return 0.0
-    coords = op.active_coords()
-    if len(coords) <= dense_threshold:
-        # zero rows and columns do not change singular values
-        return spectral_norm(op.dense_on(coords))
-    dim = op.space.n * op.fiber_dim
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    adj = op.adjoint()
-    residual = np.inf
-    for _ in range(maxiter):
-        w = adj.apply(op.apply(v))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        lam = float(np.real(np.vdot(v, w)))
-        residual = float(np.linalg.norm(w - lam * v))
-        v = w / nw
-        if residual <= 0.5 * tol * max(lam, 1e-300):
-            return float(np.sqrt(max(lam, 0.0)))
-    raise ConvergenceError(
-        f"power iteration did not converge in {maxiter} steps",
-        residual=residual)
+def operator_norm(op):
+    """Largest singular value, exact.
+
+    After permuting rows and columns the operator is block diagonal over the
+    connected components of its bipartite block support (row x and column y
+    are the nodes x and ~y), so the norm is the largest component norm;
+    equal-shape components take one stacked SVD.
+    """
+    labels = connected_components((x, ~y) for x, y in op.blocks)
+    mats = [op._dense(sorted({x for x, _ in keys}), sorted({y for _, y in keys}), keys)
+            for keys in group_by(op.blocks, lambda key: labels[key[0]])]
+    return max((float(spectral_norm(np.stack(same)).max())
+                for same in group_by(mats, np.shape)), default=0.0)
 
 
 class DiagonalReport:

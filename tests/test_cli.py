@@ -217,3 +217,42 @@ def test_benchmark_patch_points(tmp_path, monkeypatch):
     assert tracer.count("extract.identities") == 1
     assert tracer.calls["operators.norm"] > 0
     assert banddim.cli.check_witness is original
+
+
+def test_bad_fiber_is_stage_failure(tmp_path, capsys):
+    sp = tmp_path / "space.json"
+    cov = tmp_path / "cover.json"
+    assert main(["space", "gen", "--family", "interval", "--length", "30",
+                 "--out", str(sp)]) == 0
+    assert main(["cover", "gen", "--space", str(sp), "--r", "2",
+                 "--brick-side", "10", "--out", str(cov)]) == 0
+    for fiber in ("0", "-1"):
+        capsys.readouterr()
+        assert main(["witness", "build", "--space", str(sp), "--cover", str(cov),
+                     "--r", "2", "--fiber", fiber, "--out", str(tmp_path / "w")]) == 3
+        err = capsys.readouterr().err
+        assert "fiber dimension must be an integer >= 1" in err
+        assert "Traceback" not in err
+    for fiber in (0, -1, 1.5, "2", True):
+        path, _ = write_config(tmp_path, fiber=fiber)
+        capsys.readouterr()
+        assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "stage 'witness' failed: fiber dimension" in err
+        assert "Traceback" not in err
+
+
+def test_bad_space_spec_is_usage_error(tmp_path, capsys):
+    for spec, key in (({"family": "torus", "length": 5}, "'torus'"),
+                      ({"family": "interval"}, "'length'"),
+                      ({"family": "grid", "metric": "l1"}, "'sides'")):
+        path, _ = write_config(tmp_path, space=spec)
+        capsys.readouterr()
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and key in err
+    for family, key in (("interval", "'length'"), ("grid", "'sides'")):
+        assert main(["space", "gen", "--family", family,
+                     "--out", str(tmp_path / "space.json")]) == 2
+        assert key in capsys.readouterr().err
+    assert not (tmp_path / "space.json").exists()

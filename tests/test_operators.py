@@ -4,10 +4,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from banddim.errors import IncompatibilityError, InvalidParameterError
-from banddim.operators import (BandOperator, DiagonalOperator, diagonal_membership,
-                               load_operator, max_spectral_norm, normalizer_check,
-                               operator_norm, prop_support, save_operator,
-                               spectral_norm)
+from banddim.operators import (BandOperator, DiagonalOperator, connected_components,
+                               diagonal_membership, load_operator, max_spectral_norm,
+                               normalizer_check, operator_norm, prop_support,
+                               save_operator, spectral_norm)
 from banddim.space import generate_space
 
 from conftest import DIFF
@@ -90,8 +90,6 @@ def test_operator_norm_matches_dense_svd():
     T = rand_band(sp, 2, 3, rng)  # 40 x 40 dense
     expected = np.linalg.svd(T.to_dense(), compute_uv=False)[0]
     assert abs(operator_norm(T) - expected) < 1e-12
-    # iterative mode agrees to its stated relative tolerance
-    assert abs(operator_norm(T, dense_threshold=1) - expected) < 1e-9 * expected
 
 
 def test_cstar_identity():
@@ -170,21 +168,12 @@ def test_operator_json_round_trip(tmp_path, interval8):
     assert np.allclose(back.to_dense(), T.to_dense())
 
 
-def test_power_iteration_convergence_error():
-    from banddim.errors import ConvergenceError
-    sp = generate_space("interval", length=12)
-    rng = np.random.default_rng(12)
-    T = rand_band(sp, 2, 3, rng)
-    with pytest.raises(ConvergenceError) as err:
-        operator_norm(T, dense_threshold=1, maxiter=2)
-    assert err.value.residual is not None
-
-
-def test_dense_size_guard(monkeypatch, tmp_path):
+def test_dense_size_guard(monkeypatch, tmp_path, capsys):
     """Dense (n m)^2 allocations above the byte limit raise SizeLimitError
     naming the size, and a run that reaches one exits 3.  The limit is
     lowered to 1 MiB: the 300-point interval with fiber 2 needs 5760000
-    bytes per dense matrix."""
+    bytes per dense matrix.  The stages up to check take every norm per
+    support component and allocate no such matrix; hat does."""
     import json
 
     import banddim.operators
@@ -200,11 +189,15 @@ def test_dense_size_guard(monkeypatch, tmp_path):
         BandAlgebra(sp, 2).random_hermitian(np.random.default_rng(0))
     cfg = {"space": {"family": "interval", "length": 300}, "cover": {"brick_side": 30},
            "r": 5, "fiber": 2, "test_scale": 1,
-           "stages": ["space", "cover", "witness", "check"],
+           "stages": ["space", "cover", "witness", "check", "hat"],
            "out_dir": str(tmp_path / "out")}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    # every stage up to check completes; the first failure is hat's
+    assert (tmp_path / "out" / "check_report.json").is_file()
+    assert "stage 'hat' failed" in err and "5760000 bytes" in err
 
 
 # Matrices for the certified maximum: fresh random ones, exact ties, copies
@@ -266,3 +259,93 @@ def test_max_spectral_norm_raises_on_nan(position):
         max(spectral_norm(m) for m in mats)
     with pytest.raises(np.linalg.LinAlgError):
         max_spectral_norm(mats)
+
+
+# Block supports for the component split: the zero operator, one giant
+# (tridiagonal) component, equal-shape components with exactly equal blocks,
+# rectangular bipartite components (row x against columns x and x + 1, and
+# rows x and x + 1 against column x), a shift chain, strictly upper blocks
+# (so T + T* has (x, y) and (y, x) blocks and no diagonal), random banded
+# ones and scattered ones.  Blocks are stored in a random order, which is the
+# order the union-find meets them.
+SUPPORT_KINDS = ["zero", "giant", "ties", "rect", "shift", "upper", "random",
+                 "scattered"]
+
+# f(0) = 0, and two with f(0) = 1 that reach the untouched points.
+SCALAR_FNS = [lambda t: t * t, lambda t: np.exp(-t * t), lambda t: np.cos(t) + t]
+
+
+def _component_support(kind, n, rng):
+    if kind == "zero":
+        return []
+    if kind == "giant":
+        return [(x, y) for x in range(n) for y in range(n) if abs(x - y) <= 1]
+    if kind == "ties":
+        return [(x, y) for k in range(0, n - 1, 3)
+                for x in (k, k + 1) for y in (k, k + 1)]
+    if kind == "rect":
+        return [pair for x in range(0, n - 1, 3)
+                for pair in (((x, x), (x, x + 1)) if x % 2 else ((x, x), (x + 1, x)))]
+    if kind == "shift":
+        return [(x, x + 1) for x in range(n - 1)]
+    if kind == "upper":
+        return [(x, y) for x in range(n) for y in range(x + 1, min(n, x + 3))
+                if rng.random() < 0.6]
+    if kind == "random":
+        return [(x, y) for x in range(n) for y in range(n)
+                if abs(x - y) <= 2 and rng.random() < 0.3]
+    return [(x, y) for x in range(n) for y in range(n) if rng.random() < 1.5 / n]
+
+
+@DIFF
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 14), m=st.integers(1, 3),
+       kind=st.sampled_from(SUPPORT_KINDS), fn=st.integers(0, len(SCALAR_FNS) - 1))
+@example(seed=0, n=9, m=2, kind="zero", fn=1)
+@example(seed=0, n=12, m=2, kind="ties", fn=2)
+@example(seed=0, n=10, m=1, kind="upper", fn=1)
+def test_component_split_matches_dense(seed, n, m, kind, fn):
+    """operator_norm, funcalc and eigenvalues, taken per support component,
+    against the SVD and eigendecomposition of the full dense matrix."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-1, 1)
+    tied = scale * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    blocks = {}
+    support = _component_support(kind, n, rng)
+    for i in rng.permutation(len(support)):
+        blocks[support[i]] = tied if kind in ("ties", "shift") else \
+            scale * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    sp = generate_space("interval", length=n)
+    T = BandOperator(sp, m, blocks)
+    dense = T.to_dense()
+    want = np.linalg.svd(dense, compute_uv=False)[0]
+    got = operator_norm(T)
+    assert type(got) is float
+    assert abs(got - want) <= 1e-12 * want
+    assert (got == 0.0) == T.is_zero
+
+    H = T + T.adjoint()
+    f = SCALAR_FNS[fn]
+    w, v = np.linalg.eigh(H.to_dense())
+    want_f = (v * f(w)) @ v.conj().T
+    got_f = H.funcalc(f).to_dense()
+    assert spectral_norm(got_f - want_f) <= 1e-12 * max(spectral_norm(want_f), 1e-300)
+    eig = np.sort(np.concatenate(H.eigenvalues()))
+    assert len(eig) == n * m
+    assert np.abs(eig - w).max() <= 1e-12 * max(np.abs(w).max(), 1e-300)
+
+
+@DIFF
+@given(n=st.integers(1, 16), edges=st.lists(st.tuples(st.integers(0, 15),
+                                                      st.integers(0, 15)), max_size=24))
+def test_connected_components_match_reachability(n, edges):
+    """Labels against the transitive closure of the adjacency matrix."""
+    edges = [(a % n, b % n) for a, b in edges]
+    labels = connected_components(edges, range(n))
+    reach = np.eye(n, dtype=bool)
+    for a, b in edges:
+        reach[a, b] = reach[b, a] = True
+    for _ in range(n):
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    assert sorted(labels) == list(range(n))
+    for x in range(n):
+        assert labels[x] == min(np.flatnonzero(reach[x]))
