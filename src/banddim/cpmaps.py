@@ -100,6 +100,11 @@ class CpMap:
         """Structural evidence that the map is order zero, or None."""
         return None
 
+    def diagonal_certificate(self):
+        """Structural evidence that the map sends the band diagonal into the
+        canonical diagonal of its codomain, or None."""
+        return None
+
 
 class CompressionMap(CpMap):
     """Band operators to a finite-dimensional algebra, one window per summand.
@@ -138,6 +143,11 @@ class CompressionMap(CpMap):
                     blk = coeff.block(x, x) @ blk @ coeff.block(y, y).conj().T
                 part[a * m:(a + 1) * m, c * m:(c + 1) * m] += blk
         return FdElement(self.codomain, parts)
+
+    def diagonal_certificate(self):
+        # apply writes block (x, y) only at slot pair (slot(x), slot(y)) of a
+        # window, so a single-point block (x, x) lands on a slot-diagonal block
+        return ("slot-windows", self.windows)
 
 
 class InclusionMap(CpMap):

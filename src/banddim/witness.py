@@ -15,6 +15,11 @@ epsilon.  The six checked conditions are:
   (6) supporting-homomorphism images of minimal diagonal projections commute
       with the band diagonal.
 
+Conditions 4 and 5 hold by construction for a compression psi (its
+``diagonal_certificate``) and an inclusion phi with single-block unit images
+(``image_of_unit``); other maps are measured or sampled.  Each verdict
+records its mode.
+
 The construction from a cover at scale 3r compresses to the r-enlarged
 blocks of the cover sets with a diagonal partition of unity: with counts
 c_i(x) = sum over sets U of color i of |{m in 1..r : dist(x, U) <= m}| and
@@ -25,6 +30,7 @@ sum_i h_i^2 = 1 wherever the cover reaches.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -169,14 +175,20 @@ def build_upper_witness(space, cover, r, fiber_dim, test_set=None, epsilon=None)
 
 @dataclass
 class ConditionVerdict:
+    """One condition's outcome.  ``mode`` says how it was reached:
+    ``computed`` (measured over every generator), ``structural`` (implied by
+    the structure the map carries) or ``sampled`` (a seeded falsifier)."""
+
     condition: int
     verdict: bool
     worst: float
+    mode: str
     witness_element: str = ""
 
     def to_json(self):
         return {"condition": self.condition, "verdict": self.verdict,
-                "worst": self.worst, "witness_element": self.witness_element}
+                "worst": self.worst, "mode": self.mode,
+                "witness_element": self.witness_element}
 
 
 @dataclass
@@ -203,32 +215,63 @@ class ConditionReport:
 MATRIX_UNIT_FIBER_SAMPLES = 2048
 
 
+def _check_condition4(witness, tol):
+    """psi of every single-point, single-fiber-unit diagonal generator must be
+    slot-diagonal.  A compression map certifies this by its windows; any
+    other psi is measured on all n m^2 generators."""
+    if getattr(witness.psi, "diagonal_certificate", lambda: None)() is not None:
+        return ConditionVerdict(4, True, 0.0, "structural")
+    m = witness.fiber_dim
+    worst = 0.0
+    ok = True
+    element = ""
+    for x in range(witness.space.n):
+        for g in range(m):
+            for dd in range(m):
+                blk = np.zeros((m, m), dtype=complex)
+                blk[g, dd] = 1.0
+                gen = BandOperator(witness.space, m, {(x, x): blk})
+                good, mass = witness.psi.apply(gen).is_canonical_diagonal(tol)
+                worst = max(worst, mass)
+                if not good:
+                    ok = False
+                    element = f"diag_gen[{x},{g},{dd}]"
+    return ConditionVerdict(4, ok, worst, "computed", element)
+
+
 def _check_condition5(witness, tol):
     """Normalizer checks for phi images of diagonal and matrix-unit elements.
 
-    All slot pairs are conjugated with the fiber unit; fiber matrix units are
+    A map with ``image_of_unit`` sends every matrix unit (tensor any fiber
+    block) to a single block, and a single-block operator normalizes the
+    diagonal, so the condition holds structurally.  Any other map is checked
+    on all slot pairs conjugated with the fiber unit; fiber matrix units are
     added exhaustively for diagonal slots and on a seeded sample of slot
-    pairs (the images are single-block operators, so each check is cheap and
-    the fiber block does not change the support pattern).
+    pairs.
     """
     from .operators import normalizer_check
 
+    phi = witness.phi
+    if hasattr(phi, "image_of_unit"):
+        return ConditionVerdict(5, True, 0.0, "structural")
     m = witness.fiber_dim
     worst = 0.0
-    element = ""
     rng = np.random.default_rng(0)
-    phi = witness.phi
     combos = []
     for k, s in enumerate(witness.algebra.summands):
         for a in range(s.size):
             for b in range(s.size):
                 combos.append((k, a, b))
     fiber_units = [(g, d) for g in range(m) for d in range(m)]
+
+    def failed(element):
+        return ConditionVerdict(5, False, worst, "sampled", element)
+
     for (k, a, b) in combos:
         rep = normalizer_check(unit_image(phi, k, a, b), tol)
         worst = max(worst, rep.worst)
         if not rep.flag:
-            return False, worst, f"matrix_unit[{k},{a},{b}]x1"
+            return failed(f"matrix_unit[{k},{a},{b}]x1")
         if a == b and m > 1:
             for (g, dd) in fiber_units:
                 fiber = np.zeros((m, m), dtype=complex)
@@ -236,7 +279,7 @@ def _check_condition5(witness, tol):
                 rep = normalizer_check(unit_image(phi, k, a, b, fiber), tol)
                 worst = max(worst, rep.worst)
                 if not rep.flag:
-                    return False, worst, f"diagonal[{k},{a}]xe[{g},{dd}]"
+                    return failed(f"diagonal[{k},{a}]xe[{g},{dd}]")
     if m > 1 and combos:
         picks = rng.choice(len(combos), size=min(MATRIX_UNIT_FIBER_SAMPLES, len(combos)))
         for t in picks:
@@ -247,55 +290,49 @@ def _check_condition5(witness, tol):
             rep = normalizer_check(unit_image(phi, k, a, b, fiber), tol)
             worst = max(worst, rep.worst)
             if not rep.flag:
-                return False, worst, f"matrix_unit[{k},{a},{b}]xe[{g},{dd}]"
-    return True, worst, element
+                return failed(f"matrix_unit[{k},{a},{b}]xe[{g},{dd}]")
+    return ConditionVerdict(5, True, worst, "sampled")
 
 
 def check_witness(witness, tol=1e-9):
     """Evaluate the six witness conditions; condition 2 is reported as a
-    measured error against the declared epsilon, never thresholded silently."""
+    measured error against the declared epsilon, never thresholded silently.
+
+    ``tol`` must be a finite number >= 0; anything else raises
+    ``InvalidParameterError``.
+    """
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise InvalidParameterError(
+            f"check tolerance must be a finite number >= 0, got {tol!r}")
     verdicts = []
 
     norm1 = witness.psi.apply(witness.band.identity()).norm()
-    verdicts.append(ConditionVerdict(1, norm1 <= 1.0 + tol, max(0.0, norm1 - 1.0), "1_A"))
+    verdicts.append(ConditionVerdict(1, norm1 <= 1.0 + tol, max(0.0, norm1 - 1.0),
+                                     "computed", "1_A"))
 
     errs = condition2_errors(witness)
     worst2 = max(errs) if errs else 0.0
     which = int(np.argmax(errs)) if errs else -1
-    verdicts.append(ConditionVerdict(2, worst2 < witness.epsilon, worst2,
+    verdicts.append(ConditionVerdict(2, worst2 < witness.epsilon, worst2, "computed",
                                      f"test_set[{which}]"))
 
     worst3 = 0.0
     ok3 = True
     elem3 = ""
+    mode3 = "structural"
     for i, phi_i in witness.color_phis():
         rep = order_zero_check(phi_i)
+        if rep.mode != "structural":
+            mode3 = "sampled"
         contr = operator_norm(phi_i.apply(phi_i.domain.identity()))
         worst3 = max(worst3, rep.worst, max(0.0, contr - 1.0))
         if not rep.flag or contr > 1.0 + tol:
             ok3 = False
             elem3 = f"color[{i}]"
-    verdicts.append(ConditionVerdict(3, ok3, worst3, elem3))
+    verdicts.append(ConditionVerdict(3, ok3, worst3, mode3, elem3))
 
-    m = witness.fiber_dim
-    worst4 = 0.0
-    ok4 = True
-    elem4 = ""
-    for x in range(witness.space.n):
-        for g in range(m):
-            for dd in range(m):
-                blk = np.zeros((m, m), dtype=complex)
-                blk[g, dd] = 1.0
-                gen = BandOperator(witness.space, m, {(x, x): blk})
-                good, mass = witness.psi.apply(gen).is_canonical_diagonal(tol)
-                worst4 = max(worst4, mass)
-                if not good:
-                    ok4 = False
-                    elem4 = f"diag_gen[{x},{g},{dd}]"
-    verdicts.append(ConditionVerdict(4, ok4, worst4, elem4))
-
-    ok5, worst5, elem5 = _check_condition5(witness, tol)
-    verdicts.append(ConditionVerdict(5, ok5, worst5, elem5))
+    verdicts.append(_check_condition4(witness, tol))
+    verdicts.append(_check_condition5(witness, tol))
 
     worst6 = 0.0
     ok6 = True
@@ -307,7 +344,7 @@ def check_witness(witness, tol=1e-9):
         if not rep.flag:
             ok6 = False
             elem6 = f"color[{i}]"
-    verdicts.append(ConditionVerdict(6, ok6, worst6, elem6))
+    verdicts.append(ConditionVerdict(6, ok6, worst6, "computed", elem6))
 
     return ConditionReport(verdicts, witness.epsilon)
 

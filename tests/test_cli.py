@@ -3,6 +3,8 @@ import json
 import os
 import pathlib
 
+import pytest
+
 import banddim.cli
 from banddim.cli import main
 
@@ -256,3 +258,20 @@ def test_bad_space_spec_is_usage_error(tmp_path, capsys):
                      "--out", str(tmp_path / "space.json")]) == 2
         assert key in capsys.readouterr().err
     assert not (tmp_path / "space.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_invalid_check_tolerance_exits_3(tmp_path, capsys, tol):
+    path, cfg = write_config(tmp_path, stages=["space", "cover", "witness"])
+    assert main(["run", "--config", str(path)]) == 0
+    out = pathlib.Path(cfg["out_dir"])
+    assert main(["witness", "check", "--witness", str(out / "witness"),
+                 f"--tol={tol}", "--out", str(out / "check.json")]) == 3
+    assert not (out / "check.json").exists()
+    assert "tolerance" in capsys.readouterr().err
+
+    path, cfg = write_config(tmp_path, stages=["space", "cover", "witness", "check"],
+                             tolerances={"check": float(tol)})
+    assert main(["run", "--config", str(path)]) == 3
+    assert not (out / "check_report.json").exists()
+    assert "stage 'check' failed" in capsys.readouterr().err

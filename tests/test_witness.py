@@ -355,3 +355,90 @@ def test_checker_propagates_factorization_errors():
     w = overlapping_window_witness()
     with pytest.raises(FactorizationError):
         check_witness(w)
+
+
+class _PassThroughPsi:
+    """psi seen only through ``apply``: no diagonal certificate, so condition
+    4 is measured on every diagonal generator."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.domain = inner.domain
+        self.codomain = inner.codomain
+
+    def apply(self, x):
+        return self.inner.apply(x)
+
+
+def _forty_point_cli_witness():
+    """The witness that the 40-point config of test_cli builds (interval 40,
+    brick side 10, r=2, fiber 1)."""
+    sp = generate_space("interval", length=40)
+    return build_upper_witness(sp, brick_cover(sp, 2, 10), 2, 1,
+                               test_set=default_test_set(sp, 1, 1))
+
+
+def _differential_witnesses():
+    from conftest import SMALL_WITNESS_POOL, build_small_witness
+    return ([pytest.param(lambda i=i: build_small_witness(i, None), id=f"pool{i}")
+             for i in range(len(SMALL_WITNESS_POOL))]
+            + [pytest.param(_forty_point_cli_witness, id="cli40")])
+
+
+@pytest.mark.parametrize("make", _differential_witnesses())
+def test_structural_conditions_4_5_match_generic_path(make):
+    import dataclasses
+    from banddim.witness import _check_condition4, _check_condition5
+    w = make()
+    generic = dataclasses.replace(
+        w, psi=_PassThroughPsi(w.psi),
+        phi=_ConjugatedPhi(w.phi, BandOperator.identity(w.space, w.fiber_dim)))
+    for check, fast_mode, slow_mode in ((_check_condition4, "structural", "computed"),
+                                        (_check_condition5, "structural", "sampled")):
+        fast = check(w, 1e-9)
+        slow = check(generic, 1e-9)
+        assert (fast.mode, slow.mode) == (fast_mode, slow_mode)
+        assert ((fast.verdict, fast.worst, fast.witness_element)
+                == (slow.verdict, slow.worst, slow.witness_element))
+
+
+@pytest.mark.parametrize("make", _differential_witnesses())
+def test_compression_certificate_holds_through_apply(make):
+    """The claim behind ``CompressionMap.diagonal_certificate``: the image of
+    every single-point generator has no slot-off-diagonal mass at all."""
+    w = make()
+    assert w.psi.diagonal_certificate() is not None
+    m = w.fiber_dim
+    for x in range(w.space.n):
+        for g in range(m):
+            for dd in range(m):
+                blk = np.zeros((m, m), dtype=complex)
+                blk[g, dd] = 1.0
+                image = w.psi.apply(BandOperator(w.space, m, {(x, x): blk}))
+                assert image.slot_offdiag_mass() == 0.0, (x, g, dd)
+
+
+def test_check_report_modes():
+    import dataclasses
+    w = interval_witness(length=12, r=1, side=4, fiber=2)
+    rows = check_witness(w).to_json()["conditions"]
+    assert [row["mode"] for row in rows] == ["computed", "computed", "structural",
+                                             "structural", "structural", "computed"]
+    generic = dataclasses.replace(
+        w, psi=_PassThroughPsi(w.psi),
+        phi=_ConjugatedPhi(w.phi, BandOperator.identity(w.space, w.fiber_dim)))
+    report = check_witness(generic)
+    assert report.passed
+    assert [v.mode for v in report.verdicts] == ["computed", "computed", "sampled",
+                                                 "computed", "sampled", "computed"]
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf, "1e-9"])
+def test_check_rejects_invalid_tolerance(tol):
+    from banddim.errors import InvalidParameterError
+    with pytest.raises(InvalidParameterError):
+        check_witness(single_point_witness(), tol=tol)
+
+
+def test_check_accepts_zero_tolerance():
+    assert check_witness(single_point_witness(), tol=0).passed
