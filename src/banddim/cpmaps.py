@@ -848,22 +848,43 @@ def cop_check(fact, diagonal=None, tol=1e-9):
     m = fact.codomain.fiber_dim
     worst = 0.0
     checked = 0
+    for c in diagonal_unit_images(fact):
+        checked += 1
+        if _scalar_diagonal(c):
+            continue
+        pts = set()
+        for (x, y) in c.blocks:
+            pts.update((x, y))
+        for y in sorted(pts):
+            for alpha in range(m):
+                for beta in range(m):
+                    blk = np.zeros((m, m), dtype=complex)
+                    blk[alpha, beta] = 1.0
+                    gen = BandOperator(fact.codomain.space, m, {(y, y): blk})
+                    comm = c @ gen - gen @ c
+                    if not comm.is_zero:
+                        worst = max(worst, operator_norm(comm))
+    return CopReport(worst <= tol, worst, checked)
+
+
+def diagonal_unit_images(fact):
+    """``pi(e_aa) = pinv . phi(e_aa)`` for every diagonal slot unit, summand
+    by summand.
+
+    A single-block unit image (y, y) picks column y of pinv times that block,
+    as ``BandOperator.__matmul__`` forms it, so the columns of pinv are
+    indexed once and each such product costs one column; any other image is
+    multiplied in full.
+    """
+    columns = {}
+    for (x, y), b in fact.pinv.blocks.items():
+        columns.setdefault(y, []).append((x, b))
     for k, s in enumerate(fact.domain.summands):
         for a in range(s.size):
-            c = fact.pinv @ unit_image(fact.source, k, a, a)
-            checked += 1
-            if _scalar_diagonal(c):
-                continue
-            pts = set()
-            for (x, y) in c.blocks:
-                pts.update((x, y))
-            for y in sorted(pts):
-                for alpha in range(m):
-                    for beta in range(m):
-                        blk = np.zeros((m, m), dtype=complex)
-                        blk[alpha, beta] = 1.0
-                        gen = BandOperator(fact.codomain.space, m, {(y, y): blk})
-                        comm = c @ gen - gen @ c
-                        if not comm.is_zero:
-                            worst = max(worst, operator_norm(comm))
-    return CopReport(worst <= tol, worst, checked)
+            image = unit_image(fact.source, k, a, a)
+            if len(image.blocks) == 1 and image.is_diagonal:
+                ((y, _), blk), = image.blocks.items()
+                yield BandOperator._raw(fact.codomain.space, fact.codomain.fiber_dim,
+                                        {(x, y): b @ blk for x, b in columns.get(y, ())})
+            else:
+                yield fact.pinv @ image

@@ -13,6 +13,7 @@ Operators are immutable values: arithmetic returns new instances.
 from __future__ import annotations
 
 import json
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .space import _id_from_json, _id_to_json
 
 PRUNE_REL = 1e-14
 CERT_MARGIN = 1e-10
+MIN_CERT_BLOCK = 32
 DENSE_BYTES_LIMIT = 1 << 30
 
 
@@ -348,29 +350,108 @@ def spectral_norm(mat):
     return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
+def _column_blocks(mat):
+    """Column blocks (j0, j1, r0, r1) of a matrix M, each at least as wide as
+    the half-bandwidth of M^H M, with the range [r0, r1) of the rows that
+    hold its nonzeros.
+
+    (M^H M)_jk vanishes unless columns j and k share a nonzero row, which
+    needs first[k] <= last[j] for the first and last nonzero rows of each
+    column; M^H M is then block tridiagonal over the blocks.  A matrix of
+    fewer than 2 MIN_CERT_BLOCK columns is one block.
+    """
+    rows, cols = mat.shape
+    if cols < 2 * MIN_CERT_BLOCK:
+        return [(0, cols, 0, rows)]
+    nz = mat != 0
+    used = nz.any(axis=0)
+    first = np.where(used, nz.argmax(axis=0), rows)  # empty columns: (rows, -1)
+    last = np.where(used, rows - 1 - nz[::-1].argmax(axis=0), -1)
+    # the suffix minimum of first is sorted, so a search bounds the last
+    # column k > j that meets column j
+    reach = np.minimum.accumulate(first[::-1])[::-1]
+    width = int((np.searchsorted(reach, last, side="right") - 1 - np.arange(cols)).max())
+    count = max(cols // max(width, MIN_CERT_BLOCK), 1)
+    edges = [cols * i // count for i in range(count + 1)]
+    return [(j0, j1, int(first[j0:j1].min()), int(last[j0:j1].max()) + 1)
+            for j0, j1 in zip(edges, edges[1:])]
+
+
+def certified_below(mat, bound):
+    """True when ``||mat|| < bound`` is proved by a block Cholesky factor of
+    ``G = bound^2 (1 - CERT_MARGIN) I - M^H M``; False says nothing.
+
+    The band is read off the nonzero pattern (:func:`_column_blocks`), so G
+    is block tridiagonal.  Only the Gram blocks inside the band are formed,
+    each from the rows its columns touch, and the factor is built block by
+    block from the Schur complements ``S = G_qq - Y^H Y``,
+    ``Y = L_p^-1 G_pq``.  A full band is one block, a dense Cholesky.  The
+    margin covers the rounding of the Gram products and the backward error
+    of the factorization.  A factor that is not finite proves nothing:
+    numpy's Cholesky returns NaN or infinite factors for a matrix with NaN
+    entries or for Gram products and shifts that overflow.
+    """
+    if not bound > 0.0:
+        return False
+    if mat.size == 0:
+        return True
+    shift = bound * bound * (1.0 - CERT_MARGIN)
+    prev = None
+    for j0, j1, r0, r1 in _column_blocks(mat):
+        block = mat[r0:r1, j0:j1]
+        gram = -(block.conj().T @ block)
+        gram.ravel()[::j1 - j0 + 1] += shift  # the diagonal of a fresh C-ordered array
+        if prev is not None:
+            p0, p1, q0, q1, factor = prev
+            s0, s1 = max(r0, q0), min(r1, q1)
+            if s0 < s1:
+                couple = mat[s0:s1, p0:p1].conj().T @ mat[s0:s1, j0:j1]
+                y = np.linalg.solve(factor, couple)
+                gram -= y.conj().T @ y
+        try:
+            factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return False
+        if not np.isfinite(factor).all():
+            return False
+        prev = (j0, j1, r0, r1, factor)
+    return True
+
+
+class Nearby(NamedTuple):
+    """A matrix met through an approximation: ``approx`` lies within ``gap``
+    of ``exact()`` in spectral norm."""
+
+    approx: np.ndarray
+    gap: float
+    exact: Optional[Callable[[], np.ndarray]]
+
+
 def max_spectral_norm(mats):
     """Exactly ``max(spectral_norm(M) for M in mats)``, 0.0 when empty.
 
     Only a matrix that may raise the running maximum ``best`` pays for an
-    SVD.  Any other matrix M is skipped on a certificate: its entries are
-    finite and ``best^2 (1 - CERT_MARGIN) I - M^H M`` has a Cholesky factor,
-    so ||M|| < best.  The margin covers the rounding of the Gram product and
-    the backward error of the factorization; the finiteness test is needed
-    because numpy's Cholesky returns NaN factors where the SVD raises.
+    SVD; any other one is skipped on :func:`certified_below`.  An item may be
+    a :class:`Nearby`: its ``approx`` is certified below ``best - gap``, and
+    only when that fails is ``exact()`` formed and passed to the SVD.  No
+    certificate is tried unless ``gap < best / 2``, so a skipped exact matrix
+    stays at least ``best CERT_MARGIN / 4`` below ``best``, far above the
+    rounding of its SVD.
     """
     best = None
-    for mat in mats:
-        if best is not None and np.isfinite(mat).all():
-            gram = mat.conj().T @ mat
-            shifted = best * best * (1.0 - CERT_MARGIN) * np.eye(len(gram)) - gram
-            try:
-                np.linalg.cholesky(shifted)
-                continue
-            except np.linalg.LinAlgError:
-                pass
+    for mat, gap, exact in map(_nearby, mats):
+        if best is not None and gap < 0.5 * best and certified_below(mat, best - gap):
+            continue
+        if exact is not None:
+            mat = None  # freed before the exact matrix is formed
+            mat = exact()
         value = spectral_norm(mat)
         best = value if best is None else max(best, value)
     return 0.0 if best is None else best
+
+
+def _nearby(item):
+    return item if isinstance(item, Nearby) else Nearby(item, 0.0, None)
 
 
 def operator_norm(op):

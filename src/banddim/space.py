@@ -198,40 +198,55 @@ def _id_from_json(p):
 
 
 def save_space(space, path):
-    doc = {
-        "points": [_id_to_json(p) for p in space.points],
-        "dist": [[float(v) for v in row] for row in space.dist],
-    }
+    """Write a space file: the point ids, and the generator block of a
+    generated space or the full distance matrix of any other."""
+    doc = {"points": [_id_to_json(p) for p in space.points]}
     if space.grid_meta is not None:
         meta = space.grid_meta
         doc["generator"] = {"family": meta.family, "sides": list(meta.sides),
                             "metric": meta.metric, "spacing": str(meta.spacing)}
+    else:
+        doc["dist"] = [[float(v) for v in row] for row in space.dist]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
 
 
-def load_space(path):
-    """Load a space file, validating all three metric axioms (double mode).
+def _regenerate(gen):
+    spacing = Fraction(gen["spacing"])
+    if gen["family"] == "interval":
+        return generate_space("interval", length=gen["sides"][0], spacing=spacing)
+    return generate_space("grid", sides=gen["sides"], metric=gen["metric"],
+                          spacing=spacing)
 
-    When the file carries a generator block whose regenerated space has the
-    same points and agrees with the stored matrix, the exact integer
-    representation is returned without validation, since it is a metric by
-    construction; anything else is validated and stays in double mode.
+
+def load_space(path):
+    """Load a space file.
+
+    A file without ``"dist"`` is regenerated from its generator block, which
+    must name exactly the stored points; a file with neither raises.  A file
+    with ``"dist"`` is validated against all three metric axioms (double
+    mode), unless it also carries a generator block whose regenerated space
+    has the same points and agrees with the stored matrix: then the exact
+    integer representation is returned without validation, since it is a
+    metric by construction.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     points = [_id_from_json(p) for p in doc["points"]]
-    dist = np.asarray(doc["dist"], dtype=float)
     gen = doc.get("generator")
     # A block naming another point count cannot match; regenerating it could
     # build a far larger space than the file holds.
-    if gen and math.prod(gen["sides"]) == len(points):
-        spacing = Fraction(gen["spacing"])
-        if gen["family"] == "interval":
-            regen = generate_space("interval", length=gen["sides"][0], spacing=spacing)
-        else:
-            regen = generate_space("grid", sides=gen["sides"], metric=gen["metric"],
-                                   spacing=spacing)
+    fits = bool(gen) and math.prod(gen["sides"]) == len(points)
+    if "dist" not in doc:
+        regen = _regenerate(gen) if fits else None
+        if regen is None or regen.points != points:
+            raise InvalidParameterError(
+                "space file has no distance matrix and no generator block that "
+                "yields its points")
+        return regen
+    dist = np.asarray(doc["dist"], dtype=float)
+    if fits:
+        regen = _regenerate(gen)
         if regen.points == points and regen.dist.shape == dist.shape and \
                 np.allclose(regen.dist, dist, atol=FLOAT_TOL, rtol=0.0):
             return regen

@@ -29,6 +29,7 @@ sum_i h_i^2 = 1 wherever the cover reaches.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -43,7 +44,7 @@ from .cpmaps import (BandAlgebra, CompressionMap, InclusionMap, SandwichedMap,
 from .errors import (CoverGapError, IncompatibilityError, InvalidParameterError,
                      InvalidWitnessError, PreconditionError)
 from .fdalg import FiniteDimAlgebra, Summand
-from .operators import BandOperator, max_spectral_norm, operator_norm
+from .operators import BandOperator, Nearby, max_spectral_norm, operator_norm
 from .space import FiniteMetricSpace
 
 
@@ -374,6 +375,137 @@ class HatPair:
         return self.report["passed"]
 
 
+def _span(index):
+    """An index array as a slice when it runs through consecutive indices
+    in ascending order; a loaded bundle may list window points in any
+    order."""
+    if len(index) and np.array_equal(index, np.arange(index[0], index[0] + len(index))):
+        return slice(int(index[0]), int(index[0]) + len(index))
+    return index
+
+
+def _block(rows, cols, n):
+    """The (rows, cols) block of an n x n matrix: slices for contiguous
+    coordinates (intervals), else the flat positions of its entries (grids),
+    which index ``matrix.reshape(-1)``."""
+    r, q = _span(rows), _span(cols)
+    if isinstance(r, slice) and isinstance(q, slice):
+        return r, q
+    return (rows[:, None] * n + cols[None, :]).reshape(-1)
+
+
+def _add_block(out, flat, idx, values):
+    if isinstance(idx, tuple):
+        out[idx] += values
+    else:
+        flat[idx] += values.reshape(-1)
+
+
+class WindowDefects:
+    """Multiplicativity defects of a hat map, formed window by window.
+
+    The hat map is ``phi_hat(z) = scale phi(p z p)``, and the inclusion phi
+    writes summand k onto the coordinates W_k of its window.  With P_k, X_k
+    and Y_k the summand-k parts of p, x and y, ``A_k = scale P_k X_k P_k`` and
+    ``B_k = scale P_k Y_k P_k``, the defect
+    ``phi_hat(x y) - phi_hat(x) phi_hat(y)`` is the sum of
+
+    * ``scale (P_k X_k)(Y_k P_k) - A_k B_k``, formed as
+      ``(P_k X_k) scale (Y_k P_k - P_k B_k)``, at (W_k, W_k), per window, and
+    * ``-A_k[:, O] B_l[O', :]`` at (W_k, W_l), per pair k != l of overlapping
+      windows, O and O' being the slots of k and l at their shared
+      coordinates,
+
+    which costs O(windows s^3 + N^2) against the O(N^3) of the dense
+    products; ``left(x)`` and ``right(y)`` hold the factors, so each is
+    formed once per test element or sample.
+
+    ``defect`` returns the sum and an a-priori bound ``gap`` on its spectral
+    distance from the dense defect ``phi_hat(x y) - phi_hat(x) phi_hat(y)``
+    of N x N matrices.  Both equal the same sum in exact arithmetic.  Every
+    entry of either is a floating-point sum of products of at most six
+    window factors (P X P P Y P), formed by at most five matrix products of
+    inner dimension at most N and at most c^2 + 3 real scalings, scatter
+    additions and subtractions, c being the largest number of windows that
+    hold one coordinate.  A complex product of inner dimension n satisfies
+    ``|fl(AB) - AB| <= sqrt(2) gamma_{n+2} |A||B| <= gamma_{2n+4} |A||B|``
+    (``gamma_k = k u / (1 - k u)``, u the unit roundoff), an addition or a
+    real scaling adds gamma_1, and errors compose as
+    ``(1 + gamma_a)(1 + gamma_b) <= 1 + gamma_{a+b}``.  So each matrix lies
+    entrywise within gamma_K of the exact defect, relative to the same sums
+    of absolute values, whose Frobenius norm is at most S1 + S2 because
+    ``|| |A||B| ||_F <= ||A||_F ||B||_F``:
+
+        S1 = scale sum_k |P_k|_F^2 |X_k|_F |Y_k|_F,
+        S2 = scale^2 (sum_k |P_k|_F^2 |X_k|_F) (sum_k |P_k|_F^2 |Y_k|_F),
+        gap = 2 gamma_K (S1 + S2),   K = 10 N + c^2 + d^2 + 4 W + 40,
+
+    the spectral norm being at most the Frobenius norm.  The terms
+    d^2 + 4 W + 17 of K (d the largest window dimension, W the number of
+    windows) cover the rounding of the norms and sums that evaluate the
+    bound, since ``gamma_K (1 + gamma_j) <= gamma_{K+j}``.
+    """
+
+    def __init__(self, phi, p, scale):
+        coords = phi.window_coords()
+        n = phi.codomain.matrix_dim
+        self.n = n
+        self.scale = scale
+        self.p = p.parts
+        self.p_fro2 = np.array([np.linalg.norm(part) ** 2 for part in self.p])
+        self.index = [_block(c, c, n) for c in coords]
+        owners = {}
+        for k, c in enumerate(coords):
+            for slot, x in enumerate(c.tolist()):
+                owners.setdefault(x, []).append((k, slot))
+        shared = {}
+        for holders in owners.values():
+            for k, i in holders:
+                for l, j in holders:
+                    if k != l:
+                        rows, cols = shared.setdefault((k, l), ([], []))
+                        rows.append(i)
+                        cols.append(j)
+        self.pairs = [(k, l, _span(np.array(i)), _span(np.array(j)),
+                       _block(coords[k], coords[l], n))
+                      for (k, l), (i, j) in shared.items()]
+        c = max(map(len, owners.values()), default=0)
+        d = max(map(len, coords), default=0)
+        big_k = 10 * n + c * c + d * d + 4 * len(coords) + 40
+        u = np.finfo(float).eps / 2
+        self.gamma = big_k * u / (1.0 - big_k * u)
+
+    def left(self, x):
+        """P_k X_k and |X_k|_F per window; A_k[:, O] per pair."""
+        px = [pk @ xk for pk, xk in zip(self.p, x.parts)]
+        a = [self.scale * (pxk @ pk) for pxk, pk in zip(px, self.p)]
+        return (px, [a[k][:, rows].copy() for k, _, rows, _, _ in self.pairs],
+                np.array([np.linalg.norm(xk) for xk in x.parts]))
+
+    def right(self, y):
+        """scale (Y_k P_k - P_k B_k) and |Y_k|_F per window; -B_l[O', :] per
+        pair."""
+        yp = [yk @ pk for yk, pk in zip(y.parts, self.p)]
+        b = [self.scale * (pk @ ypk) for ypk, pk in zip(yp, self.p)]
+        return ([self.scale * (ypk - pk @ bk) for ypk, pk, bk in zip(yp, self.p, b)],
+                [-b[l][cols, :] for _, l, _, cols, _ in self.pairs],
+                np.array([np.linalg.norm(yk) for yk in y.parts]))
+
+    def defect(self, left, right):
+        """The N x N defect matrix and its ``gap`` to the dense one."""
+        diag_x, pair_x, x_fro = left
+        diag_y, pair_y, y_fro = right
+        out = np.zeros((self.n, self.n), dtype=complex)
+        flat = out.reshape(-1)
+        for idx, lk, rk in zip(self.index, diag_x, diag_y):
+            _add_block(out, flat, idx, lk @ rk)
+        for (_, _, _, _, idx), lk, rk in zip(self.pairs, pair_x, pair_y):
+            _add_block(out, flat, idx, lk @ rk)
+        s1 = self.scale * float(np.sum(self.p_fro2 * x_fro * y_fro))
+        s2 = self.scale ** 2 * float(self.p_fro2 @ x_fro) * float(self.p_fro2 @ y_fro)
+        return out, 2.0 * self.gamma * (s1 + s2)
+
+
 def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
     """Renormalize psi(1) away from the identity by spectral functions.
 
@@ -381,8 +513,12 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
     approximation bound eps^2/27 over the test set and its squares, and the
     multiplicativity defect bound 6 (eps^2/81)^{1/2} over sampled unit-ball
     corner elements.  Each worst case is the exact SVD value of one defect
-    matrix; every other defect matrix is certified below it by a Cholesky
-    factorization (``max_spectral_norm``).
+    matrix; every other defect matrix is certified below it by a
+    block-banded Cholesky factorization (``max_spectral_norm``).  The
+    multiplicativity defects are formed from window pairs
+    (:class:`WindowDefects`) and certified against the running maximum less
+    their a-priori gap; only one the certificate cannot skip is formed again
+    from dense products and passed to the SVD.
     """
     eps = witness.epsilon
     norm1 = witness.psi.apply(witness.band.identity()).norm()
@@ -410,8 +546,9 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
     above = psi1.funcalc(lambda t: (t > bp).astype(float))
     unit_dev = ((p @ p_prime) @ above - above).norm()
 
-    # All hat-map images are dense over the witness windows, so the checks
-    # below run on dense matrices.
+    # Dense hat-map images: the few scale and approximation defects are formed
+    # from them, and a multiplicativity defect whose window form is not
+    # certified.
     def phi_hat_dense(x):
         return scale * witness.phi.apply_dense(p @ x @ p)
 
@@ -425,10 +562,13 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
         phi_hat_dense(psi_hat.apply(a)) - a.to_dense() for a in squares)
     approx_bound = eps ** 2 / 27.0
 
+    windows = WindowDefects(witness.phi, p, scale)
+
     def mult_defects():
         rng = np.random.default_rng(seed)
         hat_psis = [psi_hat.apply(a) for a in witness.test_set]
-        hat_images = [phi_hat_dense(pa) for pa in hat_psis]
+        lefts = [windows.left(pa) for pa in hat_psis]
+        images = [functools.cache(functools.partial(phi_hat_dense, pa)) for pa in hat_psis]
         for _ in range(samples):
             y = witness.algebra.random_hermitian(rng)
             b = psi1 @ y @ psi1
@@ -436,9 +576,12 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
             if nb < 1e-12:
                 continue
             b = (1.0 / nb) * b
-            phi_b = phi_hat_dense(b)
-            for pa, image in zip(hat_psis, hat_images):
-                yield phi_hat_dense(pa @ b) - image @ phi_b
+            right = windows.right(b)
+            phi_b = functools.cache(functools.partial(phi_hat_dense, b))
+            for pa, left, image in zip(hat_psis, lefts, images):
+                def dense(pa=pa, b=b, image=image, phi_b=phi_b):
+                    return phi_hat_dense(pa @ b) - image() @ phi_b()
+                yield Nearby(*windows.defect(left, right), dense)
 
     mult_worst = max_spectral_norm(mult_defects())
     mult_bound = 6.0 * math.sqrt(eps ** 2 / 81.0)

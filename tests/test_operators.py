@@ -4,10 +4,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from banddim.errors import IncompatibilityError, InvalidParameterError
-from banddim.operators import (BandOperator, DiagonalOperator, connected_components,
-                               diagonal_membership, load_operator, max_spectral_norm,
-                               normalizer_check, operator_norm, prop_support,
-                               save_operator, spectral_norm)
+from banddim.operators import (BandOperator, DiagonalOperator, certified_below,
+                               connected_components, diagonal_membership, load_operator,
+                               max_spectral_norm, normalizer_check, operator_norm,
+                               prop_support, save_operator, spectral_norm)
 from banddim.space import generate_space
 
 from conftest import DIFF
@@ -246,6 +246,59 @@ def test_max_spectral_norm_matches_svd_loop(seed, rows, cols, kinds):
         got = max_spectral_norm(iter(stack))
         assert type(got) is float
         assert got == want
+
+
+# Matrices for the block-banded certificate: banded squares and rectangles
+# with unequal lower and upper bandwidths (several column blocks once the
+# band is narrow; a wide one ends in empty columns), the zero matrix, a full
+# band, and a single row or column.
+BAND_KINDS = ["square", "tall", "wide", "zero", "full", "row", "col"]
+
+
+@DIFF
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 120),
+       lower=st.integers(0, 12), upper=st.integers(0, 12),
+       kind=st.sampled_from(BAND_KINDS), k=st.integers(1, 6))
+@example(seed=0, n=120, lower=3, upper=9, kind="square", k=1)
+@example(seed=1, n=100, lower=0, upper=0, kind="wide", k=2)
+@example(seed=0, n=40, lower=0, upper=0, kind="zero", k=1)
+def test_certified_below_against_svd(seed, n, lower, upper, kind, k):
+    """The certificate refuses every bound at or a few ulps around the SVD
+    value and 1e-13 above it, all inside its margin, and proves one 1e-8
+    above it."""
+    rng = np.random.default_rng(seed)
+    short = max(1, (2 * n) // 3)
+    rows, cols = {"tall": (n, short), "wide": (short, n), "row": (1, n),
+                  "col": (n, 1)}.get(kind, (n, n))
+    mat = 10.0 ** rng.uniform(-3, 3) * (rng.standard_normal((rows, cols))
+                                        + 1j * rng.standard_normal((rows, cols)))
+    i, j = np.indices((rows, cols))
+    if kind in ("square", "tall", "wide"):
+        mat[(i - j > lower) | (j - i > upper)] = 0.0
+    elif kind == "zero":
+        mat[:] = 0.0
+    sigma = spectral_norm(mat)
+    if sigma == 0.0:
+        assert certified_below(mat, 1e-100) and not certified_below(mat, 0.0)
+        return
+    for bound in (sigma * (1 - k * 1e-16), sigma, sigma * (1 + k * 1e-16),
+                  sigma * (1 + 1e-13)):
+        assert not certified_below(mat, bound)
+    assert certified_below(mat, sigma * (1 + 1e-8))
+    bad = mat.copy()
+    bad[-1, -1] = np.nan
+    assert not certified_below(bad, 2.0 * sigma)
+
+
+def test_certified_below_refuses_overflow():
+    """A Gram product or a shift that overflows proves nothing; numpy's
+    Cholesky factors such a matrix without raising."""
+    big = np.full((3, 3), 1e160 + 0j)  # norm 3e160, and its Gram overflows
+    assert spectral_norm(big) > 1e155
+    with np.errstate(all="ignore"):
+        assert not certified_below(big, 1e155)
+        assert not certified_below(np.eye(2, dtype=complex), 1e200)
+        assert max_spectral_norm([1e-5 * big, big]) == spectral_norm(big)
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])

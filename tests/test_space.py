@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from banddim.errors import InvalidParameterError
-from banddim.space import enlarge, generate_space, load_space, save_space, ulf_profile
+from banddim.space import (FiniteMetricSpace, enlarge, generate_space, load_space,
+                           save_space, ulf_profile)
 
 
 def brute_force_dist(points, metric):
@@ -189,3 +190,48 @@ def test_generator_of_another_size_is_not_regenerated(tmp_path, monkeypatch):
     assert calls == []
     assert back.points == [0, 1] and not back.exact
     assert back.dist[0, 1] == 1.0
+
+
+def test_generated_space_saved_by_generator(tmp_path):
+    sp = generate_space("grid", sides=[3, 4], metric="linf", spacing="1/2")
+    path = tmp_path / "space.json"
+    save_space(sp, path)
+    doc = json.loads(path.read_text())
+    assert "dist" not in doc
+    assert doc["generator"] == {"family": "grid", "sides": [3, 4], "metric": "linf",
+                                "spacing": "1/2"}
+    back = load_space(path)
+    assert back.points == sp.points and back.spacing == sp.spacing
+    assert np.array_equal(back.dist_int, sp.dist_int)
+    assert np.array_equal(back.dist, sp.dist)
+
+
+def test_space_without_generator_saved_by_matrix(tmp_path):
+    dist = [[0.0, 1.5, 2.0], [1.5, 0.0, 1.0], [2.0, 1.0, 0.0]]
+    sp = FiniteMetricSpace(["a", "b", "c"], dist)
+    path = tmp_path / "space.json"
+    save_space(sp, path)
+    doc = json.loads(path.read_text())
+    assert doc["dist"] == dist and "generator" not in doc
+    back = load_space(path)
+    assert back.points == sp.points and not back.exact
+    assert np.array_equal(back.dist, sp.dist)
+
+
+@pytest.mark.parametrize("doc", [
+    {"points": [0, 1]},
+    {"points": [0, 1], "generator": {"family": "interval", "sides": [3],
+                                     "metric": "linf", "spacing": "1"}},
+    {"points": [0, 2, 1], "generator": {"family": "interval", "sides": [3],
+                                        "metric": "linf", "spacing": "1"}},
+])
+def test_space_file_needs_matrix_or_matching_generator(tmp_path, doc):
+    from banddim.cli import main
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidParameterError, match="no distance matrix"):
+        load_space(path)
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"r": 1.0, "families": [[[0], [1]]]}))
+    assert main(["cover", "check", "--space", str(path), "--cover", str(cover),
+                 "--r", "1"]) == 3

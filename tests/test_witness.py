@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ from banddim.cpmaps import order_zero_check
 from banddim.errors import IncompatibilityError, PreconditionError
 from banddim.operators import BandOperator, normalizer_check, operator_norm, spectral_norm
 from banddim.space import generate_space
-from banddim.witness import (build_upper_witness, check_witness, condition2_errors,
-                             default_test_set, hat_normalize, load_witness,
-                             permanence_combine, save_witness)
+from banddim.witness import (WindowDefects, build_upper_witness, check_witness,
+                             condition2_errors, default_test_set, hat_normalize,
+                             load_witness, permanence_combine, save_witness)
 
 
 def single_point_witness(fiber=2):
@@ -179,6 +180,104 @@ def test_hat_worst_cases_match_brute_force():
     assert pair.report["scale_identity_deviation"] == scale_dev
     assert pair.report["approximation_worst"] == approx
     assert pair.report["multiplicativity_worst"] == max(mult)
+
+
+def grid_witness(side=8, fiber=2):
+    """A linf grid witness whose windows overlap and hold non-contiguous
+    coordinates (row-major points)."""
+    sp = generate_space("grid", sides=[side, side], metric="linf")
+    return build_upper_witness(sp, brick_cover(sp, 3, 12), 1, fiber)
+
+
+def permuted_bundle(w, dirpath):
+    """``w`` saved and loaded with points 1 and 2 of every window swapped, so
+    that window coordinates and the shared slots of overlapping windows run
+    out of order (a window of points 0..9 in fiber 2 holds coordinates
+    0, 1, 4, 5, 2, 3, 6, ...)."""
+    save_witness(w, dirpath)
+    path = dirpath / "witness.json"
+    doc = json.loads(path.read_text())
+    for rec in doc["summands"]:
+        pts = rec["points"]
+        if len(pts) > 2:
+            pts[1], pts[2] = pts[2], pts[1]
+    path.write_text(json.dumps(doc))
+    return load_witness(dirpath)
+
+
+def _sampled_corner_elements(w, samples, seed):
+    """The normalized corner elements hat_normalize draws, in its rng order."""
+    psi1 = w.psi.apply(w.band.identity())
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        b = psi1 @ w.algebra.random_hermitian(rng) @ psi1
+        yield (1.0 / b.norm()) * b
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: grid_witness(),
+    lambda tmp: single_point_witness(),
+    lambda tmp: permuted_bundle(interval_witness(length=40, r=2, side=10, fiber=2), tmp),
+], ids=["grid", "point", "permuted-interval"])
+def test_hat_worst_cases_match_brute_force_off_intervals(make, tmp_path):
+    """The brute force of test_hat_worst_cases_match_brute_force on a grid
+    witness, on the single point, where every defect sits at rounding
+    level and is re-formed densely because its gap is not below the
+    running maximum, and on a bundle whose windows list points out of
+    order."""
+    w = make(tmp_path)
+    pair = hat_normalize(w, samples=6, seed=2)
+
+    def phi_hat_dense(x):
+        return pair.scale * w.phi.apply_dense(pair.p @ x @ pair.p)
+
+    scale_dev = max(spectral_norm(
+        phi_hat_dense(pair.psi_hat.apply(a))
+        - pair.scale * w.phi.apply_dense(w.psi.apply(a))) for a in w.test_set)
+    approx = max(spectral_norm(phi_hat_dense(pair.psi_hat.apply(a)) - a.to_dense())
+                 for a in w.test_set + [a @ a for a in w.test_set])
+    mult = [spectral_norm(phi_hat_dense(pa @ b) - phi_hat_dense(pa) @ phi_hat_dense(b))
+            for b in _sampled_corner_elements(w, 6, 2)
+            for pa in map(pair.psi_hat.apply, w.test_set)]
+    assert len(mult) == 6 * len(w.test_set)
+    assert pair.report["scale_identity_deviation"] == scale_dev
+    assert pair.report["approximation_worst"] == approx
+    assert pair.report["multiplicativity_worst"] == max(mult)
+    if w.space.n == 1:
+        windows = WindowDefects(w.phi, pair.p, pair.scale)
+        b = next(_sampled_corner_elements(w, 1, 2))
+        _, gap = windows.defect(windows.left(pair.psi_hat.apply(w.test_set[0])),
+                                windows.right(b))
+        assert max(mult) < 1e-12 and gap > max(mult)
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: interval_witness(length=40, r=2, side=10, fiber=2),
+    lambda tmp: grid_witness(),
+    lambda tmp: permuted_bundle(interval_witness(length=40, r=2, side=10, fiber=2), tmp),
+    lambda tmp: permuted_bundle(grid_witness(), tmp),
+], ids=["interval", "grid", "permuted-interval", "permuted-grid"])
+def test_window_defects_match_dense(make, tmp_path):
+    """Window-pair defects against the dense N x N products, to 1e-13
+    relative, and within their a-priori gap; also where the windows list
+    their points out of order."""
+    w = make(tmp_path)
+    pair = hat_normalize(w, samples=1, seed=0)
+    windows = WindowDefects(w.phi, pair.p, pair.scale)
+    assert windows.pairs  # the windows overlap
+
+    def phi_hat_dense(x):
+        return pair.scale * w.phi.apply_dense(pair.p @ x @ pair.p)
+
+    for b in _sampled_corner_elements(w, 3, 7):
+        right = windows.right(b)
+        for a in w.test_set + [a @ a for a in w.test_set]:
+            pa = pair.psi_hat.apply(a)
+            got, gap = windows.defect(windows.left(pa), right)
+            want = phi_hat_dense(pa @ b) - phi_hat_dense(pa) @ phi_hat_dense(b)
+            diff = spectral_norm(got - want)
+            assert diff <= 1e-13 * spectral_norm(want)
+            assert diff <= gap < 1e-3 * spectral_norm(want)
 
 
 def test_hat_requires_condition2():
