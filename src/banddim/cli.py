@@ -1,9 +1,10 @@
 """Batch command-line entry point.
 
 Subcommands generate spaces and covers, build and check witnesses, run the
-extraction pipeline, and consolidate reports.  All artifacts are JSON with
-sorted keys and no timestamps, so identical configurations (and seeds)
-produce byte-identical outputs.  Exit codes: 0 on success, 2 on usage or
+extraction pipeline, and consolidate reports.  Every artifact is written by
+``space.write_json`` (sorted keys, no spaces, a trailing newline) and holds
+no timestamps, so identical configurations (and seeds) produce
+byte-identical outputs.  Exit codes: 0 on success, 2 on usage or
 configuration errors, 3 on stage failures.  Failed verdicts inside reports
 are data, not errors.
 """
@@ -17,31 +18,23 @@ import os
 import sys
 
 from . import __version__
-from .cover import brick_cover, load_cover, save_cover, verify_cover
+from .cover import brick_cover, load_cover, save_cover, verify_cover, witness_brick
 from .errors import BandDimError, UsageError
 from .extract import build_translation_system, extract_cover, threshold_setup
 from .extract import matrix_unit_identities  # only for perfbench tracing
-from .space import generate_space, load_space, save_space
+from .space import (canonical_json, generate_space, load_space, read_json, save_space,
+                    write_json)
 from .witness import (build_upper_witness, check_witness, condition2_errors,
                       default_test_set, hat_normalize, load_witness, save_witness)
 
 STAGES = ["space", "cover", "witness", "check", "hat", "extract", "report"]
 
 
-def _canonical(doc):
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _write(doc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_canonical(doc))
-
-
 def _emit(doc, out):
     if out:
-        _write(doc, out)
+        write_json(doc, out)
     else:
-        sys.stdout.write(_canonical(doc))
+        sys.stdout.write(canonical_json(doc))
 
 
 def _provenance(config):
@@ -174,10 +167,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_report(args):
-    inputs = {}
-    for path in args.inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            inputs[os.path.basename(path)] = json.load(fh)
+    inputs = {os.path.basename(path): read_json(path) for path in args.inputs}
     doc = {"inputs": inputs, "provenance": _provenance({"inputs": sorted(inputs)})}
     _emit(doc, args.out)
     for name, content in sorted(inputs.items()):
@@ -212,8 +202,7 @@ def _validate_config(cfg):
 
 
 def _cmd_run(args):
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = read_json(args.config)
     if args.out_dir:
         if "out_dir" in cfg and cfg["out_dir"] != args.out_dir:
             print("warning: --out-dir overridden by config value", file=sys.stderr)
@@ -240,9 +229,8 @@ def _cmd_run(args):
                 if isinstance(spec, dict) and "file" in spec:
                     cover = load_cover(spec["file"], space)
                 else:
-                    side = spec.get("brick_side", 6 * r) if isinstance(spec, dict) \
-                        else 6 * r
-                    cover = brick_cover(space, r, side)
+                    side = spec.get("brick_side") if isinstance(spec, dict) else None
+                    cover = brick_cover(space, *witness_brick(space, r, side))
                 save_cover(cover, space, os.path.join(out, "cover.json"))
                 artifacts["cover"] = "cover.json"
             elif stage == "witness":
@@ -251,28 +239,27 @@ def _cmd_run(args):
                 save_witness(witness, os.path.join(out, "witness"))
                 artifacts["witness"] = "witness"
             elif stage == "check":
-                _write(check_witness(witness, tol=tol).to_json(),
-                       os.path.join(out, "check_report.json"))
+                write_json(check_witness(witness, tol=tol).to_json(),
+                           os.path.join(out, "check_report.json"))
                 artifacts["check"] = "check_report.json"
             elif stage == "hat":
                 pair = hat_normalize(witness, samples=50, seed=cfg.get("seed", 0))
-                _write(pair.report, os.path.join(out, "hat_report.json"))
+                write_json(pair.report, os.path.join(out, "hat_report.json"))
                 artifacts["hat"] = "hat_report.json"
             elif stage == "extract":
                 doc = _extraction_report(
                     witness, r, out_cover=os.path.join(out, "extracted_cover.json"))
-                _write(doc, os.path.join(out, "extraction_report.json"))
+                write_json(doc, os.path.join(out, "extraction_report.json"))
                 artifacts["extract"] = "extraction_report.json"
             elif stage == "report":
                 merged = {}
                 for name, ref in artifacts.items():
                     path = os.path.join(out, ref)
                     if os.path.isfile(path):
-                        with open(path, "r", encoding="utf-8") as fh:
-                            merged[name] = json.load(fh)
+                        merged[name] = read_json(path)
                 hashed = {k: v for k, v in cfg.items() if k != "out_dir"}
-                _write({"artifacts": merged, "provenance": _provenance(hashed)},
-                       os.path.join(out, "report.json"))
+                write_json({"artifacts": merged, "provenance": _provenance(hashed)},
+                           os.path.join(out, "report.json"))
         except UsageError:
             raise
         except BandDimError as exc:

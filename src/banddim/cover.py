@@ -17,7 +17,6 @@ units apart.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError, SizeLimitError
-from .space import _id_from_json, _id_to_json
+from .space import _id_from_json, _id_to_json, read_json, write_json
 
 
 @dataclass
@@ -68,6 +67,25 @@ def _separation_margin(r_units):
     # Smallest integer m with 2m + 1 > r_units.
     m = int(math.floor((Fraction(r_units) - 1) / 2)) + 1
     return max(m, 0)
+
+
+def witness_brick(space, r, brick_side=None):
+    """Scale and brick side of a brick cover for a witness at scale ``r``,
+    which needs the cover 3r-separated.
+
+    One-dimensional alternating bricks of side ``s`` put same-color bricks
+    ``s + 1`` apart, so the cover is built at ``r`` (default side ``6r``).  In
+    dimension ``d >= 2`` it is built at ``3r``, with the default side
+    ``max(6r, 2m(d + 1))`` for the margin ``m`` at ``3r``.  ``brick_cover``
+    rejects a space that is not a generated box.
+    """
+    meta = space.grid_meta
+    if meta is None or len(meta.sides) == 1:
+        return r, 6 * r if brick_side is None else brick_side
+    if brick_side is None:
+        m = _separation_margin(Fraction(3 * r) / meta.spacing)
+        brick_side = max(6 * r, 2 * m * (len(meta.sides) + 1) * meta.spacing)
+    return 3 * r, brick_side
 
 
 def brick_cover(space, r, brick_side):
@@ -276,19 +294,21 @@ def min_colors_search(space, r, R, max_colors, mode="exact"):
 
 # -- JSON interface ----------------------------------------------------
 
-def save_cover(cover, space, path):
-    doc = {
+def cover_to_json(cover, space):
+    """The ``r`` and ``families`` fields of a cover file, points by id."""
+    return {
         "r": float(cover.scale_r),
         "families": [[sorted(_id_to_json(space.points[i]) for i in s) for s in fam]
                      for fam in cover.families],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+
+
+def save_cover(cover, space, path):
+    write_json(cover_to_json(cover, space), path)
 
 
 def load_cover(path, space):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     families = [[frozenset(space.index(_id_from_json(p)) for p in s) for s in fam]
                 for fam in doc["families"]]
     return make_cover(space, families, doc["r"])

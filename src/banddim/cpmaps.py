@@ -702,110 +702,6 @@ def g_delta(delta):
 
 
 # ---------------------------------------------------------------------------
-# JSON interface
-# ---------------------------------------------------------------------------
-
-def save_cpmap(phi, path):
-    """Serialize a map: structural compress-conjugate-sum form for
-    compression and inclusion maps (windows plus inline coefficient
-    operators), dense coordinate form for dense maps between
-    finite-dimensional algebras."""
-    import json
-
-    from .operators import _block_to_json
-    from .space import _id_to_json
-
-    def summand_doc(s):
-        return {"color": s.color,
-                "label": list(s.label) if isinstance(s.label, tuple) else s.label,
-                "size": s.size}
-
-    if isinstance(phi, (CompressionMap, InclusionMap)):
-        direction = "compress" if isinstance(phi, CompressionMap) else "include"
-        algebra = phi.codomain if direction == "compress" else phi.domain
-        band = phi.domain if direction == "compress" else phi.codomain
-        terms = []
-        coefficients = getattr(phi, "coefficients", [None] * len(phi.windows))
-        for k, window in enumerate(phi.windows):
-            c = coefficients[k]
-            coeff_doc = None
-            if c is not None:
-                coeff_doc = [
-                    {"x": _id_to_json(band.space.points[x]),
-                     "block": _block_to_json(b)}
-                    for (x, _), b in sorted(c.blocks.items())]
-            terms.append({"window": [_id_to_json(band.space.points[p])
-                                     for p in window],
-                          "summand": summand_doc(algebra.summands[k]),
-                          "coefficient": coeff_doc})
-        doc = {"kind": "compress-conjugate-sum", "direction": direction,
-               "fiber": band.fiber_dim, "terms": terms}
-    elif isinstance(phi, DenseCpMap):
-        if isinstance(phi.domain, BandAlgebra) or isinstance(phi.codomain, BandAlgebra):
-            raise InvalidParameterError(
-                "dense serialization supports finite-dimensional algebras only")
-        doc = {"kind": "dense",
-               "domain": {"fiber": phi.domain.fiber_dim,
-                          "summands": [summand_doc(s) for s in phi.domain.summands]},
-               "codomain": {"fiber": phi.codomain.fiber_dim,
-                            "summands": [summand_doc(s) for s in phi.codomain.summands]},
-               "matrix": [[[float(v.real), float(v.imag)] for v in row]
-                          for row in phi.matrix]}
-    else:
-        raise InvalidParameterError(f"cannot serialize map of type {type(phi).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-
-
-def load_cpmap(path, space=None):
-    """Load a map saved by :func:`save_cpmap`; structural forms need the
-    space they act on."""
-    import json
-
-    from .operators import _block_from_json
-    from .space import _id_from_json
-
-    def summand_from(doc):
-        label = tuple(doc["label"]) if isinstance(doc["label"], list) else doc["label"]
-        return Summand(doc["color"], label, doc["size"])
-
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc["kind"] == "compress-conjugate-sum":
-        if space is None:
-            raise InvalidParameterError("structural maps need the space to load")
-        m = doc["fiber"]
-        band = BandAlgebra(space, m)
-        windows, summands, coefficients = [], [], []
-        for term in doc["terms"]:
-            windows.append(tuple(space.index(_id_from_json(p))
-                                 for p in term["window"]))
-            summands.append(summand_from(term["summand"]))
-            if term["coefficient"] is None:
-                coefficients.append(None)
-            else:
-                blocks = {}
-                for rec in term["coefficient"]:
-                    x = space.index(_id_from_json(rec["x"]))
-                    blocks[(x, x)] = _block_from_json(rec["block"])
-                coefficients.append(BandOperator(space, m, blocks))
-        algebra = FiniteDimAlgebra(summands, m)
-        if doc["direction"] == "compress":
-            return CompressionMap(band, algebra, windows, coefficients)
-        return InclusionMap(algebra, band, windows)
-    if doc["kind"] == "dense":
-        domain = FiniteDimAlgebra([summand_from(s) for s in doc["domain"]["summands"]],
-                                  doc["domain"]["fiber"])
-        codomain = FiniteDimAlgebra([summand_from(s)
-                                     for s in doc["codomain"]["summands"]],
-                                    doc["codomain"]["fiber"])
-        matrix = np.array([[complex(re, im) for re, im in row]
-                           for row in doc["matrix"]])
-        return DenseCpMap(domain, codomain, matrix)
-    raise InvalidParameterError(f"unknown map kind {doc['kind']!r}")
-
-
-# ---------------------------------------------------------------------------
 # Commutation property
 # ---------------------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cover import make_cover, verify_cover
+from .cover import cover_to_json, make_cover, verify_cover
 from .cpmaps import bump_function, factorize_order_zero, unit_image
 from .errors import (AmbiguousSupportError, CoverGapError, DiagonalViolationError,
                      InvalidParameterError, InvalidWitnessError)
@@ -120,9 +120,6 @@ class ThresholdData:
     @property
     def s_max(self):
         return max((c.s for c in self.corners), default=0)
-
-    def corners_of_color(self, color):
-        return [c for c in self.corners if c.color == color]
 
 
 def threshold_constants(d):
@@ -425,12 +422,6 @@ class PartialTranslationSystem:
     borderline: list = field(default_factory=list)
     identities: object = None  # IdentityReport, set when the system is verified
 
-    def corner_index(self, color, j):
-        for ci, cs in enumerate(self.corners):
-            if cs.corner.color == color and cs.corner.j == j:
-                return ci
-        raise KeyError((color, j))
-
 
 def build_translation_system(witness, td, verify=True, tol=1e-8):
     """Functional-calculus images of the generalized matrix units and the
@@ -601,11 +592,7 @@ class ExtractedCover:
                "cover_report": self.cover_report.to_json(),
                "coverage_violations": self.coverage_violations}
         if space is not None:
-            from .space import _id_to_json
-            doc["r"] = float(self.cover.scale_r)
-            doc["families"] = [
-                [sorted(_id_to_json(space.points[i]) for i in s) for s in fam]
-                for fam in self.cover.families]
+            doc.update(cover_to_json(self.cover, space))
         return doc
 
 

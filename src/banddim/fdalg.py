@@ -159,9 +159,6 @@ class FdElement:
     def norm(self):
         return max((spectral_norm(p) for p in self.parts), default=0.0)
 
-    def is_hermitian(self, tol=1e-12):
-        return all(np.allclose(p, p.conj().T, atol=tol) for p in self.parts)
-
     def eigenvalues(self):
         """Eigenvalues of a Hermitian element, per summand."""
         return [np.linalg.eigvalsh(p) for p in self.parts]

@@ -12,13 +12,12 @@ Operators are immutable values: arithmetic returns new instances.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import IncompatibilityError, InvalidParameterError, SizeLimitError
-from .space import _id_from_json, _id_to_json
+from .space import _id_from_json, _id_to_json, read_json, write_json
 
 PRUNE_REL = 1e-14
 CERT_MARGIN = 1e-10
@@ -569,13 +568,11 @@ def save_operator(op, path):
             for (x, y), b in sorted(op.blocks.items())
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    write_json(doc, path)
 
 
 def load_operator(path, space):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     blocks = {}
     for rec in doc["blocks"]:
         x = space.index(_id_from_json(rec["x"]))

@@ -188,6 +188,25 @@ def enlarge(space, subset, r):
 
 
 # -- JSON interface ----------------------------------------------------
+#
+# Every file the package writes or reads goes through ``write_json`` and
+# ``read_json``: one canonical form (sorted keys, no spaces, a trailing
+# newline), so identical content gives identical bytes.  The reader accepts
+# any JSON layout, so files written in an older style still load.
+
+def canonical_json(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def write_json(doc, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(canonical_json(doc))
+
+
+def read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
 
 def _id_to_json(p):
     return [_id_to_json(v) for v in p] if isinstance(p, tuple) else p
@@ -207,8 +226,7 @@ def save_space(space, path):
                             "metric": meta.metric, "spacing": str(meta.spacing)}
     else:
         doc["dist"] = [[float(v) for v in row] for row in space.dist]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    write_json(doc, path)
 
 
 def _regenerate(gen):
@@ -230,8 +248,7 @@ def load_space(path):
     integer representation is returned without validation, since it is a
     metric by construction.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     points = [_id_from_json(p) for p in doc["points"]]
     gen = doc.get("generator")
     # A block naming another point count cannot match; regenerating it could

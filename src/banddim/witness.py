@@ -717,11 +717,10 @@ def permanence_combine(kind, w1, other):
 def save_witness(witness, dirpath):
     """Write a witness bundle: space file, summand windows, coefficient
     operator files, and one operator file per test element."""
-    import json
     import os
 
     from .operators import save_operator
-    from .space import _id_to_json, save_space
+    from .space import _id_to_json, save_space, write_json
 
     os.makedirs(dirpath, exist_ok=True)
     save_space(witness.space, os.path.join(dirpath, "space.json"))
@@ -761,20 +760,17 @@ def save_witness(witness, dirpath):
         "meta": {k: v for k, v in witness.meta.items()
                  if isinstance(v, (int, float, str, bool))},
     }
-    with open(os.path.join(dirpath, "witness.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    write_json(doc, os.path.join(dirpath, "witness.json"))
 
 
 def load_witness(dirpath):
-    import json
     import os
 
     from .cpmaps import CompressionMap, InclusionMap
     from .operators import load_operator
-    from .space import _id_from_json, load_space
+    from .space import _id_from_json, load_space, read_json
 
-    with open(os.path.join(dirpath, "witness.json"), "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(os.path.join(dirpath, "witness.json"))
     space = load_space(os.path.join(dirpath, doc["space"]))
     fiber = doc["fiber"]
     band = BandAlgebra(space, fiber)

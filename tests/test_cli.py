@@ -171,31 +171,71 @@ def _same_files(a, b):
     return filecmp.cmp(a, b, shallow=False)
 
 
-def test_run_matches_subcommand_chain(tmp_path):
-    path, cfg = write_config(tmp_path)
-    assert main(["run", "--config", str(path)]) == 0
-    run_dir = cfg["out_dir"]
-    sub = tmp_path / "sub"
-    sub.mkdir()
-    j = lambda name: str(sub / name)
-    chain = [
-        ["space", "gen", "--family", "interval", "--length", "40",
-         "--out", j("space.json")],
-        ["cover", "gen", "--space", j("space.json"), "--r", "2",
-         "--brick-side", "10", "--out", j("cover.json")],
+# Per case: the run config overrides, and the space gen and cover gen
+# arguments that write the same files.  A grid witness at r needs its cover
+# at 3r, which run's auto-brick builds with side 12 on a 2-D grid at r = 1.
+CHAIN_CASES = {
+    "interval": ({}, ["--family", "interval", "--length", "40"],
+                 ["--r", "2", "--brick-side", "10"]),
+    "grid": ({"space": {"family": "grid", "sides": [6, 6], "metric": "linf"},
+              "cover": "auto-brick", "r": 1},
+             ["--family", "grid", "--sides", "6", "6", "--metric", "linf"],
+             ["--r", "3", "--brick-side", "12"]),
+}
+
+
+def subcommand_chain(case, out):
+    """The subcommand calls that redo the case's ``run`` in directory out."""
+    overrides, space_args, cover_args = CHAIN_CASES[case]
+    r = overrides.get("r", 2)
+    j = lambda name: os.path.join(out, name)
+    return [
+        ["space", "gen", *space_args, "--out", j("space.json")],
+        ["cover", "gen", "--space", j("space.json"), *cover_args,
+         "--out", j("cover.json")],
+        ["cover", "check", "--space", j("space.json"), "--cover", j("cover.json"),
+         "--r", str(3 * r), "--out", j("cover_check.json")],
         ["witness", "build", "--space", j("space.json"), "--cover", j("cover.json"),
-         "--r", "2", "--fiber", "1", "--test-scale", "1", "--out", j("witness")],
+         "--r", str(r), "--fiber", "1", "--test-scale", "1", "--out", j("witness")],
         ["witness", "check", "--witness", j("witness"), "--out", j("check_report.json")],
         ["witness", "hat", "--witness", j("witness"), "--seed", "0",
          "--out", j("hat_report.json")],
         ["extract", "--witness", j("witness"), "--cover-out", j("extracted_cover.json"),
          "--out", j("extraction_report.json")],
+        ["report", "--inputs", j("check_report.json"), j("extraction_report.json"),
+         "--out", j("summary.json")],
     ]
-    for argv in chain:
+
+
+@pytest.fixture(scope="module", params=sorted(CHAIN_CASES))
+def run_and_chain(request, tmp_path_factory):
+    """The directories written by one ``run`` and by its subcommand chain."""
+    tmp_path = tmp_path_factory.mktemp(request.param)
+    path, cfg = write_config(tmp_path, **CHAIN_CASES[request.param][0])
+    assert main(["run", "--config", str(path)]) == 0
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    for argv in subcommand_chain(request.param, str(sub)):
         assert main(argv) == 0, argv
+    return cfg["out_dir"], str(sub)
+
+
+def test_run_matches_subcommand_chain(run_and_chain):
+    run_dir, sub = run_and_chain
     for name in ("space.json", "cover.json", "witness", "check_report.json",
                  "hat_report.json", "extraction_report.json", "extracted_cover.json"):
-        assert _same_files(os.path.join(run_dir, name), j(name)), name
+        assert _same_files(os.path.join(run_dir, name), os.path.join(sub, name)), name
+
+
+def test_every_json_file_is_canonical(run_and_chain):
+    """Every file is written in the one form: sorted keys, no spaces, a
+    trailing newline."""
+    paths = [p for d in run_and_chain for p in pathlib.Path(d).rglob("*.json")]
+    assert len(paths) > 20
+    for p in paths:
+        text = p.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  separators=(",", ":")) + "\n", p
 
 
 def test_benchmark_patch_points(tmp_path, monkeypatch):
@@ -207,17 +247,23 @@ def test_benchmark_patch_points(tmp_path, monkeypatch):
     original = banddim.cli.check_witness
     path, _ = write_config(tmp_path, stages=["space", "cover", "witness", "check", "hat",
                                              "extract"])
+    sub = tmp_path / "sub"
+    sub.mkdir()
     tracer = tracing.Tracer()
     try:
         tracer.install()
         assert main(["run", "--config", str(path)]) == 0
+        for argv in subcommand_chain("interval", str(sub)):
+            assert main(argv) == 0, argv
     finally:
         tracer.uninstall()
-    assert {"witness.build", "witness.check", "witness.hat",
-            "extract.translation"} <= {s[0] for s in tracer.spans}
+    assert {"witness.build", "witness.check", "witness.hat", "extract.translation",
+            "space.save", "space.load", "cover.brick", "witness.save",
+            "witness.load"} <= {s[0] for s in tracer.spans}
     # the per-layer identities metric needs exactly one span per extraction
-    assert tracer.count("extract.identities") == 1
+    assert tracer.count("extract.identities") == 2
     assert tracer.calls["operators.norm"] > 0
+    assert tracer.counts["witness.bundle_bytes"] > 0
     assert banddim.cli.check_witness is original
 
 

@@ -398,40 +398,6 @@ def test_compression_map_choi_small_instance():
     assert rep.flag
 
 
-# -- JSON interface -----------------------------------------------------------
-
-def test_cpmap_json_round_trip_structural(tmp_path):
-    from banddim.cpmaps import load_cpmap, save_cpmap
-
-    sp = generate_space("interval", length=8)
-    band = BandAlgebra(sp, 2)
-    alg = FiniteDimAlgebra([Summand(0, (0, 0), 3), Summand(1, (1, 0), 3)], 2)
-    h = BandOperator.diagonal(sp, 2, {x: 0.5 + 0.05 * x for x in range(8)})
-    psi = CompressionMap(band, alg, [(0, 1, 2), (4, 5, 6)], [h, h])
-    save_cpmap(psi, tmp_path / "psi.json")
-    back = load_cpmap(tmp_path / "psi.json", sp)
-    rng = np.random.default_rng(0)
-    T = band.random_hermitian(rng)
-    diff = psi.apply(T) - back.apply(T)
-    assert diff.norm() < 1e-12
-
-    phi = InclusionMap(alg, band, [(0, 1, 2), (4, 5, 6)])
-    save_cpmap(phi, tmp_path / "phi.json")
-    back_phi = load_cpmap(tmp_path / "phi.json", sp)
-    e = alg.random_hermitian(rng)
-    assert (phi.apply(e) - back_phi.apply(e)).norm() < 1e-12
-
-
-def test_cpmap_json_round_trip_dense(tmp_path):
-    from banddim.cpmaps import load_cpmap, save_cpmap
-
-    t = transpose_map(2)
-    save_cpmap(t, tmp_path / "t.json")
-    back = load_cpmap(tmp_path / "t.json")
-    rep = choi_check(back)
-    assert not rep.flag and abs(rep.min_eigenvalue + 1.0) < 1e-12
-
-
 def test_maps_preserve_adjoints():
     rng = np.random.default_rng(31)
     sp = generate_space("interval", length=8)

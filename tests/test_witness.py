@@ -348,15 +348,50 @@ def test_default_test_set_is_identity_then_distinct(family, params, scale):
     assert len(set(supports)) == len(ops)
 
 
+def assert_same_maps(back, w):
+    """The bundle keeps the windows, the summands, every coefficient block,
+    and so the action of both maps."""
+    assert back.psi.windows == w.psi.windows
+    assert back.phi.windows == w.phi.windows
+    assert [(s.color, s.label, s.size) for s in back.algebra.summands] == \
+        [(s.color, s.label, s.size) for s in w.algebra.summands]
+    for c, c_back in zip(w.psi.coefficients, back.psi.coefficients, strict=True):
+        assert c_back.blocks.keys() == c.blocks.keys()
+        assert all(np.array_equal(c_back.blocks[k], b) for k, b in c.blocks.items())
+    rng = np.random.default_rng(0)
+    T = w.band.random_hermitian(rng)
+    assert (w.psi.apply(T) - back.psi.apply(T)).norm() < 1e-12
+    e = w.algebra.random_hermitian(rng)
+    assert (w.phi.apply(e) - back.phi.apply(e)).norm() < 1e-12
+
+
 def test_witness_save_load_round_trip(tmp_path):
     w = interval_witness(length=30, r=2, side=10, fiber=2)
     save_witness(w, tmp_path / "w")
     back = load_witness(tmp_path / "w")
     assert back.d == w.d and back.fiber_dim == w.fiber_dim
     assert abs(back.epsilon - w.epsilon) < 1e-15
+    assert_same_maps(back, w)
     assert max(condition2_errors(back)) == pytest.approx(
         max(condition2_errors(w)), abs=1e-12)
     assert check_witness(back).structural_passed()
+
+
+def test_spaced_json_bundle_loads(tmp_path):
+    """A bundle whose files were written with json.dump's spaced separators,
+    as the package once wrote them, loads to the same witness."""
+    w = interval_witness(length=30, r=2, side=10, fiber=2)
+    save_witness(w, tmp_path / "w")
+    for path in (tmp_path / "w").glob("*.json"):
+        doc = json.loads(path.read_text())
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True)
+        assert ", " in path.read_text()
+    back = load_witness(tmp_path / "w")
+    assert (back.d, back.fiber_dim, back.epsilon) == (w.d, w.fiber_dim, w.epsilon)
+    for a, a_back in zip(w.test_set, back.test_set, strict=True):
+        assert np.array_equal(a_back.to_dense(), a.to_dense())
+    assert_same_maps(back, w)
 
 
 def test_color_restriction_is_exactly_order_zero():
