@@ -153,12 +153,16 @@ def _cmd_sweep(args):
     test_set = _test_set(space, args.fiber, args.test_scale)
     rows = []
     for r in args.r:
+        # run's auto-brick scale; a grid built at 3r needs at least its side
+        scale, auto_side = witness_brick(space, r)
         side = args.brick_side_factor * r
-        cover = brick_cover(space, r, side)
+        if scale != r:
+            side = max(side, auto_side)
+        cover = brick_cover(space, scale, side)
         witness = build_upper_witness(space, cover, r, args.fiber, test_set=test_set)
         err = max(condition2_errors(witness))
-        rows.append({"r": r, "brick_side": side, "error": err,
-                     "epsilon": witness.epsilon})
+        rows.append({"r": r, "brick_side": int(side) if side.denominator == 1 else float(side),
+                     "error": err, "epsilon": witness.epsilon})
     doc = {"rows": rows,
            "non_increasing": all(rows[i + 1]["error"] <= rows[i]["error"] + 1e-12
                                  for i in range(len(rows) - 1))}

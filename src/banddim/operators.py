@@ -21,7 +21,7 @@ from .space import _id_from_json, _id_to_json, read_json, write_json
 
 PRUNE_REL = 1e-14
 CERT_MARGIN = 1e-10
-MIN_CERT_BLOCK = 32
+CERT_PANEL = 48
 DENSE_BYTES_LIMIT = 1 << 30
 
 
@@ -349,71 +349,95 @@ def spectral_norm(mat):
     return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
-def _column_blocks(mat):
-    """Column blocks (j0, j1, r0, r1) of a matrix M, each at least as wide as
-    the half-bandwidth of M^H M, with the range [r0, r1) of the rows that
-    hold its nonzeros.
+def _cert_panels(mat):
+    """Panels ``(p0, p1, e, r0, r1)`` of the columns of a matrix M for
+    :func:`certified_below`: columns [p0, p1) reach the columns up to the
+    band end ``e`` of M^H M, and hold their nonzeros in rows [r0, r1).
 
-    (M^H M)_jk vanishes unless columns j and k share a nonzero row, which
-    needs first[k] <= last[j] for the first and last nonzero rows of each
-    column; M^H M is then block tridiagonal over the blocks.  A matrix of
-    fewer than 2 MIN_CERT_BLOCK columns is one block.
+    (M^H M)_jk vanishes unless columns j and k share a nonzero row.  The band
+    end of column j is one past the last column k whose first nonzero row
+    lies at or above j's last one, which holds every column whose row range
+    meets j's, and at least j + 1.  The ends are made nondecreasing by a
+    running maximum, so the Cholesky factor of a Hermitian matrix with this
+    band, fill-in included, stays inside it.  A matrix of fewer than
+    2 CERT_PANEL columns is one panel.
     """
     rows, cols = mat.shape
-    if cols < 2 * MIN_CERT_BLOCK:
-        return [(0, cols, 0, rows)]
+    count = max(cols // CERT_PANEL, 1)
+    if count == 1:
+        return [(0, cols, cols, 0, rows)]
     nz = mat != 0
     used = nz.any(axis=0)
     first = np.where(used, nz.argmax(axis=0), rows)  # empty columns: (rows, -1)
     last = np.where(used, rows - 1 - nz[::-1].argmax(axis=0), -1)
-    # the suffix minimum of first is sorted, so a search bounds the last
-    # column k > j that meets column j
+    # the suffix minimum of first is sorted, so a search finds the last
+    # column k with first[k] <= last[j]
     reach = np.minimum.accumulate(first[::-1])[::-1]
-    width = int((np.searchsorted(reach, last, side="right") - 1 - np.arange(cols)).max())
-    count = max(cols // max(width, MIN_CERT_BLOCK), 1)
+    ends = np.maximum(np.searchsorted(reach, last, side="right"), np.arange(1, cols + 1))
+    ends = np.maximum.accumulate(ends)
     edges = [cols * i // count for i in range(count + 1)]
-    return [(j0, j1, int(first[j0:j1].min()), int(last[j0:j1].max()) + 1)
-            for j0, j1 in zip(edges, edges[1:])]
+    return [(p0, p1, int(ends[p1 - 1]), int(first[p0:p1].min()), int(last[p0:p1].max()) + 1)
+            for p0, p1 in zip(edges, edges[1:])]
 
 
 def certified_below(mat, bound):
-    """True when ``||mat|| < bound`` is proved by a block Cholesky factor of
+    """True when ``||mat|| < bound`` is proved by a Cholesky factor of
     ``G = bound^2 (1 - CERT_MARGIN) I - M^H M``; False says nothing.
 
-    The band is read off the nonzero pattern (:func:`_column_blocks`), so G
-    is block tridiagonal.  Only the Gram blocks inside the band are formed,
-    each from the rows its columns touch, and the factor is built block by
-    block from the Schur complements ``S = G_qq - Y^H Y``,
-    ``Y = L_p^-1 G_pq``.  A full band is one block, a dense Cholesky.  The
-    margin covers the rounding of the Gram products and the backward error
-    of the factorization.  A factor that is not finite proves nothing:
-    numpy's Cholesky returns NaN or infinite factors for a matrix with NaN
-    entries or for Gram products and shifts that overflow.
+    The factorization is blocked and right-looking, as LAPACK's banded
+    ``zpbtrf``, over panels of about CERT_PANEL columns (a matrix of fewer
+    than 2 CERT_PANEL columns is one panel, a dense Cholesky).  The band
+    comes from :func:`_cert_panels`: panel [p0, p1) reaches the columns up
+    to the band end ``e`` of its last column, and since the ends are a
+    running maximum, the rows an earlier panel's update fills in lie inside
+    the band of every later panel.  Each panel keeps one slab, the rows
+    ``G[p0:p1, p0:e]``, formed only from the rows of M its own columns touch
+    and only once an earlier panel's update reaches it, so the working
+    storage is O(cols * band).  In turn, each panel of w = p1 - p0 columns
+    takes
+
+    1. the Cholesky factor ``L`` of its diagonal block;
+    2. ``X = L^-1 G[p0:p1, p1:e]``, one solve against the w x w factor (an
+       LU, numpy having no triangular solve);
+    3. the rank-w update ``G[p1:e, p1:e] -= X^H X`` of the later slabs.
+
+    The margin covers the rounding of the Gram products and the backward
+    error of the factorization.  Blocked Cholesky with backward-stable panel
+    solves has a bound of the same form as the unblocked one,
+    ``|Delta G| <= c n u |L| |L^H|``, so the margin that covered a dense
+    factorization covers the blocked one.  A factor that is not finite
+    proves nothing: numpy's Cholesky returns NaN or infinite factors for a
+    matrix with NaN entries or for Gram products and shifts that overflow.
+    A non-finite ``X`` reaches the diagonal block of a later panel through
+    its update and is refused there.
     """
     if not bound > 0.0:
         return False
     if mat.size == 0:
         return True
     shift = bound * bound * (1.0 - CERT_MARGIN)
-    prev = None
-    for j0, j1, r0, r1 in _column_blocks(mat):
-        block = mat[r0:r1, j0:j1]
-        gram = -(block.conj().T @ block)
-        gram.ravel()[::j1 - j0 + 1] += shift  # the diagonal of a fresh C-ordered array
-        if prev is not None:
-            p0, p1, q0, q1, factor = prev
-            s0, s1 = max(r0, q0), min(r1, q1)
-            if s0 < s1:
-                couple = mat[s0:s1, p0:p1].conj().T @ mat[s0:s1, j0:j1]
-                y = np.linalg.solve(factor, couple)
-                gram -= y.conj().T @ y
+    panels = _cert_panels(mat)
+    slabs = []
+    for i, (p0, p1, end, _, _) in enumerate(panels):
+        while len(slabs) < len(panels) and panels[len(slabs)][0] < end:
+            q0, q1, band_end, r0, r1 = panels[len(slabs)]
+            slab = -(mat[r0:r1, q0:q1].conj().T @ mat[r0:r1, q0:band_end])
+            slab.ravel()[::band_end - q0 + 1] += shift  # the diagonal of G in a fresh array
+            slabs.append(slab)
+        slab, slabs[i] = slabs[i], None
         try:
-            factor = np.linalg.cholesky(gram)
+            factor = np.linalg.cholesky(slab[:, :p1 - p0])
         except np.linalg.LinAlgError:
             return False
         if not np.isfinite(factor).all():
             return False
-        prev = (j0, j1, r0, r1, factor)
+        if end == p1:
+            continue
+        x = np.linalg.solve(factor, slab[:, p1 - p0:])
+        for q in range(i + 1, len(slabs)):
+            q0, q1 = panels[q][:2]
+            slabs[q][:min(q1, end) - q0, :end - q0] -= \
+                x[:, q0 - p1:q1 - p1].conj().T @ x[:, q0 - p1:]
     return True
 
 

@@ -107,6 +107,20 @@ def test_sweep_subcommand(tmp_path):
     assert [row["r"] for row in doc["rows"]] == [2, 4]
 
 
+@pytest.mark.parametrize("factor", ["6", "12"])
+def test_sweep_subcommand_grid(tmp_path, factor):
+    """On a 2-D grid the sweep builds each cover at 3r, as run's auto-brick
+    does, with the auto side 12 at r = 1 unless the factor's is larger."""
+    sp = tmp_path / "space.json"
+    assert main(["space", "gen", "--family", "grid", "--sides", "6", "6",
+                 "--metric", "linf", "--out", str(sp)]) == 0
+    assert main(["sweep", "--space", str(sp), "--r", "1", "--fiber", "1",
+                 "--brick-side-factor", factor,
+                 "--out", str(tmp_path / "sweep.json")]) == 0
+    doc = json.load(open(tmp_path / "sweep.json"))
+    assert [(row["r"], row["brick_side"]) for row in doc["rows"]] == [(1, 12)]
+
+
 def test_missing_file_is_error(tmp_path):
     assert main(["witness", "check", "--witness", str(tmp_path / "nothing")]) == 3
 

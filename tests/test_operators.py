@@ -4,10 +4,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from banddim.errors import IncompatibilityError, InvalidParameterError
-from banddim.operators import (BandOperator, DiagonalOperator, certified_below,
-                               connected_components, diagonal_membership, load_operator,
-                               max_spectral_norm, normalizer_check, operator_norm,
-                               prop_support, save_operator, spectral_norm)
+from banddim.operators import (CERT_PANEL, BandOperator, DiagonalOperator, _cert_panels,
+                               certified_below, connected_components, diagonal_membership,
+                               load_operator, max_spectral_norm, normalizer_check,
+                               operator_norm, prop_support, save_operator, spectral_norm)
 from banddim.space import generate_space
 
 from conftest import DIFF
@@ -248,20 +248,25 @@ def test_max_spectral_norm_matches_svd_loop(seed, rows, cols, kinds):
         assert got == want
 
 
-# Matrices for the block-banded certificate: banded squares and rectangles
-# with unequal lower and upper bandwidths (several column blocks once the
-# band is narrow; a wide one ends in empty columns), the zero matrix, a full
-# band, and a single row or column.
-BAND_KINDS = ["square", "tall", "wide", "zero", "full", "row", "col"]
+# Matrices for the banded certificate: banded squares and rectangles with
+# unequal lower and upper bandwidths (several panels once there are 2
+# CERT_PANEL columns or more, a Gram band spanning two or more of them once
+# the bandwidths are wide; a wide one ends in empty columns), a band whose
+# column extents are not monotone (every 17th column at full height), the
+# zero matrix, a full band, and a single row or column.
+BAND_KINDS = ["square", "tall", "wide", "profile", "zero", "full", "row", "col"]
 
 
 @DIFF
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 120),
-       lower=st.integers(0, 12), upper=st.integers(0, 12),
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 200),
+       lower=st.integers(0, 60), upper=st.integers(0, 60),
        kind=st.sampled_from(BAND_KINDS), k=st.integers(1, 6))
 @example(seed=0, n=120, lower=3, upper=9, kind="square", k=1)
 @example(seed=1, n=100, lower=0, upper=0, kind="wide", k=2)
 @example(seed=0, n=40, lower=0, upper=0, kind="zero", k=1)
+@example(seed=2, n=200, lower=60, upper=45, kind="square", k=3)
+@example(seed=3, n=200, lower=7, upper=2, kind="profile", k=1)
+@example(seed=4, n=190, lower=30, upper=55, kind="tall", k=5)
 def test_certified_below_against_svd(seed, n, lower, upper, kind, k):
     """The certificate refuses every bound at or a few ulps around the SVD
     value and 1e-13 above it, all inside its margin, and proves one 1e-8
@@ -273,8 +278,11 @@ def test_certified_below_against_svd(seed, n, lower, upper, kind, k):
     mat = 10.0 ** rng.uniform(-3, 3) * (rng.standard_normal((rows, cols))
                                         + 1j * rng.standard_normal((rows, cols)))
     i, j = np.indices((rows, cols))
-    if kind in ("square", "tall", "wide"):
-        mat[(i - j > lower) | (j - i > upper)] = 0.0
+    if kind in ("square", "tall", "wide", "profile"):
+        outside = (i - j > lower) | (j - i > upper)
+        if kind == "profile":
+            outside &= j % 17 > 0  # every 17th column at full height
+        mat[outside] = 0.0
     elif kind == "zero":
         mat[:] = 0.0
     sigma = spectral_norm(mat)
@@ -287,6 +295,26 @@ def test_certified_below_against_svd(seed, n, lower, upper, kind, k):
     assert certified_below(mat, sigma * (1 + 1e-8))
     bad = mat.copy()
     bad[-1, -1] = np.nan
+    assert not certified_below(bad, 2.0 * sigma)
+
+
+def test_certified_below_refuses_nan_at_panel_edge():
+    """A NaN that enters G in the last row of the first panel's off-diagonal
+    block, not at [-1, -1], makes that panel's solve non-finite; its update
+    carries the NaN into a later diagonal block, which is refused."""
+    n, half = 3 * CERT_PANEL, 8
+    rng = np.random.default_rng(5)
+    mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    i, j = np.indices((n, n))
+    mat[abs(i - j) > half] = 0.0
+    sigma = spectral_norm(mat)
+    assert certified_below(mat, 2.0 * sigma)
+    # The first panel holds columns [0, CERT_PANEL); its band ends one past
+    # column `edge`, which meets the panel in the one row `row`.
+    edge, row = CERT_PANEL + 2 * half - 1, CERT_PANEL - 1 + half
+    assert _cert_panels(mat)[0][2] == edge + 1
+    bad = mat.copy()
+    bad[row, edge] = np.nan
     assert not certified_below(bad, 2.0 * sigma)
 
 

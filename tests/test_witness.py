@@ -7,7 +7,8 @@ import pytest
 from banddim.cover import brick_cover, make_cover
 from banddim.cpmaps import order_zero_check
 from banddim.errors import IncompatibilityError, PreconditionError
-from banddim.operators import BandOperator, normalizer_check, operator_norm, spectral_norm
+from banddim.operators import (BandOperator, certified_below, normalizer_check, operator_norm,
+                               spectral_norm)
 from banddim.space import generate_space
 from banddim.witness import (WindowDefects, build_upper_witness, check_witness,
                              condition2_errors, default_test_set, hat_normalize,
@@ -256,11 +257,14 @@ def test_hat_worst_cases_match_brute_force_off_intervals(make, tmp_path):
     lambda tmp: grid_witness(),
     lambda tmp: permuted_bundle(interval_witness(length=40, r=2, side=10, fiber=2), tmp),
     lambda tmp: permuted_bundle(grid_witness(), tmp),
-], ids=["interval", "grid", "permuted-interval", "permuted-grid"])
+    lambda tmp: interval_witness(length=75, r=2, side=10, fiber=2),
+], ids=["interval", "grid", "permuted-interval", "permuted-grid", "interval-panels"])
 def test_window_defects_match_dense(make, tmp_path):
     """Window-pair defects against the dense N x N products, to 1e-13
     relative, and within their a-priori gap; also where the windows list
-    their points out of order."""
+    their points out of order.  The banded certificate refuses each window
+    defect at the SVD value of the dense one and proves it 1e-8 above, on
+    three panels or more at N = 150."""
     w = make(tmp_path)
     pair = hat_normalize(w, samples=1, seed=0)
     windows = WindowDefects(w.phi, pair.p, pair.scale)
@@ -275,9 +279,12 @@ def test_window_defects_match_dense(make, tmp_path):
             pa = pair.psi_hat.apply(a)
             got, gap = windows.defect(windows.left(pa), right)
             want = phi_hat_dense(pa @ b) - phi_hat_dense(pa) @ phi_hat_dense(b)
+            sigma = spectral_norm(want)
             diff = spectral_norm(got - want)
-            assert diff <= 1e-13 * spectral_norm(want)
-            assert diff <= gap < 1e-3 * spectral_norm(want)
+            assert diff <= 1e-13 * sigma
+            assert diff <= gap < 1e-3 * sigma
+            assert not certified_below(got, sigma)
+            assert certified_below(got, sigma * (1 + 1e-8))
 
 
 def test_hat_requires_condition2():
