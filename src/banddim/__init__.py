@@ -19,22 +19,22 @@ from .extract import (EdgeDecomposition, ExtractedCover, PartialTranslationSyste
                       ThresholdData, build_translation_system, decompose_neighbors,
                       extract_cover, matrix_unit_identities, threshold_setup)
 from .fdalg import FdElement, FiniteDimAlgebra, Summand
-from .operators import (BandOperator, DiagonalOperator, diagonal_membership,
-                        normalizer_check, operator_norm, prop_support)
-from .space import FiniteMetricSpace, UlfProfile, enlarge, generate_space, ulf_profile
+from .operators import (BandOperator, diagonal_membership, normalizer_check,
+                        operator_norm, prop_support)
+from .space import FiniteMetricSpace, enlarge, generate_space, ulf_profile
 from .witness import (DiagDimWitness, HatPair, build_upper_witness, check_witness,
                       hat_normalize, load_witness, permanence_combine, save_witness)
 
 __all__ = [
     "BandAlgebra", "BandOperator", "ColoredCover", "CompressionMap", "CoverReport",
-    "DiagDimWitness", "DiagonalOperator", "EdgeDecomposition", "ExtractedCover",
-    "FdElement", "FiniteDimAlgebra", "FiniteMetricSpace", "HatPair", "InclusionMap",
+    "DiagDimWitness", "EdgeDecomposition", "ExtractedCover", "FdElement",
+    "FiniteDimAlgebra", "FiniteMetricSpace", "HatPair", "InclusionMap",
     "OrderZeroFactorization", "PartialTranslationSystem", "Summand", "ThresholdData",
-    "UlfProfile", "brick_cover", "build_translation_system", "build_upper_witness",
-    "bump_function", "check_witness", "choi_check", "cop_check",
-    "decompose_neighbors", "diagonal_membership", "enlarge", "extract_cover",
-    "factorize_order_zero", "functional_calculus", "generate_space", "hat_normalize",
-    "load_witness", "matrix_unit_identities", "min_colors_search", "normalizer_check",
-    "operator_norm", "order_zero_check", "permanence_combine", "prop_support",
-    "save_witness", "threshold_setup", "ulf_profile", "verify_cover",
+    "brick_cover", "build_translation_system", "build_upper_witness", "bump_function",
+    "check_witness", "choi_check", "cop_check", "decompose_neighbors",
+    "diagonal_membership", "enlarge", "extract_cover", "factorize_order_zero",
+    "functional_calculus", "generate_space", "hat_normalize", "load_witness",
+    "matrix_unit_identities", "min_colors_search", "normalizer_check", "operator_norm",
+    "order_zero_check", "permanence_combine", "prop_support", "save_witness",
+    "threshold_setup", "ulf_profile", "verify_cover",
 ]

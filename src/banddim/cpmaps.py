@@ -10,7 +10,9 @@ map, sampled positivity checks) run against the same interfaces.
 
 Order-zero maps factor as a positive element times a supporting homomorphism;
 the factorization here is the exact finite-dimensional surrogate
-``pi(a) = pinv(h) . phi(a)`` on the support of ``h = phi(1)``.
+``pi(a) = pinv(h) . phi(a)`` on the support of ``h = phi(1)``, and is itself
+the map pi.  ``SandwichedMap`` covers every rescaling and conjugation of a
+map; a dense conjugation map is ``DenseCpMap.from_callable``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (FactorizationError, IncompatibilityError, InvalidFunctionError,
-                     InvalidParameterError, SizeLimitError)
+from .errors import (FactorizationError, InvalidFunctionError, InvalidParameterError,
+                     SizeLimitError)
 from .fdalg import FdElement, FiniteDimAlgebra, Summand
 from .operators import BandOperator, check_dense_size, check_fiber_dim, operator_norm
 
@@ -106,6 +108,23 @@ class CpMap:
         return None
 
 
+def _checked_windows(algebra, windows, n):
+    """The windows as tuples: one per summand, each as long as its summand,
+    listing distinct points of range(n)."""
+    if len(windows) != len(algebra.summands):
+        raise InvalidParameterError("one window per summand required")
+    checked = []
+    for w, s in zip(windows, algebra.summands):
+        w = tuple(w)
+        if len(w) != s.size:
+            raise InvalidParameterError("window size must match summand size")
+        if len(set(w)) != len(w) or not all(0 <= p < n for p in w):
+            raise InvalidParameterError(
+                f"a window must list distinct points of range({n}), got {w}")
+        checked.append(w)
+    return checked
+
+
 class CompressionMap(CpMap):
     """Band operators to a finite-dimensional algebra, one window per summand.
 
@@ -116,14 +135,9 @@ class CompressionMap(CpMap):
     """
 
     def __init__(self, band, algebra, windows, coefficients=None):
-        if len(windows) != len(algebra.summands):
-            raise InvalidParameterError("one window per summand required")
-        for w, s in zip(windows, algebra.summands):
-            if len(w) != s.size:
-                raise InvalidParameterError("window size must match summand size")
         self.domain = band
         self.codomain = algebra
-        self.windows = [tuple(w) for w in windows]
+        self.windows = _checked_windows(algebra, windows, band.space.n)
         self.coefficients = coefficients or [None] * len(windows)
         self._slots = [{p: a for a, p in enumerate(w)} for w in self.windows]
 
@@ -160,15 +174,11 @@ class InclusionMap(CpMap):
     """
 
     def __init__(self, algebra, band, windows):
-        if len(windows) != len(algebra.summands):
-            raise InvalidParameterError("one window per summand required")
-        for w, s in zip(windows, algebra.summands):
-            if len(w) != s.size:
-                raise InvalidParameterError("window size must match summand size")
         self.domain = algebra
         self.codomain = band
-        self.windows = [tuple(w) for w in windows]
+        self.windows = _checked_windows(algebra, windows, band.space.n)
         self._coords = None
+        self._positions = None
 
     def window_coords(self):
         if self._coords is None:
@@ -177,12 +187,24 @@ class InclusionMap(CpMap):
                             for w in self.windows]
         return self._coords
 
+    def window_positions(self):
+        """Per window, the flat positions of its block in an N x N matrix,
+        row by row, so they index ``matrix.reshape(-1)``."""
+        if self._positions is None:
+            n = self.codomain.matrix_dim
+            self._positions = [(c[:, None] * n + c).reshape(-1)
+                               for c in self.window_coords()]
+        return self._positions
+
     def apply_dense(self, elem):
-        """Image as a dense matrix (vectorized scatter, for dense elements)."""
+        """Image as a dense matrix (one scatter per window, for dense
+        elements); the windows list distinct points, so no position repeats
+        within a window."""
         check_dense_size(self.codomain.matrix_dim)
         out = np.zeros((self.codomain.matrix_dim,) * 2, dtype=complex)
-        for coords, part in zip(self.window_coords(), elem.parts):
-            out[np.ix_(coords, coords)] += part
+        flat = out.reshape(-1)
+        for idx, part in zip(self.window_positions(), elem.parts):
+            flat[idx] += part.reshape(-1)
         return out
 
     def apply(self, elem):
@@ -257,20 +279,6 @@ def transpose_map(n):
                                     lambda u: FdElement(alg, [u.parts[0].T.copy()]))
 
 
-class KrausMap(CpMap):
-    """x -> sum_t V_t x V_t* between single-corner algebras (dense form)."""
-
-    def __init__(self, domain, codomain, kraus):
-        self.domain = domain
-        self.codomain = codomain
-        self.kraus = [np.asarray(V, dtype=complex) for V in kraus]
-
-    def apply(self, x):
-        mat = x.to_dense()
-        out = sum(V @ mat @ V.conj().T for V in self.kraus)
-        return self.codomain.from_dense(out)
-
-
 class SandwichedMap(CpMap):
     """scale * post . inner(pre . x . pre) . post, with positive pre/post."""
 
@@ -289,17 +297,6 @@ class SandwichedMap(CpMap):
         if self.post is not None:
             y = self.post @ y @ self.post
         return self.scale * y if self.scale != 1.0 else y
-
-
-class ScaledMap(CpMap):
-    def __init__(self, inner, scale):
-        self.inner = inner
-        self.scale = float(scale)
-        self.domain = inner.domain
-        self.codomain = inner.codomain
-
-    def apply(self, x):
-        return self.scale * self.inner.apply(x)
 
 
 class PointBijectionHom(CpMap):
@@ -523,11 +520,10 @@ def order_zero_check(phi, trials=200, seed=0, tol=1e-9):
     return OrderZeroReport(worst <= tol, worst, "sampled", done)
 
 
-class OrderZeroFactorization:
-    """h = phi(1) together with the supporting homomorphism.
-
-    ``pi(a)`` is evaluated lazily as ``pinv(h) . phi(a)``; eigenvalues of h
-    at or below 1e-12 of the largest are treated as kernel.
+class OrderZeroFactorization(CpMap):
+    """The supporting homomorphism pi of an order-zero map phi, with
+    h = phi(1): ``apply(a) = pi(a) = pinv(h) . phi(a)``, so phi = h . pi.
+    Eigenvalues of h at or below 1e-12 of the largest are treated as kernel.
     """
 
     PINV_REL_CUTOFF = 1e-12
@@ -539,38 +535,25 @@ class OrderZeroFactorization:
         self.support = support
         self.domain = phi.domain
         self.codomain = phi.codomain
-        self.source_certificate = phi.order_zero_certificate()
 
-    def pi(self, a):
+    def apply(self, a):
         return self.pinv @ self.source.apply(a)
 
-    def rebuild(self):
-        """The map a -> h . pi(a); equals the source for order-zero inputs."""
-        return FactoredMap(self.h, _PiWrapper(self))
-
-
-class _PiWrapper(CpMap):
-    def __init__(self, fact):
-        self.fact = fact
-        self.domain = fact.domain
-        self.codomain = fact.codomain
-
-    def apply(self, x):
-        return self.fact.pi(x)
+    pi = apply
 
     def order_zero_certificate(self):
-        cert = self.fact.source_certificate
+        cert = self.source.order_zero_certificate()
         return None if cert is None else ("supported-homomorphism", cert)
 
 
-def factorize_order_zero(phi, tol=1e-10, validate=True, trials=8, seed=0):
+def factorize_order_zero(phi, tol=1e-10, trials=8, seed=0):
     """Split an order-zero map into its positive part and supporting
     homomorphism, raising when a factorization identity fails.
 
     Maps with a verified structural certificate are validated on the unit
     alone; everything else is validated on seeded random Hermitian samples.
     """
-    if validate and _structural_order_zero(phi):
+    if _structural_order_zero(phi):
         trials = 0
     h = phi.apply(phi.domain.identity())
 
@@ -585,8 +568,7 @@ def factorize_order_zero(phi, tol=1e-10, validate=True, trials=8, seed=0):
     pinv = h.funcalc(pinv_fn)
     support = h.funcalc(supp_fn)
     fact = OrderZeroFactorization(phi, h, pinv, support)
-    if validate:
-        _validate_factorization(fact, tol, trials, seed)
+    _validate_factorization(fact, tol, trials, seed)
     return fact
 
 
@@ -633,7 +615,7 @@ def functional_calculus(f, phi, tol=1e-10):
         raise InvalidFunctionError("functional calculus requires f(0) = 0")
     fact = phi if isinstance(phi, OrderZeroFactorization) else \
         factorize_order_zero(phi, tol=tol)
-    return FactoredMap(fact.h.funcalc(f), _PiWrapper(fact))
+    return FactoredMap(fact.h.funcalc(f), fact)
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +675,6 @@ def bump_function(kind, *, delta=None, d=None, eps=None):
     raise InvalidParameterError(f"unknown bump kind {kind!r}")
 
 
-def f_delta(delta):
-    return bump_function("f_delta", delta=delta)
-
-
-def g_delta(delta):
-    return bump_function("g_delta", delta=delta)
-
-
 # ---------------------------------------------------------------------------
 # Commutation property
 # ---------------------------------------------------------------------------
@@ -724,7 +698,7 @@ def _scalar_diagonal(op, tol=0.0):
     return True
 
 
-def cop_check(fact, diagonal=None, tol=1e-9):
+def cop_check(fact, tol=1e-9):
     """Check that supporting-homomorphism images of minimal diagonal
     projections (with full fiber units) commute with the band diagonal.
 
@@ -738,9 +712,6 @@ def cop_check(fact, diagonal=None, tol=1e-9):
         raise InvalidParameterError("cop_check requires a finite-dimensional domain")
     if not isinstance(fact.codomain, BandAlgebra):
         raise InvalidParameterError("cop_check requires a band-algebra codomain")
-    if diagonal is not None and diagonal is not fact.codomain:
-        if getattr(diagonal, "space", None) is not fact.codomain.space:
-            raise IncompatibilityError("diagonal descriptor does not match codomain")
     m = fact.codomain.fiber_dim
     worst = 0.0
     checked = 0

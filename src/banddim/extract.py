@@ -113,7 +113,6 @@ class ThresholdData:
     delta: Fraction
     eta: Fraction
     eps: Fraction
-    qhat: object
     q: object
     corners: list
 
@@ -131,8 +130,8 @@ def threshold_constants(d):
 def threshold_setup(witness, tol=1e-9):
     """Spectral thresholding of psi(1) and the corner bookkeeping.
 
-    ``qhat`` keeps, slot by slot, the eigenspaces of psi(1) strictly above
-    delta (eigenvalues within 1e-9 of delta are excluded, matching the
+    A slot survives when its fiber block of psi(1) has an eigenvalue strictly
+    above delta (eigenvalues within 1e-9 of delta are excluded, matching the
     half-open spectral interval); ``q`` promotes every surviving slot to a
     full fiber unit.  Corners enumerate, per color, the summands with
     surviving slots.
@@ -148,24 +147,20 @@ def threshold_setup(witness, tol=1e-9):
     algebra = witness.algebra
     m = algebra.fiber_dim
     cut = float(delta) + THRESHOLD_EIG_MARGIN
-    qhat_parts, q_parts = [], []
+    q_parts = []
     kept = []
     for k, s in enumerate(algebra.summands):
         dim = s.size * m
-        qhat_p = np.zeros((dim, dim), dtype=complex)
         q_p = np.zeros((dim, dim), dtype=complex)
         kept_slots = []
         for a in range(s.size):
             blk = psi1.fiber_block(k, a, a)
-            blk = (blk + blk.conj().T) / 2.0
-            w, v = np.linalg.eigh(blk)
-            sel = w > cut
-            if np.any(sel):
-                proj = (v[:, sel]) @ (v[:, sel].conj().T)
-                qhat_p[a * m:(a + 1) * m, a * m:(a + 1) * m] = proj
+            # the eigenvalues of eigh, not eigvalsh, keep the slot decisions
+            # bit for bit
+            w, _ = np.linalg.eigh((blk + blk.conj().T) / 2.0)
+            if np.any(w > cut):
                 q_p[a * m:(a + 1) * m, a * m:(a + 1) * m] = np.eye(m)
                 kept_slots.append(a)
-        qhat_parts.append(qhat_p)
         q_parts.append(q_p)
         kept.append(tuple(kept_slots))
 
@@ -176,9 +171,7 @@ def threshold_setup(witness, tol=1e-9):
             if kept[k]:
                 corners.append(CornerData(color, j, k, kept[k]))
                 j += 1
-    return ThresholdData(d, delta, eta, eps,
-                         algebra.element(qhat_parts), algebra.element(q_parts),
-                         corners)
+    return ThresholdData(d, delta, eta, eps, algebra.element(q_parts), corners)
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +413,13 @@ class PartialTranslationSystem:
     delta: float
     eta: float
     borderline: list = field(default_factory=list)
-    identities: object = None  # IdentityReport, set when the system is verified
+    identities: object = None  # IdentityReport, set by build_translation_system
 
 
-def build_translation_system(witness, td, verify=True, tol=1e-8):
+def build_translation_system(witness, td, tol=1e-8):
     """Functional-calculus images of the generalized matrix units and the
-    partial bijections they induce.
+    partial bijections they induce, verified against the matrix-unit
+    identities.
 
     For each corner, the f_delta and g_delta images of all matrix units are
     computed through the corner's order-zero factorization: as fiber blocks
@@ -447,8 +441,7 @@ def build_translation_system(witness, td, verify=True, tol=1e-8):
             phi_ij, fact, fact.h.funcalc(f_fun), fact.h.funcalc(g_fun), corner.s)))
 
     pts = assemble_translation_system(corners, delta, eta)
-    if verify:
-        pts.identities = _verify_translation_system(pts, tol)
+    pts.identities = _verify_translation_system(pts, tol)
     return pts
 
 

@@ -73,10 +73,6 @@ class FiniteDimAlgebra:
         parts[k][a * m:(a + 1) * m, b * m:(b + 1) * m] = fiber
         return FdElement(self, parts)
 
-    def slot_projection(self, k, a):
-        """Minimal diagonal-slot projection with a full fiber unit."""
-        return self.matrix_unit(k, a, a)
-
     def random_hermitian(self, rng, scale=1.0):
         parts = []
         for d in self.block_dims:

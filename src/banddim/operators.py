@@ -321,15 +321,6 @@ class BandOperator:
         return f"BandOperator(n={self.space.n}, m={self.fiber_dim}, nnz={len(self.blocks)})"
 
 
-class DiagonalOperator(BandOperator):
-    """Band operator constrained to propagation zero."""
-
-    def __init__(self, space, fiber_dim, blocks, prune=True):
-        super().__init__(space, fiber_dim, blocks, prune=prune)
-        if any(x != y for (x, y) in self.blocks):
-            raise InvalidParameterError("DiagonalOperator carries an off-diagonal block")
-
-
 def prop_support(op):
     """Support pairs and propagation (max distance over the support)."""
     support = frozenset(op.blocks.keys())

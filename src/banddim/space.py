@@ -159,24 +159,14 @@ def generate_space(family, *, length=None, sides=None, metric="linf", spacing=1)
                              grid_meta=meta, validate=False)
 
 
-@dataclass(frozen=True)
-class UlfProfile:
-    """Maximum ball cardinality N(r) at each requested radius."""
-
-    entries: dict
-
-    def __getitem__(self, radius):
-        return self.entries[radius]
-
-
 def ulf_profile(space, radii):
-    """Profile r -> max_x |{y : dist(x, y) <= r}| over the given radii."""
-    entries = {}
+    """The dict r -> max_x |{y : dist(x, y) <= r}| over the given radii."""
+    profile = {}
     for r in radii:
         if float(r) < 0:
             raise InvalidParameterError("radii must be nonnegative")
-        entries[r] = int(space.within_mask(r).sum(axis=1).max(initial=0))
-    return UlfProfile(entries)
+        profile[r] = int(space.within_mask(r).sum(axis=1).max(initial=0))
+    return profile
 
 
 def enlarge(space, subset, r):

@@ -354,6 +354,10 @@ def check_witness(witness, tol=1e-9):
 # Hat normalization
 # ---------------------------------------------------------------------------
 
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class HatPair:
     """Spectrally renormalized approximation pair on the witness corner.
@@ -375,32 +379,6 @@ class HatPair:
         return self.report["passed"]
 
 
-def _span(index):
-    """An index array as a slice when it runs through consecutive indices
-    in ascending order; a loaded bundle may list window points in any
-    order."""
-    if len(index) and np.array_equal(index, np.arange(index[0], index[0] + len(index))):
-        return slice(int(index[0]), int(index[0]) + len(index))
-    return index
-
-
-def _block(rows, cols, n):
-    """The (rows, cols) block of an n x n matrix: slices for contiguous
-    coordinates (intervals), else the flat positions of its entries (grids),
-    which index ``matrix.reshape(-1)``."""
-    r, q = _span(rows), _span(cols)
-    if isinstance(r, slice) and isinstance(q, slice):
-        return r, q
-    return (rows[:, None] * n + cols[None, :]).reshape(-1)
-
-
-def _add_block(out, flat, idx, values):
-    if isinstance(idx, tuple):
-        out[idx] += values
-    else:
-        flat[idx] += values.reshape(-1)
-
-
 class WindowDefects:
     """Multiplicativity defects of a hat map, formed window by window.
 
@@ -418,7 +396,10 @@ class WindowDefects:
 
     which costs O(windows s^3 + N^2) against the O(N^3) of the dense
     products; ``left(x)`` and ``right(y)`` hold the factors, so each is
-    formed once per test element or sample.
+    formed once per test element or sample.  Every block is added through
+    the flat positions of its entries in the N x N matrix, as
+    ``InclusionMap.apply_dense`` adds its window blocks; the windows list
+    distinct points, so no position repeats within a block.
 
     ``defect`` returns the sum and an a-priori bound ``gap`` on its spectral
     distance from the dense defect ``phi_hat(x y) - phi_hat(x) phi_hat(y)``
@@ -453,7 +434,7 @@ class WindowDefects:
         self.scale = scale
         self.p = p.parts
         self.p_fro2 = np.array([np.linalg.norm(part) ** 2 for part in self.p])
-        self.index = [_block(c, c, n) for c in coords]
+        self.index = phi.window_positions()
         owners = {}
         for k, c in enumerate(coords):
             for slot, x in enumerate(c.tolist()):
@@ -466,8 +447,8 @@ class WindowDefects:
                         rows, cols = shared.setdefault((k, l), ([], []))
                         rows.append(i)
                         cols.append(j)
-        self.pairs = [(k, l, _span(np.array(i)), _span(np.array(j)),
-                       _block(coords[k], coords[l], n))
+        self.pairs = [(k, l, np.array(i), np.array(j),
+                       (coords[k][:, None] * n + coords[l]).reshape(-1))
                       for (k, l), (i, j) in shared.items()]
         c = max(map(len, owners.values()), default=0)
         d = max(map(len, coords), default=0)
@@ -498,9 +479,9 @@ class WindowDefects:
         out = np.zeros((self.n, self.n), dtype=complex)
         flat = out.reshape(-1)
         for idx, lk, rk in zip(self.index, diag_x, diag_y):
-            _add_block(out, flat, idx, lk @ rk)
+            flat[idx] += (lk @ rk).reshape(-1)
         for (_, _, _, _, idx), lk, rk in zip(self.pairs, pair_x, pair_y):
-            _add_block(out, flat, idx, lk @ rk)
+            flat[idx] += (lk @ rk).reshape(-1)
         s1 = self.scale * float(np.sum(self.p_fro2 * x_fro * y_fro))
         s2 = self.scale ** 2 * float(self.p_fro2 @ x_fro) * float(self.p_fro2 @ y_fro)
         return out, 2.0 * self.gamma * (s1 + s2)
@@ -519,7 +500,15 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
     (:class:`WindowDefects`) and certified against the running maximum less
     their a-priori gap; only one the certificate cannot skip is formed again
     from dense products and passed to the SVD.
+
+    ``samples`` must be an integer >= 1 and ``seed`` an integer >= 0;
+    anything else raises ``InvalidParameterError``.
     """
+    if not _is_int(samples) or samples < 1:
+        raise InvalidParameterError(
+            f"hat samples must be an integer >= 1, got {samples!r}")
+    if not _is_int(seed) or seed < 0:
+        raise InvalidParameterError(f"hat seed must be an integer >= 0, got {seed!r}")
     eps = witness.epsilon
     norm1 = witness.psi.apply(witness.band.identity()).norm()
     if norm1 > 1.0 + tol:

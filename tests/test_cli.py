@@ -281,6 +281,48 @@ def test_benchmark_patch_points(tmp_path, monkeypatch):
     assert banddim.cli.check_witness is original
 
 
+def test_every_exported_name_resolves():
+    import banddim
+    assert len(set(banddim.__all__)) == len(banddim.__all__)
+    assert [name for name in banddim.__all__ if not hasattr(banddim, name)] == []
+
+
+def test_bundle_window_listing_a_point_twice_exits_3(tmp_path, capsys):
+    path, cfg = write_config(tmp_path, stages=["space", "cover", "witness"])
+    assert main(["run", "--config", str(path)]) == 0
+    bundle = pathlib.Path(cfg["out_dir"]) / "witness"
+    doc = json.loads((bundle / "witness.json").read_text())
+    points = doc["summands"][0]["points"]
+    points[1] = points[0]
+    (bundle / "witness.json").write_text(json.dumps(doc))
+    for command in ("check", "hat"):
+        report = tmp_path / f"{command}.json"
+        assert main(["witness", command, "--witness", str(bundle),
+                     "--out", str(report)]) == 3
+        assert not report.exists()
+        assert "distinct points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--samples=0", "--samples=-3", "--seed=-1"])
+def test_invalid_hat_arguments_exit_3(tmp_path, capsys, flag):
+    path, cfg = write_config(tmp_path, stages=["space", "cover", "witness"])
+    assert main(["run", "--config", str(path)]) == 0
+    out = pathlib.Path(cfg["out_dir"])
+    assert main(["witness", "hat", "--witness", str(out / "witness"), flag,
+                 "--out", str(out / "hat.json")]) == 3
+    assert not (out / "hat.json").exists()
+    assert f"hat {flag[2:flag.index('=')]} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+def test_invalid_run_seed_fails_hat_stage(tmp_path, capsys, seed):
+    path, cfg = write_config(tmp_path, stages=["space", "cover", "witness", "check",
+                                               "hat"], seed=seed)
+    assert main(["run", "--config", str(path)]) == 3
+    assert not (pathlib.Path(cfg["out_dir"]) / "hat_report.json").exists()
+    assert "stage 'hat' failed: hat seed must be" in capsys.readouterr().err
+
+
 def test_bad_fiber_is_stage_failure(tmp_path, capsys):
     sp = tmp_path / "space.json"
     cov = tmp_path / "cover.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from banddim.cpmaps import (BandAlgebra, CompressionMap, DenseCpMap, FactoredMap,
-                            InclusionMap, KrausMap, OrderZeroFactorization,
+                            InclusionMap, OrderZeroFactorization,
                             PointBijectionHom, bump_function, choi_check, cop_check,
                             diagonal_unit_images, factorize_order_zero,
                             functional_calculus, order_zero_check, transpose_map,
@@ -97,7 +97,9 @@ def test_choi_conjugation_maps_pass():
     for _ in range(5):
         kraus = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
                  for _ in range(int(rng.integers(1, 4)))]
-        assert choi_check(KrausMap(alg, alg, kraus)).flag
+        phi = DenseCpMap.from_callable(alg, alg, lambda u, kraus=kraus: FdElement(
+            alg, [sum(V @ u.parts[0] @ V.conj().T for V in kraus)]))
+        assert choi_check(phi).flag
 
 
 def test_choi_size_limit():
@@ -173,7 +175,7 @@ def test_factorize_recovers_random_factored_maps():
         for _ in range(3):
             a = phi.domain.random_hermitian(rng)
             assert (phi.apply(a) - fact.h @ fact.pi(a)).norm() <= 1e-10
-        rebuilt = fact.rebuild()
+        rebuilt = FactoredMap(fact.h, fact)
         a = phi.domain.random_hermitian(rng)
         assert (rebuilt.apply(a) - phi.apply(a)).norm() <= 1e-10
 
@@ -218,6 +220,21 @@ def test_functional_calculus_f_delta_stays_order_zero():
     f = bump_function("f_delta", delta=0.1)
     rep = order_zero_check(functional_calculus(f, phi), trials=40, seed=1)
     assert rep.flag
+
+
+@pytest.mark.parametrize("which", ["witness color", "random factored map"])
+def test_functional_calculus_keeps_structural_order_zero(which):
+    """The factorization is the map pi itself, so f(h) . pi keeps the
+    certificate chain of phi: factored, supported homomorphism, source."""
+    rng = np.random.default_rng(9)
+    if which == "witness color":
+        phi = build_small_witness(1, rng).color_phis()[0][1]
+    else:
+        phi = random_factored_map(rng, generate_space("interval", length=12))
+    fact = factorize_order_zero(phi)
+    f = bump_function("f_delta", delta=0.1)
+    assert order_zero_check(fact).mode == "structural"
+    assert order_zero_check(functional_calculus(f, fact)).mode == "structural"
 
 
 def test_functional_calculus_requires_vanishing_at_zero():
@@ -347,8 +364,8 @@ def test_cop_counterexample_fails():
     rep = cop_check(fact, tol=1e-9)
     assert not rep.flag and rep.worst > 0.1
     # the two diagonal slot images are supported on the same set
-    p_img = fact.pi(pi.domain.slot_projection(0, 0))
-    q_img = fact.pi(pi.domain.slot_projection(0, 1))
+    p_img = fact.pi(pi.domain.matrix_unit(0, 0, 0))
+    q_img = fact.pi(pi.domain.matrix_unit(0, 1, 1))
     assert set(p_img.blocks) == set(q_img.blocks)
 
 
@@ -388,6 +405,19 @@ def test_cop_invariant_under_domain_fiber_conjugation():
 
 # -- compression maps ------------------------------------------------------
 
+@pytest.mark.parametrize("window", [(2, 5, 2), (0, 1, 8), (-1, 0, 1)])
+def test_maps_reject_bad_windows(window):
+    """A window must list distinct points of the space: a repeated point
+    would send two orthogonal slot units onto one block."""
+    sp = generate_space("interval", length=8)
+    band = BandAlgebra(sp, 1)
+    alg = FiniteDimAlgebra([Summand(0, "w", 3)], 1)
+    with pytest.raises(InvalidParameterError, match="distinct points"):
+        CompressionMap(band, alg, [window])
+    with pytest.raises(InvalidParameterError, match="distinct points"):
+        InclusionMap(alg, band, [window])
+
+
 def test_compression_map_choi_small_instance():
     sp = generate_space("interval", length=6)
     band = BandAlgebra(sp, 1)
@@ -418,7 +448,6 @@ def test_unit_image_identities_with_nontrivial_h():
     """Adjoint symmetry and absorption of the f/g images hold for order-zero
     maps whose positive part has spectrum across both breakpoint regions,
     not only for projections."""
-    from banddim.cpmaps import f_delta, g_delta, PointBijectionHom
     delta = 1.0 / 128.0
     sp = generate_space("interval", length=12)
     band = BandAlgebra(sp, 1)
@@ -430,8 +459,8 @@ def test_unit_image_identities_with_nontrivial_h():
             6: 1.5 * delta, 7: 1.5 * delta, 8: 1.5 * delta}
     phi = FactoredMap(BandOperator.diagonal(sp, 1, vals), hom)
     fact = factorize_order_zero(phi)
-    f_map = functional_calculus(f_delta(delta), fact)
-    g_map = functional_calculus(g_delta(delta), fact)
+    f_map = functional_calculus(bump_function("f_delta", delta=delta), fact)
+    g_map = functional_calculus(bump_function("g_delta", delta=delta), fact)
     f_img = {(k, l): f_map.apply(alg.matrix_unit(0, k, l))
              for k in range(3) for l in range(3)}
     g_img = {(k, l): g_map.apply(alg.matrix_unit(0, k, l))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from banddim.cover import verify_cover
-from banddim.cpmaps import BandAlgebra, CompressionMap, ScaledMap
+from banddim.cpmaps import BandAlgebra, CompressionMap, SandwichedMap
 from banddim.errors import CoverGapError, DiagonalViolationError
 from banddim.extract import (_diagonal_columns, build_translation_system,
                              decompose_neighbors, extract_cover,
@@ -211,7 +211,7 @@ def test_degraded_witness_raises_cover_gap():
     w = interval_witness(length=30, r=2, side=10)
     shrunk = DiagDimWitness(
         d=w.d, algebra=w.algebra, band=w.band,
-        psi=ScaledMap(w.psi, 1e-4), phi=w.phi,
+        psi=SandwichedMap(w.psi, scale=1e-4), phi=w.phi,
         test_set=w.test_set, epsilon=2.0, meta=dict(w.meta))
     td = threshold_setup(shrunk)
     assert not td.corners  # every slot falls below delta
@@ -238,7 +238,7 @@ def test_ambiguous_support_raises():
     bad = dataclasses.replace(w, phi=_ConjugatedPhi(w.phi, u))
     td = threshold_setup(bad)
     with pytest.raises(AmbiguousSupportError) as err:
-        build_translation_system(bad, td, verify=False)
+        build_translation_system(bad, td)
     assert err.value.indices is not None
 
 

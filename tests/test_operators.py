@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from banddim.errors import IncompatibilityError, InvalidParameterError
-from banddim.operators import (CERT_PANEL, BandOperator, DiagonalOperator, _cert_panels,
+from banddim.errors import IncompatibilityError
+from banddim.operators import (CERT_PANEL, BandOperator, _cert_panels,
                                certified_below, connected_components, diagonal_membership,
                                load_operator, max_spectral_norm, normalizer_check,
                                operator_norm, prop_support, save_operator, spectral_norm)
@@ -126,12 +126,6 @@ def test_diagonal_membership(interval8):
     rep = diagonal_membership(unit_shift(interval8, 2), 1e-9)
     assert not rep.flag and rep.offdiag_mass == 1.0
     assert diagonal_membership(BandOperator.zero(interval8, 2), 0.0).flag
-
-
-def test_diagonal_operator_type(interval8):
-    DiagonalOperator(interval8, 2, {(1, 1): np.eye(2)})
-    with pytest.raises(InvalidParameterError):
-        DiagonalOperator(interval8, 2, {(1, 2): np.eye(2)})
 
 
 def test_normalizer_examples(interval8):

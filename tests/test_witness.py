@@ -428,20 +428,21 @@ def test_phi_image_of_diagonal_unit_is_diagonal():
 
 
 def test_hat_rejects_negative_spectrum():
-    from banddim.cpmaps import ScaledMap
+    from banddim.cpmaps import SandwichedMap
     from banddim.errors import InvalidWitnessError
     import dataclasses
     w = interval_witness(length=12, r=1, side=4)
-    flipped = dataclasses.replace(w, psi=ScaledMap(w.psi, -1.0), epsilon=10.0)
+    flipped = dataclasses.replace(w, psi=SandwichedMap(w.psi, scale=-1.0),
+                                  epsilon=10.0)
     with pytest.raises(InvalidWitnessError):
         hat_normalize(flipped, samples=2)
 
 
 def test_checker_detects_noncontractive_psi():
     import dataclasses
-    from banddim.cpmaps import ScaledMap
+    from banddim.cpmaps import SandwichedMap
     w = interval_witness(length=24, r=2, side=8)
-    loud = dataclasses.replace(w, psi=ScaledMap(w.psi, 1.3), epsilon=10.0)
+    loud = dataclasses.replace(w, psi=SandwichedMap(w.psi, scale=1.3), epsilon=10.0)
     report = check_witness(loud)
     assert not report[1].verdict
     assert report[1].worst > 0.2
