@@ -25,7 +25,8 @@ import numpy as np
 from .errors import (FactorizationError, InvalidFunctionError, InvalidParameterError,
                      SizeLimitError)
 from .fdalg import FdElement, FiniteDimAlgebra, Summand
-from .operators import BandOperator, check_dense_size, check_fiber_dim, operator_norm
+from .operators import (BandOperator, check_dense_size, check_fiber_dim, fiber_unit,
+                        operator_norm)
 
 
 class BandAlgebra:
@@ -49,18 +50,15 @@ class BandAlgebra:
     def zero(self):
         return BandOperator.zero(self.space, self.fiber_dim)
 
-    def random_hermitian(self, rng, scale=1.0):
+    def random_hermitian(self, rng):
         d = self.matrix_dim
         check_dense_size(d)
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return BandOperator.from_dense(self.space, self.fiber_dim,
-                                       scale * (g + g.conj().T) / 2.0)
+        return BandOperator.from_dense(self.space, self.fiber_dim, (g + g.conj().T) / 2.0)
 
     def unit(self, i, j):
         m = self.fiber_dim
-        blk = np.zeros((m, m), dtype=complex)
-        blk[i % m, j % m] = 1.0
-        return BandOperator(self.space, m, {(i // m, j // m): blk})
+        return BandOperator(self.space, m, {(i // m, j // m): fiber_unit(m, i % m, j % m)})
 
     # -- coordinates (small algebras) ------------------------------------
 
@@ -231,15 +229,14 @@ class InclusionMap(CpMap):
                                    self.domain.fiber_dim)
         return InclusionMap(algebra, self.codomain, [self.windows[k] for k in keep])
 
-    def image_of_unit(self, k, a, b, fiber=None):
-        """Image of a single slot matrix unit (tensor fiber block): exactly
-        one block of the band operator, by the definition of the map."""
-        m = self.codomain.fiber_dim
-        blk = np.eye(m, dtype=complex) if fiber is None else np.asarray(fiber, complex)
-        window = self.windows[k]
-        # a single block has no larger block to be pruned against
-        return BandOperator(self.codomain.space, m, {(window[a], window[b]): blk},
-                            prune=False)
+    def image_of_unit(self, k, a, b):
+        """Image of the slot unit e_{a,b} of summand k tensor the fiber
+        identity: the identity block at (W[a], W[b]), W = ``windows[k]``.
+        Condition 5 holds structurally for a map with this method, and
+        extraction and condition 6 read its unit images off the windows."""
+        w = self.windows[k]
+        return BandOperator.partial_translation(self.codomain.space,
+                                                self.codomain.fiber_dim, [(w[a], w[b])])
 
     def corner_map(self, k, kept_slots):
         """Restriction to the corner of summand k given by the kept slots."""
@@ -302,9 +299,10 @@ class SandwichedMap(CpMap):
 class PointBijectionHom(CpMap):
     """Homomorphism of M_n (with fiber) onto partial translations.
 
-    ``orbits`` is an n x T matrix of pairwise distinct point indices; the
-    slot unit e_{k,l} tensor a fiber block b is sent to the operator carrying
-    b at (orbits[k][t], orbits[l][t]) for every t.
+    ``orbits`` is an n x T matrix of pairwise distinct point indices, one
+    row per slot; the slot unit e_{k,l} tensor a fiber block b is sent to the
+    operator carrying b at (orbits[k][t], orbits[l][t]) for every t.  Any
+    other orbit matrix raises ``InvalidParameterError``.
     """
 
     def __init__(self, algebra, band, orbits):
@@ -313,9 +311,14 @@ class PointBijectionHom(CpMap):
         self.domain = algebra
         self.codomain = band
         self.orbits = [tuple(row) for row in orbits]
+        if (len(self.orbits) != algebra.summands[0].size
+                or len({len(row) for row in self.orbits}) != 1):
+            raise InvalidParameterError("orbits need one row per slot, all of one length")
         flat = [p for row in self.orbits for p in row]
-        if len(set(flat)) != len(flat):
-            raise InvalidParameterError("orbit points must be pairwise distinct")
+        n = band.space.n
+        if len(set(flat)) != len(flat) or not all(0 <= p < n for p in flat):
+            raise InvalidParameterError(
+                f"orbit points must be pairwise distinct points of range({n})")
 
     def apply(self, elem):
         n = self.domain.summands[0].size
@@ -327,8 +330,7 @@ class PointBijectionHom(CpMap):
                 blk = part[k * m:(k + 1) * m, l * m:(l + 1) * m]
                 if not blk.any():
                     continue
-                for t in range(len(self.orbits[0])):
-                    key = (self.orbits[k][t], self.orbits[l][t])
+                for key in zip(self.orbits[k], self.orbits[l]):
                     blocks[key] = blocks.get(key, 0) + blk
         return BandOperator(self.codomain.space, self.codomain.fiber_dim, blocks)
 
@@ -355,10 +357,7 @@ class FactoredMap(CpMap):
 
 def unit_image(phi, k, a, b, fiber=None):
     """phi of the slot matrix unit e_{a,b} of summand k tensor a fiber block
-    (the fiber identity when None): the map's single-block ``image_of_unit``
-    when it has one, ``apply`` on the unit element otherwise."""
-    if hasattr(phi, "image_of_unit"):
-        return phi.image_of_unit(k, a, b, fiber)
+    (the fiber identity when None), by ``apply`` on the unit element."""
     return phi.apply(phi.domain.matrix_unit(k, a, b, fiber))
 
 
@@ -689,11 +688,12 @@ class CopReport:
         return self.flag
 
 
-def _scalar_diagonal(op, tol=0.0):
+def _scalar_diagonal(op):
+    """True when every block is on the diagonal and exactly scalar."""
     for (x, y), b in op.blocks.items():
         if x != y:
             return False
-        if not np.allclose(b, b[0, 0] * np.eye(op.fiber_dim), atol=tol):
+        if not np.array_equal(b, b[0, 0] * np.eye(op.fiber_dim)):
             return False
     return True
 
@@ -719,15 +719,11 @@ def cop_check(fact, tol=1e-9):
         checked += 1
         if _scalar_diagonal(c):
             continue
-        pts = set()
-        for (x, y) in c.blocks:
-            pts.update((x, y))
-        for y in sorted(pts):
+        for y in sorted({p for key in c.blocks for p in key}):
             for alpha in range(m):
                 for beta in range(m):
-                    blk = np.zeros((m, m), dtype=complex)
-                    blk[alpha, beta] = 1.0
-                    gen = BandOperator(fact.codomain.space, m, {(y, y): blk})
+                    gen = BandOperator(fact.codomain.space, m,
+                                       {(y, y): fiber_unit(m, alpha, beta)})
                     comm = c @ gen - gen @ c
                     if not comm.is_zero:
                         worst = max(worst, operator_norm(comm))
@@ -738,20 +734,23 @@ def diagonal_unit_images(fact):
     """``pi(e_aa) = pinv . phi(e_aa)`` for every diagonal slot unit, summand
     by summand.
 
-    A single-block unit image (y, y) picks column y of pinv times that block,
-    as ``BandOperator.__matmul__`` forms it, so the columns of pinv are
-    indexed once and each such product costs one column; any other image is
-    multiplied in full.
+    When phi has ``image_of_unit``, phi(e_aa) is the fiber identity at
+    y = W[a], so the product is column y of pinv times that identity, as
+    ``BandOperator.__matmul__`` forms it, with the columns indexed once.
+    Any other map is applied to the unit and multiplied in full.
     """
+    phi = fact.source
+    if not hasattr(phi, "image_of_unit"):
+        for k, s in enumerate(fact.domain.summands):
+            for a in range(s.size):
+                yield fact.pinv @ unit_image(phi, k, a, a)
+        return
+    m = fact.codomain.fiber_dim
+    eye = np.eye(m, dtype=complex)
     columns = {}
     for (x, y), b in fact.pinv.blocks.items():
         columns.setdefault(y, []).append((x, b))
-    for k, s in enumerate(fact.domain.summands):
-        for a in range(s.size):
-            image = unit_image(fact.source, k, a, a)
-            if len(image.blocks) == 1 and image.is_diagonal:
-                ((y, _), blk), = image.blocks.items()
-                yield BandOperator._raw(fact.codomain.space, fact.codomain.fiber_dim,
-                                        {(x, y): b @ blk for x, b in columns.get(y, ())})
-            else:
-                yield fact.pinv @ image
+    for window in phi.windows:
+        for y in window:
+            yield BandOperator._raw(fact.codomain.space, m,
+                                    {(x, y): b @ eye for x, b in columns.get(y, ())})

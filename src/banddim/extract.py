@@ -11,9 +11,9 @@ corner through the f_delta / g_delta functional calculus of the corner's
 order-zero map, reads off the sets U_k where the diagonal images carry more
 than eta^2 of a point, and extracts the partial bijections sigma_bar between
 them from singleton supports of conjugated operators.  When the corner map
-has single-block unit images (an inclusion map), each image is one fiber
-block and the corner is held as (s, s, m, m) arrays; otherwise it is held
-as one band operator per matrix unit.  ``extract_cover``
+has ``image_of_unit`` (an inclusion map), each image is one fiber block read
+off the corner window, and the corner is held as (s, s, m, m) arrays;
+otherwise it is held as one band operator per matrix unit.  ``extract_cover``
 closes each color's U-set under r-chains; the classes form the extracted
 colored cover and their sizes are compared against the corner sizes.
 """
@@ -29,8 +29,8 @@ from .cover import cover_to_json, make_cover, verify_cover
 from .cpmaps import bump_function, factorize_order_zero, unit_image
 from .errors import (AmbiguousSupportError, CoverGapError, DiagonalViolationError,
                      InvalidParameterError, InvalidWitnessError)
-from .operators import (BandOperator, connected_components, group_by, operator_norm,
-                        spectral_norm)
+from .operators import (BandOperator, _pruned, connected_components, group_by,
+                        operator_norm, spectral_norm)
 from .space import ulf_profile
 
 
@@ -244,6 +244,10 @@ class OperatorImages:
     def g_image(self, k, l):
         return self.g_img[(k, l)]
 
+    def diagonal_blocks(self):
+        """(point pair, block) of every block of the diagonal f-images."""
+        return [item for k in range(self.s) for item in self.f_img[(k, k)].blocks.items()]
+
     def diagonal_point_norms(self):
         """Per k, the pairs (x, ||f_kk 1_x f_kk||) over the points f_kk touches."""
         out = []
@@ -339,23 +343,20 @@ class BlockImages:
 
     @classmethod
     def from_unit_images(cls, phi, fact, f_of_h, g_of_h, s):
-        """Blocks f(h)_x (pinv_x u_kl) at x = W[k], from the single-block unit
-        images u_kl; h = phi(1) of such a map is propagation zero, so f(h),
-        g(h) and pinv(h) act through their diagonal blocks."""
-        m = phi.codomain.fiber_dim
-        units = np.empty((s, s, m, m), dtype=complex)
-        window = [None] * s
-        for k in range(s):
-            for l in range(s):
-                ((x, _), block), = unit_image(phi, 0, k, l).blocks.items()
-                window[k], units[k, l] = x, block
+        """Blocks f(h)_x (pinv_x I) at x = W[k] for every l, read off the
+        window W of a corner map with ``image_of_unit``, whose unit image
+        u_kl is the fiber identity I at (W[k], W[l]); h = phi(1) is then
+        propagation zero.  The product order is that of f(h) (pinv u_kl),
+        so the blocks are bit-identical to the operator path."""
+        (window,) = phi.windows
 
         def diagonal(op):
-            return np.stack([op.block(x, x) for x in window])[:, None]
+            return np.stack([op.block(x, x) for x in window])
 
-        pi = diagonal(fact.pinv) @ units
-        return cls(phi.codomain.space, window, diagonal(f_of_h) @ pi,
-                   diagonal(g_of_h) @ pi)
+        pi = diagonal(fact.pinv) @ np.eye(phi.codomain.fiber_dim, dtype=complex)
+        F, G = (np.repeat((diagonal(op) @ pi)[:, None], s, axis=1)
+                for op in (f_of_h, g_of_h))
+        return cls(phi.codomain.space, window, F, G)
 
     def _image(self, blocks, k, l):
         return BandOperator(self.space, blocks.shape[-1],
@@ -369,6 +370,10 @@ class BlockImages:
 
     def _diagonal(self, blocks):
         return blocks[np.arange(self.s), np.arange(self.s)]
+
+    def diagonal_blocks(self):
+        """((W[k], W[k]), F_kk) for every F_kk that is not zero."""
+        return [((x, x), b) for x, b in zip(self.window, self._diagonal(self.F)) if b.any()]
 
     def diagonal_point_norms(self):
         """Per k, the pair (W[k], ||F_kk F_kk||), or nothing when F_kk is zero."""
@@ -589,18 +594,15 @@ class ExtractedCover:
         return doc
 
 
-def _diagonal_columns(pts, space, color):
+def _diagonal_columns(pts, color):
     """Per point x, the blocks in column x of the sum of the color's diagonal
     f-images.  Same-color corners have disjoint windows, so the images never
     share a block and their sum is their union, pruned once."""
-    diagonal = [cs.images.f_image(k, k) for cs in pts.corners
-                if cs.corner.color == color for k in range(cs.corner.s)]
+    blocks = {key: b for cs in pts.corners if cs.corner.color == color
+              for key, b in cs.images.diagonal_blocks()}
     cols = {}
-    if diagonal:
-        blocks = {key: b for op in diagonal for key, b in op.blocks.items()}
-        total = BandOperator._raw(space, diagonal[0].fiber_dim, blocks)
-        for (u, x), b in total.blocks.items():
-            cols.setdefault(x, []).append(b)
+    for (u, x), b in _pruned(blocks).items():
+        cols.setdefault(x, []).append(b)
     return cols
 
 
@@ -630,7 +632,7 @@ def extract_cover(pts, space, r):
     # Coverage guarantee: a point whose summed diagonal f-image column
     # carries norm above 3/4 must lie in some U-set; record violations of
     # the implication before raising on uncovered points.
-    col_index = {color: _diagonal_columns(pts, space, color) for color in colors}
+    col_index = {color: _diagonal_columns(pts, color) for color in colors}
     coverage_violations = []
     for x in range(space.n):
         mass = 0.0

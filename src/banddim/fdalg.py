@@ -73,11 +73,11 @@ class FiniteDimAlgebra:
         parts[k][a * m:(a + 1) * m, b * m:(b + 1) * m] = fiber
         return FdElement(self, parts)
 
-    def random_hermitian(self, rng, scale=1.0):
+    def random_hermitian(self, rng):
         parts = []
         for d in self.block_dims:
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            parts.append(scale * (g + g.conj().T) / 2.0)
+            parts.append((g + g.conj().T) / 2.0)
         return FdElement(self, parts)
 
     # -- coordinates (small algebras) ------------------------------------

@@ -44,6 +44,13 @@ def check_fiber_dim(fiber_dim):
     return int(fiber_dim)
 
 
+def fiber_unit(m, alpha, beta):
+    """The m x m fiber matrix unit E_{alpha, beta}."""
+    unit = np.zeros((m, m), dtype=complex)
+    unit[alpha, beta] = 1.0
+    return unit
+
+
 def connected_components(edges, nodes=()):
     """Map every node (of ``nodes`` or an endpoint of the pairs ``edges``) to
     the smallest node of its connected component."""
@@ -97,7 +104,7 @@ class BandOperator:
 
     __slots__ = ("space", "fiber_dim", "blocks", "_diag")
 
-    def __init__(self, space, fiber_dim, blocks, prune=True):
+    def __init__(self, space, fiber_dim, blocks):
         self.space = space
         self.fiber_dim = check_fiber_dim(fiber_dim)
         self._diag = None
@@ -108,7 +115,7 @@ class BandOperator:
                 raise InvalidParameterError("fiber block has wrong shape")
             if _block_norm(arr) > 0.0:
                 cleaned[(int(x), int(y))] = arr
-        self.blocks = _pruned(cleaned) if prune else cleaned
+        self.blocks = _pruned(cleaned)
 
     @classmethod
     def _raw(cls, space, fiber_dim, blocks, prune=True):
@@ -535,8 +542,7 @@ def normalizer_check(op, tol):
                 continue
             for alpha in range(m):
                 for beta in range(m):
-                    unit = np.zeros((m, m), dtype=complex)
-                    unit[alpha, beta] = 1.0
+                    unit = fiber_unit(m, alpha, beta)
                     conj = {}
                     for (u, bu) in entries:
                         for (v, bv) in entries:

@@ -29,7 +29,6 @@ sum_i h_i^2 = 1 wherever the cover reaches.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -44,7 +43,7 @@ from .cpmaps import (BandAlgebra, CompressionMap, InclusionMap, SandwichedMap,
 from .errors import (CoverGapError, IncompatibilityError, InvalidParameterError,
                      InvalidWitnessError, PreconditionError)
 from .fdalg import FiniteDimAlgebra, Summand
-from .operators import BandOperator, Nearby, max_spectral_norm, operator_norm
+from .operators import BandOperator, Nearby, fiber_unit, max_spectral_norm, operator_norm
 from .space import FiniteMetricSpace
 
 
@@ -229,9 +228,7 @@ def _check_condition4(witness, tol):
     for x in range(witness.space.n):
         for g in range(m):
             for dd in range(m):
-                blk = np.zeros((m, m), dtype=complex)
-                blk[g, dd] = 1.0
-                gen = BandOperator(witness.space, m, {(x, x): blk})
+                gen = BandOperator(witness.space, m, {(x, x): fiber_unit(m, g, dd)})
                 good, mass = witness.psi.apply(gen).is_canonical_diagonal(tol)
                 worst = max(worst, mass)
                 if not good:
@@ -275,9 +272,7 @@ def _check_condition5(witness, tol):
             return failed(f"matrix_unit[{k},{a},{b}]x1")
         if a == b and m > 1:
             for (g, dd) in fiber_units:
-                fiber = np.zeros((m, m), dtype=complex)
-                fiber[g, dd] = 1.0
-                rep = normalizer_check(unit_image(phi, k, a, b, fiber), tol)
+                rep = normalizer_check(unit_image(phi, k, a, b, fiber_unit(m, g, dd)), tol)
                 worst = max(worst, rep.worst)
                 if not rep.flag:
                     return failed(f"diagonal[{k},{a}]xe[{g},{dd}]")
@@ -286,9 +281,7 @@ def _check_condition5(witness, tol):
         for t in picks:
             k, a, b = combos[int(t)]
             g, dd = int(rng.integers(m)), int(rng.integers(m))
-            fiber = np.zeros((m, m), dtype=complex)
-            fiber[g, dd] = 1.0
-            rep = normalizer_check(unit_image(phi, k, a, b, fiber), tol)
+            rep = normalizer_check(unit_image(phi, k, a, b, fiber_unit(m, g, dd)), tol)
             worst = max(worst, rep.worst)
             if not rep.flag:
                 return failed(f"matrix_unit[{k},{a},{b}]xe[{g},{dd}]")
@@ -510,14 +503,13 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
     if not _is_int(seed) or seed < 0:
         raise InvalidParameterError(f"hat seed must be an integer >= 0, got {seed!r}")
     eps = witness.epsilon
-    norm1 = witness.psi.apply(witness.band.identity()).norm()
-    if norm1 > 1.0 + tol:
+    psi1 = witness.psi.apply(witness.band.identity())
+    if psi1.norm() > 1.0 + tol:
         raise PreconditionError("condition 1 fails: psi is not contractive")
     errs = condition2_errors(witness)
     if errs and max(errs) >= eps:
         raise PreconditionError("condition 2 fails against the declared epsilon")
 
-    psi1 = witness.psi.apply(witness.band.identity())
     min_eig = min(float(v.min()) for v in psi1.eigenvalues())
     if min_eig < -1e-12:
         raise InvalidWitnessError(f"psi(1) has negative spectrum ({min_eig:.3e})")
@@ -557,7 +549,6 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
         rng = np.random.default_rng(seed)
         hat_psis = [psi_hat.apply(a) for a in witness.test_set]
         lefts = [windows.left(pa) for pa in hat_psis]
-        images = [functools.cache(functools.partial(phi_hat_dense, pa)) for pa in hat_psis]
         for _ in range(samples):
             y = witness.algebra.random_hermitian(rng)
             b = psi1 @ y @ psi1
@@ -566,10 +557,9 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
                 continue
             b = (1.0 / nb) * b
             right = windows.right(b)
-            phi_b = functools.cache(functools.partial(phi_hat_dense, b))
-            for pa, left, image in zip(hat_psis, lefts, images):
-                def dense(pa=pa, b=b, image=image, phi_b=phi_b):
-                    return phi_hat_dense(pa @ b) - image() @ phi_b()
+            for pa, left in zip(hat_psis, lefts):
+                def dense(pa=pa, b=b):
+                    return phi_hat_dense(pa @ b) - phi_hat_dense(pa) @ phi_hat_dense(b)
                 yield Nearby(*windows.defect(left, right), dense)
 
     mult_worst = max_spectral_norm(mult_defects())
@@ -593,10 +583,11 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 def _is_identity(op):
+    """True when the operator is exactly the identity."""
     if len(op.blocks) != op.space.n:
         return False
     eye = np.eye(op.fiber_dim)
-    return all(x == y and np.allclose(b, eye) for (x, y), b in op.blocks.items())
+    return all(x == y and np.array_equal(b, eye) for (x, y), b in op.blocks.items())
 
 
 def _lift_operator(op, new_space, offset, fiber_dim):

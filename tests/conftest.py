@@ -2,6 +2,8 @@
 artifacts are expensive, so they are built once per session.  ``DIFF`` is
 the hypothesis profile of the differential tests."""
 
+import json
+
 import pytest
 from hypothesis import settings
 
@@ -11,7 +13,7 @@ from banddim.extract import build_translation_system, threshold_setup
 from banddim.fdalg import FiniteDimAlgebra, Summand
 from banddim.operators import BandOperator
 from banddim.space import generate_space
-from banddim.witness import build_upper_witness, default_test_set
+from banddim.witness import build_upper_witness, default_test_set, load_witness, save_witness
 
 DIFF = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -87,3 +89,44 @@ def build_small_witness(index, rng):
     else:
         cover = brick_cover(space, 3 * r, side)
     return build_upper_witness(space, cover, r, fiber)
+
+
+def interval_witness(length=60, r=5, side=30, fiber=1):
+    sp = generate_space("interval", length=length)
+    cover = brick_cover(sp, r, side)
+    return build_upper_witness(sp, cover, r, fiber)
+
+
+def grid_witness(side=8, fiber=2):
+    """A linf grid witness whose windows overlap and hold non-contiguous
+    coordinates (row-major points)."""
+    sp = generate_space("grid", sides=[side, side], metric="linf")
+    return build_upper_witness(sp, brick_cover(sp, 3, 12), 1, fiber)
+
+
+def permuted_bundle(w, dirpath):
+    """``w`` saved and loaded with points 1 and 2 of every window swapped, so
+    that window coordinates and the shared slots of overlapping windows run
+    out of order (a window of points 0..9 in fiber 2 holds coordinates
+    0, 1, 4, 5, 2, 3, 6, ...)."""
+    save_witness(w, dirpath)
+    path = dirpath / "witness.json"
+    doc = json.loads(path.read_text())
+    for rec in doc["summands"]:
+        pts = rec["points"]
+        if len(pts) > 2:
+            pts[1], pts[2] = pts[2], pts[1]
+    path.write_text(json.dumps(doc))
+    return load_witness(dirpath)
+
+
+# Witnesses beyond the pool for the window-path differential tests: a fiber-2
+# grid, whose windows overlap, and bundles whose windows list points out of
+# order; each takes a directory for the bundle.  The grids have side 5, so
+# the s^3 operator products of their largest corner (s = 25) stay cheap.
+WINDOW_ORDER_WITNESSES = {
+    "grid-fiber2": lambda tmp: grid_witness(side=5),
+    "permuted-interval": lambda tmp: permuted_bundle(
+        interval_witness(length=40, r=2, side=10, fiber=2), tmp),
+    "permuted-grid": lambda tmp: permuted_bundle(grid_witness(side=5), tmp),
+}

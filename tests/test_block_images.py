@@ -24,7 +24,7 @@ from banddim.extract import (BlockImages, CornerData, CornerSystem, OperatorImag
 from banddim.operators import BandOperator
 from banddim.space import generate_space
 
-from conftest import DIFF, SMALL_WITNESS_POOL, build_small_witness
+from conftest import DIFF, SMALL_WITNESS_POOL, WINDOW_ORDER_WITNESSES, build_small_witness
 
 # eta = 0.5 puts ||(I/2)(I/2)|| = 1/4 exactly on the eta^2 threshold; fiber
 # matrix units are nonzero blocks whose products can vanish, so a conjugate
@@ -102,23 +102,15 @@ def test_block_path_matches_operator_path(case):
     assert_same_deviations(block.identity_deviations(), ref.identity_deviations())
 
 
-class _ApplyOnly:
-    """A corner map seen only through ``apply``, which sends it down the
-    operator path unit by unit."""
-
-    def __init__(self, phi):
-        self.phi = phi
-        self.domain = phi.domain
-        self.codomain = phi.codomain
-
-    def apply(self, x):
-        return self.phi.apply(x)
-
-
-def test_small_witness_pool_same_system_on_both_paths():
+def test_small_witness_pool_same_system_on_both_paths(tmp_path):
+    """The block path reads each corner's unit images off its window; the
+    operator path applies the corner map to every matrix unit.  Both give
+    the same blocks bit for bit, on every pool witness, on a fiber-2 grid
+    and on bundles whose windows list points out of order."""
     rng = np.random.default_rng(0)
-    for idx in range(len(SMALL_WITNESS_POOL)):
-        w = build_small_witness(idx, rng)
+    witnesses = [build_small_witness(idx, rng) for idx in range(len(SMALL_WITNESS_POOL))]
+    witnesses += [make(tmp_path / name) for name, make in WINDOW_ORDER_WITNESSES.items()]
+    for idx, w in enumerate(witnesses):
         td = threshold_setup(w)
         pts = build_translation_system(w, td)
         f_fun = bump_function("f_delta", delta=pts.delta)
@@ -128,8 +120,7 @@ def test_small_witness_pool_same_system_on_both_paths():
             assert isinstance(cs.images, BlockImages), idx
             fact, s = cs.factorization, cs.corner.s
             images = OperatorImages.from_unit_images(
-                _ApplyOnly(cs.phi_map), fact, fact.h.funcalc(f_fun),
-                fact.h.funcalc(g_fun), s)
+                cs.phi_map, fact, fact.h.funcalc(f_fun), fact.h.funcalc(g_fun), s)
             for k in range(s):
                 for l in range(s):
                     for got, want in ((cs.images.f_image(k, l), images.f_image(k, l)),

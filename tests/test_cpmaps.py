@@ -13,7 +13,8 @@ from banddim.fdalg import FdElement, FiniteDimAlgebra, Summand
 from banddim.operators import BandOperator
 from banddim.space import generate_space
 
-from conftest import SMALL_WITNESS_POOL, build_small_witness, random_factored_map
+from conftest import (SMALL_WITNESS_POOL, WINDOW_ORDER_WITNESSES, build_small_witness,
+                      random_factored_map)
 
 
 def matrix_algebra(n, fiber=1):
@@ -306,14 +307,21 @@ def test_cop_disjoint_projections_pass():
     assert rep.flag and rep.worst == 0.0
 
 
-@pytest.mark.parametrize("index", range(0, len(SMALL_WITNESS_POOL), 3))
-def test_diagonal_unit_images_match_full_products(index):
-    """cop_check's column-indexed products against pinv @ phi(e_aa), block
-    for block and in the same order: for the witness colors (single-block
-    unit images), also with a random band operator as pinv, and for a map
-    whose unit images hold several blocks."""
-    rng = np.random.default_rng(index)
-    w = build_small_witness(index, rng)
+@pytest.mark.parametrize("index", [*range(0, len(SMALL_WITNESS_POOL), 3),
+                                   *WINDOW_ORDER_WITNESSES])
+def test_diagonal_unit_images_match_full_products(index, tmp_path):
+    """cop_check's column-indexed products, read off the windows, against
+    pinv @ phi(e_aa) with phi applied to the unit, block for block and in
+    the same order: for the witness colors (single-block unit images), also
+    with a random band operator as pinv, and for a map whose unit images
+    hold several blocks; on pool witnesses, a fiber-2 grid and bundles whose
+    windows list points out of order."""
+    if isinstance(index, int):
+        rng = np.random.default_rng(index)
+        w = build_small_witness(index, rng)
+    else:
+        rng = np.random.default_rng(0)
+        w = WINDOW_ORDER_WITNESSES[index](tmp_path)
     m = w.fiber_dim
     noise = BandOperator(w.space, m, {
         (x, y): rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -369,6 +377,21 @@ def test_cop_counterexample_fails():
     assert set(p_img.blocks) == set(q_img.blocks)
 
 
+@pytest.mark.parametrize("spread", [1e-6, 1e-4])
+def test_cop_sees_nonscalar_pinv_blocks(spread):
+    """A pinv block diag(1, 1 + spread) does not commute with the fiber
+    units at its point; the check must measure it, however small."""
+    w = build_small_witness(1, np.random.default_rng(1))
+    assert w.fiber_dim == 2
+    _, phi = w.color_phis()[0]
+    fact = factorize_order_zero(phi)
+    y = phi.windows[0][0]
+    pinv = BandOperator.diagonal(w.space, 2, {y: np.diag([1.0, 1.0 + spread])})
+    rep = cop_check(OrderZeroFactorization(phi, fact.h, pinv, fact.support), tol=1e-9)
+    assert not rep.flag
+    assert rep.worst == pytest.approx(spread, rel=1e-6)
+
+
 def test_cop_automatic_for_abelian_fiber():
     rng = np.random.default_rng(10)
     for _ in range(10):
@@ -416,6 +439,17 @@ def test_maps_reject_bad_windows(window):
         CompressionMap(band, alg, [window])
     with pytest.raises(InvalidParameterError, match="distinct points"):
         InclusionMap(alg, band, [window])
+
+
+@pytest.mark.parametrize("orbits", [[(0,), (99,)], [(0,), (-1,)], [(0, 1)],
+                                    [(0, 1), (2,)], [(0, 1), (1, 2)]])
+def test_point_bijection_hom_rejects_bad_orbits(orbits):
+    """One orbit row per slot, all of one length, listing distinct points of
+    the space: anything else would write blocks off the space or leave a
+    slot without an image."""
+    band = BandAlgebra(generate_space("interval", length=8), 1)
+    with pytest.raises(InvalidParameterError, match="orbit"):
+        PointBijectionHom(matrix_algebra(2), band, orbits)
 
 
 def test_compression_map_choi_small_instance():

@@ -290,7 +290,7 @@ def test_round_trip_property_over_small_pool():
         covered = {x for cs in pts.corners for k in range(cs.corner.s) for x in cs.U[k]}
         mass = np.zeros(w.space.n)
         for color in colors:
-            got = _diagonal_columns(pts, w.space, color)
+            got = _diagonal_columns(pts, color)
             want = chained_diagonal_columns(pts, color)
             assert got.keys() == want.keys(), idx
             for x, blocks in want.items():

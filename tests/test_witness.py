@@ -14,17 +14,13 @@ from banddim.witness import (WindowDefects, build_upper_witness, check_witness,
                              condition2_errors, default_test_set, hat_normalize,
                              load_witness, permanence_combine, save_witness)
 
+from conftest import grid_witness, interval_witness, permuted_bundle
+
 
 def single_point_witness(fiber=2):
     sp = generate_space("interval", length=1)
     cover = make_cover(sp, [[{0}]], 3)
     return build_upper_witness(sp, cover, 1, fiber)
-
-
-def interval_witness(length=60, r=5, side=30, fiber=1):
-    sp = generate_space("interval", length=length)
-    cover = brick_cover(sp, r, side)
-    return build_upper_witness(sp, cover, r, fiber)
 
 
 def test_single_point_witness_is_identity():
@@ -183,29 +179,6 @@ def test_hat_worst_cases_match_brute_force():
     assert pair.report["multiplicativity_worst"] == max(mult)
 
 
-def grid_witness(side=8, fiber=2):
-    """A linf grid witness whose windows overlap and hold non-contiguous
-    coordinates (row-major points)."""
-    sp = generate_space("grid", sides=[side, side], metric="linf")
-    return build_upper_witness(sp, brick_cover(sp, 3, 12), 1, fiber)
-
-
-def permuted_bundle(w, dirpath):
-    """``w`` saved and loaded with points 1 and 2 of every window swapped, so
-    that window coordinates and the shared slots of overlapping windows run
-    out of order (a window of points 0..9 in fiber 2 holds coordinates
-    0, 1, 4, 5, 2, 3, 6, ...)."""
-    save_witness(w, dirpath)
-    path = dirpath / "witness.json"
-    doc = json.loads(path.read_text())
-    for rec in doc["summands"]:
-        pts = rec["points"]
-        if len(pts) > 2:
-            pts[1], pts[2] = pts[2], pts[1]
-    path.write_text(json.dumps(doc))
-    return load_witness(dirpath)
-
-
 def _sampled_corner_elements(w, samples, seed):
     """The normalized corner elements hat_normalize draws, in its rng order."""
     psi1 = w.psi.apply(w.band.identity())
@@ -327,6 +300,22 @@ def test_tensor_matrix_keeps_dimension():
     # amplification leaves the approximation error unchanged
     assert abs(max(condition2_errors(amplified)) -
                max(condition2_errors(w))) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["direct_sum", "tensor_matrix"])
+def test_permanence_drops_only_the_exact_identity(kind):
+    """A summand's test element (1 + 1e-7) I is not the identity: the
+    combined test set keeps it, lifted, beside the one new identity."""
+    import dataclasses
+    w = single_point_witness(1)
+    w = dataclasses.replace(w, test_set=w.test_set + [(1 + 1e-7) * w.test_set[0]])
+    combined = permanence_combine(kind, w, w if kind == "direct_sum" else 2)
+    m = combined.fiber_dim
+    lifted = combined.test_set[1:]
+    assert len(lifted) == (2 if kind == "direct_sum" else 1)
+    for op in lifted:
+        assert [np.array_equal(b, (1 + 1e-7) * np.eye(m)) for b in op.blocks.values()] \
+            == [True]
 
 
 def test_error_monotone_along_scales():
