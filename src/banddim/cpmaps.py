@@ -123,20 +123,38 @@ def _checked_windows(algebra, windows, n):
     return checked
 
 
+def _checked_coefficients(band, coefficients, count):
+    """The coefficients as a list: one per window, each None or a
+    propagation-zero band operator with the band's fiber."""
+    coefficients = [None] * count if coefficients is None else list(coefficients)
+    if len(coefficients) != count:
+        raise InvalidParameterError(
+            f"one coefficient per window required: {count} windows, "
+            f"{len(coefficients)} coefficients")
+    for k, c in enumerate(coefficients):
+        if c is not None and not (isinstance(c, BandOperator) and c.is_diagonal
+                                  and c.fiber_dim == band.fiber_dim):
+            raise InvalidParameterError(f"coefficient {k} must be a propagation-zero "
+                                        f"band operator with fiber {band.fiber_dim}")
+    return coefficients
+
+
 class CompressionMap(CpMap):
     """Band operators to a finite-dimensional algebra, one window per summand.
 
     The summand image is the compression of ``c T c`` to the window's points,
     where ``c`` is that window's diagonal coefficient operator (identity when
     None).  Each summand action is a single-Kraus conjugation, so the map is
-    completely positive by construction.
+    completely positive by construction.  Any coefficient list but one entry
+    per window, each None or a propagation-zero operator with the band's
+    fiber, raises ``InvalidParameterError``.
     """
 
     def __init__(self, band, algebra, windows, coefficients=None):
         self.domain = band
         self.codomain = algebra
         self.windows = _checked_windows(algebra, windows, band.space.n)
-        self.coefficients = coefficients or [None] * len(windows)
+        self.coefficients = _checked_coefficients(band, coefficients, len(self.windows))
         self._slots = [{p: a for a, p in enumerate(w)} for w in self.windows]
 
     def apply(self, op):

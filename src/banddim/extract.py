@@ -11,9 +11,12 @@ corner through the f_delta / g_delta functional calculus of the corner's
 order-zero map, reads off the sets U_k where the diagonal images carry more
 than eta^2 of a point, and extracts the partial bijections sigma_bar between
 them from singleton supports of conjugated operators.  When the corner map
-has ``image_of_unit`` (an inclusion map), each image is one fiber block read
-off the corner window, and the corner is held as (s, s, m, m) arrays;
-otherwise it is held as one band operator per matrix unit.  ``extract_cover``
+has ``image_of_unit`` (an inclusion map), h = phi(1) is the projection onto
+the corner window W, so the image of unit (k, l) is f(1) times the fiber
+identity at (W[k], W[l]): the corner is held as W and the two scalars
+f_delta(1) and g_delta(1), with no factorization and no functional
+calculus.  Any other corner map is factorized and held as one band operator
+per matrix unit.  ``extract_cover``
 closes each color's U-set under r-chains; the classes form the extracted
 colored cover and their sizes are compared against the corner sizes.
 """
@@ -219,7 +222,7 @@ class OperatorImages:
     """A corner's f- and g-images as one band operator per matrix unit.
 
     The path for corner maps without single-block unit images, and the
-    reference the block path is tested against; its identities cost s^3
+    reference the window reading is tested against; its identities cost s^3
     operator products.
     """
 
@@ -229,7 +232,12 @@ class OperatorImages:
         self.s = s
 
     @classmethod
-    def from_unit_images(cls, phi, fact, f_of_h, g_of_h, s):
+    def from_corner_map(cls, phi, f, g):
+        """Images f(h) pi(u_kl) and g(h) pi(u_kl) through the order-zero
+        factorization of the corner map, each unit applied by ``apply``."""
+        fact = factorize_order_zero(phi, trials=2)
+        f_of_h, g_of_h = fact.h.funcalc(f), fact.h.funcalc(g)
+        s = phi.domain.summands[0].size
         f_img, g_img = {}, {}
         for k in range(s):
             for l in range(s):
@@ -281,133 +289,84 @@ class OperatorImages:
         return targets
 
     def identity_deviations(self):
-        s = self.s
-        f_img, g_img = self.f_img, self.g_img
+        s, f_img, g_img = self.s, self.f_img, self.g_img
         devs = dict.fromkeys(IDENTITY_NAMES, 0.0)
+
+        def record(name, diff):
+            if not diff.is_zero:
+                devs[name] = max(devs[name], operator_norm(diff))
+
         for k in range(s):
-            devs["diag_positive_f"] = max(devs["diag_positive_f"],
-                                          _diag_positive_deviation(f_img[(k, k)]))
-            devs["diag_positive_g"] = max(devs["diag_positive_g"],
-                                          _diag_positive_deviation(g_img[(k, k)]))
-        for k in range(s):
+            for name, img in (("diag_positive_f", f_img), ("diag_positive_g", g_img)):
+                devs[name] = max(devs[name], _diag_positive_deviation(img[(k, k)]))
             for l in range(s):
-                diff = f_img[(k, l)].adjoint() - f_img[(l, k)]
-                if not diff.is_zero:
-                    devs["adjoint_f"] = max(devs["adjoint_f"], operator_norm(diff))
-                diff = g_img[(k, l)].adjoint() - g_img[(l, k)]
-                if not diff.is_zero:
-                    devs["adjoint_g"] = max(devs["adjoint_g"], operator_norm(diff))
-        for k in range(s):
-            for l in range(s):
+                record("adjoint_f", f_img[(k, l)].adjoint() - f_img[(l, k)])
+                record("adjoint_g", g_img[(k, l)].adjoint() - g_img[(l, k)])
                 for mm in range(s):
-                    lhs = f_img[(k, l)] @ g_img[(l, mm)] - f_img[(k, mm)]
-                    if not lhs.is_zero:
-                        devs["absorb"] = max(devs["absorb"], operator_norm(lhs))
-                    rhs = g_img[(k, l)] @ f_img[(l, mm)] - f_img[(k, mm)]
-                    if not rhs.is_zero:
-                        devs["absorb"] = max(devs["absorb"], operator_norm(rhs))
+                    record("absorb", f_img[(k, l)] @ g_img[(l, mm)] - f_img[(k, mm)])
+                    record("absorb", g_img[(k, l)] @ f_img[(l, mm)] - f_img[(k, mm)])
         return devs
 
 
-def _nonzero_norm(blocks):
-    """Largest spectral norm over the blocks that are not exactly zero."""
-    blocks = blocks.reshape(-1, *blocks.shape[-2:])
-    nonzero = blocks[blocks.any(axis=(1, 2))]
-    return float(spectral_norm(nonzero).max()) if len(nonzero) else 0.0
+class WindowImages:
+    """A corner's f- and g-images read off the corner window.
 
-
-def _diag_positive_blocks(blocks):
-    """Largest distance of the (s, m, m) blocks from positive matrices."""
-    h = (blocks + blocks.conj().swapaxes(1, 2)) / 2.0
-    return max(0.0, float(np.abs(blocks - h).max()),
-               -float(np.linalg.eigvalsh(h)[:, 0].min()))
-
-
-class BlockImages:
-    """A corner's f- and g-images as fiber blocks.
-
-    Image (k, l) is the single block F[k, l] (G[k, l]) at the point pair
-    (W[k], W[l]); F and G have shape (s, s, m, m).  The U-sets, the sigma_bar
-    conjugates and the identities run as batched numpy products, one row k
-    at a time, so memory stays O(s^2 m^2).  A difference block that is
-    exactly zero counts as no deviation, as an empty operator does on the
-    operator path; every other block is measured by its spectral norm.
+    For a corner map with ``image_of_unit`` the unit u_kl is the fiber
+    identity I at (W[k], W[l]) and h = phi(1) is the projection onto the
+    window W, so pinv(h) = h and f(h) pi(u_kl) = f(1) u_kl.  Every query is
+    answered from W and the scalars f(1) and g(1), with the values the
+    operator path computes on the same images.
     """
 
-    def __init__(self, space, window, F, G):
+    def __init__(self, space, fiber_dim, window, f1, g1):
         self.space = space
+        self.fiber_dim = fiber_dim
         self.window = tuple(window)
-        self.F = F
-        self.G = G
         self.s = len(self.window)
+        self.f1 = f1
+        self.g1 = g1
+        self._eye = np.eye(fiber_dim, dtype=complex)
 
     @classmethod
-    def from_unit_images(cls, phi, fact, f_of_h, g_of_h, s):
-        """Blocks f(h)_x (pinv_x I) at x = W[k] for every l, read off the
-        window W of a corner map with ``image_of_unit``, whose unit image
-        u_kl is the fiber identity I at (W[k], W[l]); h = phi(1) is then
-        propagation zero.  The product order is that of f(h) (pinv u_kl),
-        so the blocks are bit-identical to the operator path."""
+    def from_corner_map(cls, phi, f, g):
         (window,) = phi.windows
-
-        def diagonal(op):
-            return np.stack([op.block(x, x) for x in window])
-
-        pi = diagonal(fact.pinv) @ np.eye(phi.codomain.fiber_dim, dtype=complex)
-        F, G = (np.repeat((diagonal(op) @ pi)[:, None], s, axis=1)
-                for op in (f_of_h, g_of_h))
-        return cls(phi.codomain.space, window, F, G)
-
-    def _image(self, blocks, k, l):
-        return BandOperator(self.space, blocks.shape[-1],
-                            {(self.window[k], self.window[l]): blocks[k, l]})
+        band = phi.codomain
+        return cls(band.space, band.fiber_dim, window, float(f(1.0)), float(g(1.0)))
 
     def f_image(self, k, l):
-        return self._image(self.F, k, l)
+        return BandOperator(self.space, self.fiber_dim,
+                            {(self.window[k], self.window[l]): self.f1 * self._eye})
 
     def g_image(self, k, l):
-        return self._image(self.G, k, l)
-
-    def _diagonal(self, blocks):
-        return blocks[np.arange(self.s), np.arange(self.s)]
+        return BandOperator(self.space, self.fiber_dim,
+                            {(self.window[k], self.window[l]): self.g1 * self._eye})
 
     def diagonal_blocks(self):
-        """((W[k], W[k]), F_kk) for every F_kk that is not zero."""
-        return [((x, x), b) for x, b in zip(self.window, self._diagonal(self.F)) if b.any()]
+        """((W[k], W[k]), f(1) I) for every k, or nothing when f(1) = 0."""
+        blk = self.f1 * self._eye
+        return [((x, x), blk) for x in self.window] if self.f1 != 0.0 else []
 
     def diagonal_point_norms(self):
-        """Per k, the pair (W[k], ||F_kk F_kk||), or nothing when F_kk is zero."""
-        fkk = self._diagonal(self.F)
-        vals = spectral_norm(fkk @ fkk)
-        return [[(self.window[k], float(vals[k]))] if fkk[k].any() else []
-                for k in range(self.s)]
+        """Per k, the pair (W[k], |f(1)|^2), or nothing when f(1) = 0."""
+        return [[(x, abs(self.f1) ** 2)] if self.f1 != 0.0 else [] for x in self.window]
 
     def conjugate_targets(self, k, x):
-        """Per l, the point W[l] carrying (G_lk F_kk F_kk) G_kl, or None when
-        that block is zero; x is W[k], the only point a U-set can hold."""
-        fkk = self.F[k, k]
-        xi = (self.G[:, k] @ (fkk @ fkk)) @ self.G[k]
-        return [self.window[l] if xi[l].any() else None for l in range(self.s)]
+        """Per l, the point W[l] carrying g(1) f(1) f(1) g(1) I, or None when
+        that product is zero; x is W[k], the only point a U-set can hold."""
+        hit = self.g1 * self.f1 * self.f1 * self.g1 != 0.0
+        return [y if hit else None for y in self.window]
 
     def identity_deviations(self):
-        F, G = self.F, self.G
-        absorb = 0.0
-        for k in range(self.s):
-            absorb = max(absorb, _nonzero_norm(F[k][:, None] @ G - F[k][None]),
-                         _nonzero_norm(G[k][:, None] @ F - F[k][None]))
-        return {"diag_positive_f": _diag_positive_blocks(self._diagonal(F)),
-                "diag_positive_g": _diag_positive_blocks(self._diagonal(G)),
-                "adjoint_f": _nonzero_norm(F.conj().swapaxes(2, 3) - F.swapaxes(0, 1)),
-                "adjoint_g": _nonzero_norm(G.conj().swapaxes(2, 3) - G.swapaxes(0, 1)),
-                "absorb": absorb}
+        """f(1) I and g(1) I are positive when the scalars are, real scalars
+        have exact adjoints, and f_kl g_lm - f_km = (f(1) g(1) - f(1)) u_km."""
+        return {"diag_positive_f": max(0.0, -self.f1), "diag_positive_g": max(0.0, -self.g1),
+                "adjoint_f": 0.0, "adjoint_g": 0.0, "absorb": abs(self.f1 * self.g1 - self.f1)}
 
 
 @dataclass
 class CornerSystem:
     corner: CornerData
-    phi_map: object
-    factorization: object
-    images: object  # BlockImages or OperatorImages
+    images: object  # WindowImages or OperatorImages
     U: dict = field(default_factory=dict)
 
 
@@ -426,10 +385,10 @@ def build_translation_system(witness, td, tol=1e-8):
     partial bijections they induce, verified against the matrix-unit
     identities.
 
-    For each corner, the f_delta and g_delta images of all matrix units are
-    computed through the corner's order-zero factorization: as fiber blocks
-    when the corner map has single-block unit images (``image_of_unit``),
-    as band operators otherwise.  The U-sets and sigma_bar follow from
+    A corner map with single-block unit images (``image_of_unit``) is read
+    off its window, with f_delta(1) and g_delta(1) as the image scalars;
+    any other corner map is factorized and its images formed as band
+    operators.  The U-sets and sigma_bar follow from
     :func:`assemble_translation_system`.
     """
     delta = float(td.delta)
@@ -440,10 +399,8 @@ def build_translation_system(witness, td, tol=1e-8):
     corners = []
     for corner in td.corners:
         phi_ij = witness.phi.corner_map(corner.summand_index, corner.kept_slots)
-        fact = factorize_order_zero(phi_ij, trials=2)
-        images = BlockImages if hasattr(phi_ij, "image_of_unit") else OperatorImages
-        corners.append(CornerSystem(corner, phi_ij, fact, images.from_unit_images(
-            phi_ij, fact, fact.h.funcalc(f_fun), fact.h.funcalc(g_fun), corner.s)))
+        images = WindowImages if hasattr(phi_ij, "image_of_unit") else OperatorImages
+        corners.append(CornerSystem(corner, images.from_corner_map(phi_ij, f_fun, g_fun)))
 
     pts = assemble_translation_system(corners, delta, eta)
     pts.identities = _verify_translation_system(pts, tol)

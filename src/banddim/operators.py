@@ -319,10 +319,11 @@ class BandOperator:
             for i, x in enumerate(pts):
                 for j, y in enumerate(pts):
                     blocks[(x, y)] = mat[i * m:(i + 1) * m, j * m:(j + 1) * m]
-        eye = complex(values[-1]) * np.eye(m)  # dropped by the constructor when 0
-        for x in range(self.space.n):
-            blocks.setdefault((x, x), eye)
-        return BandOperator(self.space, m, blocks)
+        if values[-1] != 0.0:
+            eye = complex(values[-1]) * np.eye(m)
+            for x in range(self.space.n):
+                blocks.setdefault((x, x), eye)
+        return BandOperator._raw(self.space, m, blocks)
 
     def __repr__(self):
         return f"BandOperator(n={self.space.n}, m={self.fiber_dim}, nnz={len(self.blocks)})"

@@ -47,9 +47,18 @@ from .operators import BandOperator, Nearby, fiber_unit, max_spectral_norm, oper
 from .space import FiniteMetricSpace
 
 
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class DiagDimWitness:
-    """The tuple (F, psi, phi, d) with its test set and precision."""
+    """The tuple (F, psi, phi, d) with its test set and precision.
+
+    ``d`` must be an integer >= 0 with every summand color in range(d + 1),
+    and ``epsilon`` a finite real number; anything else raises
+    ``InvalidParameterError``.
+    """
 
     d: int
     algebra: FiniteDimAlgebra
@@ -59,6 +68,20 @@ class DiagDimWitness:
     test_set: list
     epsilon: float
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not _is_int(self.d) or self.d < 0:
+            raise InvalidParameterError(
+                f"witness dimension d must be an integer >= 0, got {self.d!r}")
+        outside = [s.color for s in self.algebra.summands
+                   if not (_is_int(s.color) and 0 <= s.color <= self.d)]
+        if outside:
+            raise InvalidParameterError(
+                f"summand colors {outside} lie outside range(d + 1) = range({self.d + 1})")
+        eps = self.epsilon
+        if isinstance(eps, bool) or not (isinstance(eps, numbers.Real) and math.isfinite(eps)):
+            raise InvalidParameterError(
+                f"witness epsilon must be a finite real number, got {eps!r}")
 
     @property
     def space(self):
@@ -346,10 +369,6 @@ def check_witness(witness, tol=1e-9):
 # ---------------------------------------------------------------------------
 # Hat normalization
 # ---------------------------------------------------------------------------
-
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
 
 @dataclass
 class HatPair:

@@ -1,11 +1,12 @@
-"""Differential tests: the block path of the translation system against the
-operator path.
+"""Differential tests: the window reading of the translation system against
+the operator path.
 
-``BlockImages`` holds a corner's f- and g-images as (s, s, m, m) arrays and
-batches the U-sets, the sigma_bar conjugates and the identities;
-``OperatorImages`` keeps one band operator per matrix unit and is the
-reference.  Both are fed the same images, drawn with exact zeros and exact
-copies so that some identity differences cancel exactly.
+``WindowImages`` holds a corner of a map with ``image_of_unit`` as its
+window W and the scalars f(1) and g(1), image (k, l) being that scalar times
+the fiber identity at (W[k], W[l]); ``OperatorImages`` keeps one band
+operator per matrix unit and is the reference.  Both are fed the same
+images; the scalars include 0, a negative value and one off by 1e-6, so
+that U-sets, conjugates and identities meet their edge cases.
 """
 
 import dataclasses
@@ -15,9 +16,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import banddim.extract
 from banddim.cpmaps import bump_function
 from banddim.errors import AmbiguousSupportError, InvalidWitnessError
-from banddim.extract import (BlockImages, CornerData, CornerSystem, OperatorImages,
+from banddim.extract import (CornerData, CornerSystem, OperatorImages, WindowImages,
                              _verify_translation_system, assemble_translation_system,
                              build_translation_system, matrix_unit_identities,
                              threshold_setup)
@@ -26,58 +28,40 @@ from banddim.space import generate_space
 
 from conftest import DIFF, SMALL_WITNESS_POOL, WINDOW_ORDER_WITNESSES, build_small_witness
 
-# eta = 0.5 puts ||(I/2)(I/2)|| = 1/4 exactly on the eta^2 threshold; fiber
-# matrix units are nonzero blocks whose products can vanish, so a conjugate
-# taken in the wrong order can change its support.
-KINDS = ["zero", "eye", "half", "unit", "unit", "random", "random", "copy", "copy"]
+# eta = 0.5 puts |0.5|^2 = 1/4 exactly on the eta^2 threshold; a zero g(1)
+# makes every conjugate vanish, and a negative or perturbed scalar breaks
+# positivity or absorption.
+SCALARS = [0.0, 0.5, 1.0, -1.0, 1.0 + 1e-6]
 
 
 @st.composite
-def block_systems(draw):
-    """(space, window, F, G, eta) with blocks drawn from a palette: exact
-    zeros, the identity, half the identity, fiber matrix units, random
-    complex blocks, and exact copies of earlier blocks."""
+def window_systems(draw):
+    """(space, fiber, window, f(1), g(1), eta)."""
     s = draw(st.integers(1, 6))
     m = draw(st.integers(1, 2))
     n = s + draw(st.integers(0, 3))
-    window = draw(st.permutations(range(n)))[:s]
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    blocks = []
-    for _ in range(2 * s * s):
-        kind = draw(st.sampled_from(KINDS))
-        if kind == "copy" and blocks:
-            blk = blocks[draw(st.integers(0, len(blocks) - 1))].copy()
-        elif kind == "zero":
-            blk = np.zeros((m, m), dtype=complex)
-        elif kind == "eye":
-            blk = np.eye(m, dtype=complex)
-        elif kind == "half":
-            blk = 0.5 * np.eye(m, dtype=complex)
-        elif kind == "unit":
-            blk = np.zeros((m, m), dtype=complex)
-            blk[draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))] = 1.0
-        else:
-            blk = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        blocks.append(blk)
-    arrays = np.array(blocks).reshape(2, s, s, m, m)
+    window = tuple(draw(st.permutations(range(n)))[:s])
+    f1 = draw(st.sampled_from(SCALARS))
+    g1 = draw(st.sampled_from(SCALARS))
     eta = draw(st.sampled_from([0.5, 0.9]))
-    return generate_space("interval", length=n), tuple(window), arrays[0], arrays[1], eta
+    return generate_space("interval", length=n), m, window, f1, g1, eta
 
 
-def operator_images(space, window, F, G):
-    """The same images as single-block band operators."""
-    s, m = F.shape[0], F.shape[-1]
+def operator_images(space, m, window, f1, g1):
+    """The same images as band operators: scalar times the fiber identity
+    at (W[k], W[l])."""
+    s = len(window)
 
-    def ops(blocks):
-        return {(k, l): BandOperator(space, m, {(window[k], window[l]): blocks[k, l]})
+    def ops(scale):
+        return {(k, l): BandOperator(space, m, {(window[k], window[l]): scale * np.eye(m)})
                 for k in range(s) for l in range(s)}
-    return OperatorImages(ops(F), ops(G), s)
+    return OperatorImages(ops(f1), ops(g1), s)
 
 
 def outcome(images, eta):
     """U-sets, borderline list and sigma_bar, or the indices of the
     ambiguous conjugate that stopped them."""
-    cs = CornerSystem(CornerData(0, 0, 0, tuple(range(images.s))), None, None, images)
+    cs = CornerSystem(CornerData(0, 0, 0, tuple(range(images.s))), images)
     try:
         pts = assemble_translation_system([cs], 0.0, eta)
     except AmbiguousSupportError as err:
@@ -85,28 +69,29 @@ def outcome(images, eta):
     return cs.U, pts.borderline, pts.sigma_bar
 
 
-def assert_same_deviations(got, ref):
-    assert list(got) == list(ref)
-    for name in ref:
-        assert (got[name] == 0.0) == (ref[name] == 0.0), name
-        assert got[name] == pytest.approx(ref[name], rel=1e-12, abs=0.0), name
+def assert_same_blocks(got, want):
+    """Two lists of (point pair, block) with equal keys and equal blocks."""
+    assert [key for key, _ in got] == [key for key, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 @DIFF
-@given(block_systems())
+@given(window_systems())
 def test_block_path_matches_operator_path(case):
-    space, window, F, G, eta = case
-    block = BlockImages(space, window, F, G)
-    ref = operator_images(space, window, F, G)
-    assert outcome(block, eta) == outcome(ref, eta)
-    assert_same_deviations(block.identity_deviations(), ref.identity_deviations())
+    space, m, window, f1, g1, eta = case
+    images = WindowImages(space, m, window, f1, g1)
+    ref = operator_images(space, m, window, f1, g1)
+    assert outcome(images, eta) == outcome(ref, eta)
+    assert images.identity_deviations() == ref.identity_deviations()
+    assert_same_blocks(images.diagonal_blocks(), ref.diagonal_blocks())
 
 
 def test_small_witness_pool_same_system_on_both_paths(tmp_path):
-    """The block path reads each corner's unit images off its window; the
-    operator path applies the corner map to every matrix unit.  Both give
-    the same blocks bit for bit, on every pool witness, on a fiber-2 grid
-    and on bundles whose windows list points out of order."""
+    """The window reading against the corner map factorized and applied to
+    every matrix unit: the same blocks bit for bit, the same deviations,
+    U-sets, sigma_bar and borderline list, on every pool witness, on a
+    fiber-2 grid and on bundles whose windows list points out of order."""
     rng = np.random.default_rng(0)
     witnesses = [build_small_witness(idx, rng) for idx in range(len(SMALL_WITNESS_POOL))]
     witnesses += [make(tmp_path / name) for name, make in WINDOW_ORDER_WITNESSES.items()]
@@ -117,10 +102,10 @@ def test_small_witness_pool_same_system_on_both_paths(tmp_path):
         g_fun = bump_function("g_delta", delta=pts.delta)
         ref_corners = []
         for cs in pts.corners:
-            assert isinstance(cs.images, BlockImages), idx
-            fact, s = cs.factorization, cs.corner.s
-            images = OperatorImages.from_unit_images(
-                cs.phi_map, fact, fact.h.funcalc(f_fun), fact.h.funcalc(g_fun), s)
+            assert isinstance(cs.images, WindowImages), idx
+            phi = w.phi.corner_map(cs.corner.summand_index, cs.corner.kept_slots)
+            images = OperatorImages.from_corner_map(phi, f_fun, g_fun)
+            s = cs.corner.s
             for k in range(s):
                 for l in range(s):
                     for got, want in ((cs.images.f_image(k, l), images.f_image(k, l)),
@@ -128,9 +113,9 @@ def test_small_witness_pool_same_system_on_both_paths(tmp_path):
                         assert got.blocks.keys() == want.blocks.keys(), idx
                         for key, b in want.blocks.items():
                             assert np.array_equal(got.blocks[key], b), idx
-            assert_same_deviations(cs.images.identity_deviations(),
-                                   images.identity_deviations())
-            ref_corners.append(CornerSystem(cs.corner, cs.phi_map, fact, images))
+            assert_same_blocks(cs.images.diagonal_blocks(), images.diagonal_blocks())
+            assert cs.images.identity_deviations() == images.identity_deviations(), idx
+            ref_corners.append(CornerSystem(cs.corner, images))
         ref = assemble_translation_system(ref_corners, pts.delta, pts.eta)
         assert [cs.U for cs in ref.corners] == [cs.U for cs in pts.corners], idx
         assert ref.sigma_bar == pts.sigma_bar, idx
@@ -138,16 +123,29 @@ def test_small_witness_pool_same_system_on_both_paths(tmp_path):
 
 
 def test_scaled_block_fails_absorb_identity(pts150):
-    """One image scaled by 1 + 1e-6 in the reference system must show in the
-    absorb deviation and fail verification."""
+    """g(1) scaled by 1 + 1e-6 in one corner of the reference system must
+    show in the absorb deviation and fail verification."""
     _, pts = pts150
     cs = pts.corners[0]
-    F = cs.images.F.copy()
-    F[2, 3] *= 1 + 1e-6
-    images = BlockImages(cs.images.space, cs.images.window, F, cs.images.G)
+    img = cs.images
+    images = WindowImages(img.space, img.fiber_dim, img.window, img.f1,
+                          img.g1 * (1 + 1e-6))
     mutated = dataclasses.replace(
         pts, corners=[dataclasses.replace(cs, images=images)] + pts.corners[1:],
         identities=None)
     assert matrix_unit_identities(mutated).deviations["absorb"] >= 1e-7
     with pytest.raises(InvalidWitnessError):
         _verify_translation_system(mutated, 1e-8)
+
+
+def test_window_reading_needs_no_factorization(witness150, monkeypatch):
+    """Corners of an inclusion map are read off their windows: neither the
+    order-zero factorization nor the functional calculus is reached."""
+    td = threshold_setup(witness150)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window corner reached the generic path")
+    monkeypatch.setattr(banddim.extract, "factorize_order_zero", refuse)
+    monkeypatch.setattr(BandOperator, "funcalc", refuse)
+    pts = build_translation_system(witness150, td)
+    assert pts.corners and all(isinstance(cs.images, WindowImages) for cs in pts.corners)

@@ -377,3 +377,79 @@ def test_invalid_check_tolerance_exits_3(tmp_path, capsys, tol):
     assert main(["run", "--config", str(path)]) == 3
     assert not (out / "check_report.json").exists()
     assert "stage 'check' failed" in capsys.readouterr().err
+
+
+BUNDLE_COMMANDS = {"check": ["witness", "check"], "hat": ["witness", "hat"],
+                   "extract": ["extract"]}
+
+
+def _interval_bundle(tmp_path, fiber=1):
+    """A ``witness build`` bundle on interval 24 at r=2, brick side 8."""
+    sp, cov = tmp_path / "space.json", tmp_path / "cover.json"
+    if not sp.exists():
+        assert main(["space", "gen", "--family", "interval", "--length", "24",
+                     "--out", str(sp)]) == 0
+        assert main(["cover", "gen", "--space", str(sp), "--r", "2",
+                     "--brick-side", "8", "--out", str(cov)]) == 0
+    bundle = tmp_path / f"witness{fiber}"
+    assert main(["witness", "build", "--space", str(sp), "--cover", str(cov),
+                 "--r", "2", "--fiber", str(fiber), "--out", str(bundle)]) == 0
+    return bundle
+
+
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _assert_commands_exit_3(bundle, capsys, message):
+    for command, argv in BUNDLE_COMMANDS.items():
+        report = bundle.parent / f"{command}.json"
+        capsys.readouterr()
+        assert main(argv + ["--witness", str(bundle), "--out", str(report)]) == 3, command
+        assert not report.exists()
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, (command, err)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("d", 0, "outside range(d + 1)"),
+    ("d", "1", "dimension d must be an integer"),
+    ("d", 1.0, "dimension d must be an integer"),
+    ("d", True, "dimension d must be an integer"),
+    ("d", -1, "dimension d must be an integer"),
+    ("epsilon", "0.5", "epsilon must be a finite real number"),
+    ("epsilon", None, "epsilon must be a finite real number"),
+    ("epsilon", float("nan"), "epsilon must be a finite real number"),
+])
+def test_bundle_with_bad_dimension_or_epsilon_exits_3(tmp_path, capsys, key, value,
+                                                      message):
+    """A bundle whose d is not an integer >= 0 covering its colors, or whose
+    epsilon is not a finite real number, fails every command with exit 3."""
+    bundle = _interval_bundle(tmp_path)
+    _edit_json(bundle / "witness.json", lambda doc: doc.update({key: value}))
+    _assert_commands_exit_3(bundle, capsys, message)
+
+
+def test_bundle_with_missing_coefficient_exits_3(tmp_path, capsys):
+    bundle = _interval_bundle(tmp_path)
+    _edit_json(bundle / "witness.json", lambda doc: doc["coefficients"].pop())
+    _assert_commands_exit_3(bundle, capsys, "one coefficient per window")
+
+
+def test_bundle_with_coefficient_of_other_fiber_exits_3(tmp_path, capsys):
+    fiber1 = _interval_bundle(tmp_path, fiber=1)
+    bundle = _interval_bundle(tmp_path, fiber=2)
+    (bundle / "coeff_000.json").write_text((fiber1 / "coeff_000.json").read_text())
+    _assert_commands_exit_3(bundle, capsys, "propagation-zero band operator with fiber 2")
+
+
+def test_bundle_with_off_diagonal_coefficient_exits_3(tmp_path, capsys):
+    bundle = _interval_bundle(tmp_path)
+
+    def add_block(doc):
+        first, second = doc["blocks"][:2]
+        doc["blocks"].append(dict(first, y=second["x"]))
+    _edit_json(bundle / "coeff_000.json", add_block)
+    _assert_commands_exit_3(bundle, capsys, "propagation-zero band operator with fiber 1")

@@ -402,8 +402,11 @@ def test_component_split_matches_dense(seed, n, m, kind, fn):
     f = SCALAR_FNS[fn]
     w, v = np.linalg.eigh(H.to_dense())
     want_f = (v * f(w)) @ v.conj().T
-    got_f = H.funcalc(f).to_dense()
+    F = H.funcalc(f)
+    got_f = F.to_dense()
     assert spectral_norm(got_f - want_f) <= 1e-12 * max(spectral_norm(want_f), 1e-300)
+    # funcalc prunes its blocks as the validating constructor does
+    assert F.blocks.keys() == BandOperator(sp, m, F.blocks).blocks.keys()
     eig = np.sort(np.concatenate(H.eigenvalues()))
     assert len(eig) == n * m
     assert np.abs(eig - w).max() <= 1e-12 * max(np.abs(w).max(), 1e-300)
