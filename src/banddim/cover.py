@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError, SizeLimitError
-from .space import _id_from_json, _id_to_json, read_json, write_json
+from .space import _id_from_json, _id_to_json, check_scale, read_json, write_json
 
 
 @dataclass
@@ -96,9 +96,7 @@ def brick_cover(space, r, brick_side):
     meta = space.grid_meta
     if meta is None:
         raise InvalidParameterError("brick_cover requires a generated interval or grid")
-    r_units = Fraction(r) / meta.spacing
-    if r_units < 0:
-        raise InvalidParameterError("scale r must be nonnegative")
+    r_units = Fraction(check_scale(r)) / meta.spacing
     s_units = Fraction(brick_side) / meta.spacing
     if s_units.denominator != 1 or s_units <= 0:
         raise InvalidParameterError("brick_side must be a positive multiple of the spacing")

@@ -250,8 +250,9 @@ class InclusionMap(CpMap):
     def image_of_unit(self, k, a, b):
         """Image of the slot unit e_{a,b} of summand k tensor the fiber
         identity: the identity block at (W[a], W[b]), W = ``windows[k]``.
-        Condition 5 holds structurally for a map with this method, and
-        extraction and condition 6 read its unit images off the windows."""
+        Condition 5 holds structurally for a map with this method, and so
+        does condition 6 when same-color windows are pairwise disjoint;
+        extraction reads its unit images off the windows."""
         w = self.windows[k]
         return BandOperator.partial_translation(self.codomain.space,
                                                 self.codomain.fiber_dim, [(w[a], w[b])])
@@ -720,11 +721,13 @@ def cop_check(fact, tol=1e-9):
     """Check that supporting-homomorphism images of minimal diagonal
     projections (with full fiber units) commute with the band diagonal.
 
-    The diagonal is the canonical propagation-zero subalgebra of the
+    Each image is ``pi(e_aa) = pinv . phi(e_aa)``, with phi applied to the
+    unit.  The diagonal is the canonical propagation-zero subalgebra of the
     codomain; commutators are evaluated against its single-point,
-    single-fiber-unit generators.  Truncated fibers are unital, so the
-    approximate-unit limit in the defining property is evaluated exactly at
-    the unit.
+    single-fiber-unit generators, except for an image whose blocks are all
+    on the diagonal and exactly scalar, which commutes with every one.
+    Truncated fibers are unital, so the approximate-unit limit in the
+    defining property is evaluated exactly at the unit.
     """
     if not isinstance(fact.domain, FiniteDimAlgebra):
         raise InvalidParameterError("cop_check requires a finite-dimensional domain")
@@ -733,7 +736,9 @@ def cop_check(fact, tol=1e-9):
     m = fact.codomain.fiber_dim
     worst = 0.0
     checked = 0
-    for c in diagonal_unit_images(fact):
+    images = (fact.pinv @ unit_image(fact.source, k, a, a)
+              for k, s in enumerate(fact.domain.summands) for a in range(s.size))
+    for c in images:
         checked += 1
         if _scalar_diagonal(c):
             continue
@@ -746,29 +751,3 @@ def cop_check(fact, tol=1e-9):
                     if not comm.is_zero:
                         worst = max(worst, operator_norm(comm))
     return CopReport(worst <= tol, worst, checked)
-
-
-def diagonal_unit_images(fact):
-    """``pi(e_aa) = pinv . phi(e_aa)`` for every diagonal slot unit, summand
-    by summand.
-
-    When phi has ``image_of_unit``, phi(e_aa) is the fiber identity at
-    y = W[a], so the product is column y of pinv times that identity, as
-    ``BandOperator.__matmul__`` forms it, with the columns indexed once.
-    Any other map is applied to the unit and multiplied in full.
-    """
-    phi = fact.source
-    if not hasattr(phi, "image_of_unit"):
-        for k, s in enumerate(fact.domain.summands):
-            for a in range(s.size):
-                yield fact.pinv @ unit_image(phi, k, a, a)
-        return
-    m = fact.codomain.fiber_dim
-    eye = np.eye(m, dtype=complex)
-    columns = {}
-    for (x, y), b in fact.pinv.blocks.items():
-        columns.setdefault(y, []).append((x, b))
-    for window in phi.windows:
-        for y in window:
-            yield BandOperator._raw(fact.codomain.space, m,
-                                    {(x, y): b @ eye for x, b in columns.get(y, ())})

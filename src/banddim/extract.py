@@ -31,7 +31,7 @@ import numpy as np
 from .cover import cover_to_json, make_cover, verify_cover
 from .cpmaps import bump_function, factorize_order_zero, unit_image
 from .errors import (AmbiguousSupportError, CoverGapError, DiagonalViolationError,
-                     InvalidParameterError, InvalidWitnessError)
+                     InvalidWitnessError)
 from .operators import (BandOperator, _pruned, connected_components, group_by,
                         operator_norm, spectral_norm)
 from .space import ulf_profile
@@ -64,8 +64,6 @@ def decompose_neighbors(space, r, fiber_dim=1):
     compatible part; with N the maximal ball cardinality at radius r this
     needs at most 2N - 1 parts.
     """
-    if float(r) < 0:
-        raise InvalidParameterError("scale r must be nonnegative")
     # argwhere walks the mask row by row, so the pairs come out in the
     # lexicographic order the greedy split depends on.
     pairs = [tuple(p) for p in np.argwhere(space.within_mask(r)).tolist()]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,16 @@ import numpy as np
 from .errors import InvalidParameterError
 
 FLOAT_TOL = 1e-12
+
+
+def check_scale(radius):
+    """The radius, when it is a finite real number >= 0 (bool rejected);
+    anything else raises ``InvalidParameterError``."""
+    if isinstance(radius, bool) or not (isinstance(radius, numbers.Real)
+                                        and 0 <= radius < math.inf):
+        raise InvalidParameterError(
+            f"a scale must be a finite real number >= 0, got {radius!r}")
+    return radius
 
 
 @dataclass(frozen=True)
@@ -73,8 +84,10 @@ class FiniteMetricSpace:
 
         Exact spaces compare integer distances against floor(radius / spacing),
         which is exact because the integer distances are integral; loaded
-        spaces compare doubles with a 1e-12 tolerance.
+        spaces compare doubles with a 1e-12 tolerance.  A radius that is not
+        a finite real number >= 0 raises ``InvalidParameterError``.
         """
+        check_scale(radius)
         if self.exact:
             return self.dist_int <= math.floor(Fraction(radius) / self.spacing)
         return self.dist <= float(radius) + FLOAT_TOL
@@ -163,16 +176,12 @@ def ulf_profile(space, radii):
     """The dict r -> max_x |{y : dist(x, y) <= r}| over the given radii."""
     profile = {}
     for r in radii:
-        if float(r) < 0:
-            raise InvalidParameterError("radii must be nonnegative")
         profile[r] = int(space.within_mask(r).sum(axis=1).max(initial=0))
     return profile
 
 
 def enlarge(space, subset, r):
     """Metric enlargement {x : dist(x, subset) <= r}; empty subset gives {}."""
-    if float(r) < 0:
-        raise InvalidParameterError("enlargement radius must be nonnegative")
     near = space.within_mask(r)[:, list(subset)].any(axis=1)
     return frozenset(np.nonzero(near)[0].tolist())
 

@@ -17,8 +17,9 @@ epsilon.  The six checked conditions are:
 
 Conditions 4 and 5 hold by construction for a compression psi (its
 ``diagonal_certificate``) and an inclusion phi with single-block unit images
-(``image_of_unit``); other maps are measured or sampled.  Each verdict
-records its mode.
+(``image_of_unit``), and so does condition 6 when, in addition, same-color
+windows are pairwise disjoint; other maps are measured or sampled.  Each
+verdict records its mode.
 
 The construction from a cover at scale 3r compresses to the r-enlarged
 blocks of the cover sets with a diagonal partition of unity: with counts
@@ -38,8 +39,8 @@ import numpy as np
 
 from .cover import verify_cover
 from .cpmaps import (BandAlgebra, CompressionMap, InclusionMap, SandwichedMap,
-                     bump_function, cop_check, factorize_order_zero,
-                     order_zero_check, unit_image)
+                     _structural_order_zero, bump_function, cop_check,
+                     factorize_order_zero, order_zero_check, unit_image)
 from .errors import (CoverGapError, IncompatibilityError, InvalidParameterError,
                      InvalidWitnessError, PreconditionError)
 from .fdalg import FiniteDimAlgebra, Summand
@@ -125,6 +126,8 @@ def build_upper_witness(space, cover, r, fiber_dim, test_set=None, epsilon=None)
     set, with the square-root partition-of-unity coefficients; the inclusion
     direction is the plain sum of block embeddings, which is exactly order
     zero per color because 3r-separated sets keep disjoint r-enlargements.
+    A declared ``epsilon`` is held to the rule of ``DiagDimWitness``; None
+    derives it from the measured error.
     """
     if int(r) != r or r < 1:
         raise InvalidParameterError("the enlargement scale r must be a positive integer")
@@ -181,7 +184,7 @@ def build_upper_witness(space, cover, r, fiber_dim, test_set=None, epsilon=None)
     witness = DiagDimWitness(
         d=len(cover.families) - 1,
         algebra=algebra, band=band, psi=psi, phi=phi,
-        test_set=list(test_set), epsilon=0.0,
+        test_set=list(test_set), epsilon=0.0 if epsilon is None else epsilon,
         meta={"r": r, "cover_scale": float(cover.scale_r),
               "h_sum_defect": float(np.abs(h_square_sum - 1.0).max())})
     if epsilon is None:
@@ -311,6 +314,29 @@ def _check_condition5(witness, tol):
     return ConditionVerdict(5, True, worst, "sampled")
 
 
+def _check_condition6(witness, tol):
+    """Supporting-homomorphism images of the diagonal slot units must commute
+    with the band diagonal.  For a map with ``image_of_unit`` whose same-color
+    windows are pairwise disjoint, h = phi(1) is the projection onto the
+    windows, so pi = phi and pi(e_aa) is the fiber identity at W[a], which
+    commutes with the diagonal.  Any other map is factorized color by color
+    and every image is checked."""
+    colors = witness.color_phis()
+    if hasattr(witness.phi, "image_of_unit") and all(
+            _structural_order_zero(phi_i) for _, phi_i in colors):
+        return ConditionVerdict(6, True, 0.0, "structural")
+    worst = 0.0
+    ok = True
+    element = ""
+    for i, phi_i in colors:
+        rep = cop_check(factorize_order_zero(phi_i, trials=2), tol=tol)
+        worst = max(worst, rep.worst)
+        if not rep.flag:
+            ok = False
+            element = f"color[{i}]"
+    return ConditionVerdict(6, ok, worst, "computed", element)
+
+
 def check_witness(witness, tol=1e-9):
     """Evaluate the six witness conditions; condition 2 is reported as a
     measured error against the declared epsilon, never thresholded silently.
@@ -348,21 +374,8 @@ def check_witness(witness, tol=1e-9):
             elem3 = f"color[{i}]"
     verdicts.append(ConditionVerdict(3, ok3, worst3, mode3, elem3))
 
-    verdicts.append(_check_condition4(witness, tol))
-    verdicts.append(_check_condition5(witness, tol))
-
-    worst6 = 0.0
-    ok6 = True
-    elem6 = ""
-    for i, phi_i in witness.color_phis():
-        fact = factorize_order_zero(phi_i, trials=2)
-        rep = cop_check(fact, tol=tol)
-        worst6 = max(worst6, rep.worst)
-        if not rep.flag:
-            ok6 = False
-            elem6 = f"color[{i}]"
-    verdicts.append(ConditionVerdict(6, ok6, worst6, "computed", elem6))
-
+    verdicts += [_check_condition4(witness, tol), _check_condition5(witness, tol),
+                 _check_condition6(witness, tol)]
     return ConditionReport(verdicts, witness.epsilon)
 
 

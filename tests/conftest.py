@@ -1,11 +1,20 @@
 """Shared fixtures: the interval-150 reference witness and its pipeline
 artifacts are expensive, so they are built once per session.  ``DIFF`` is
-the hypothesis profile of the differential tests."""
+the hypothesis profile of the differential tests.  ``banddim`` is imported
+from ``PYTHONPATH`` or the installed package when either provides it, and
+from this checkout's ``src`` otherwise."""
 
+import importlib.util
 import json
+import pathlib
+import sys
 
 import pytest
 from hypothesis import settings
+
+if importlib.util.find_spec("banddim") is None:
+    # an uninstalled checkout with no PYTHONPATH tests its own src
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from banddim.cover import brick_cover
 from banddim.cpmaps import BandAlgebra, FactoredMap, PointBijectionHom

@@ -403,14 +403,22 @@ def _edit_json(path, edit):
     path.write_text(json.dumps(doc))
 
 
+def _assert_exit_3(argv, capsys, message, *unwritten):
+    """The command exits 3 with the message, no traceback and none of the
+    given files written."""
+    capsys.readouterr()
+    assert main(argv) == 3, argv
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, (argv, err)
+    for path in unwritten:
+        assert not path.exists(), path
+
+
 def _assert_commands_exit_3(bundle, capsys, message):
     for command, argv in BUNDLE_COMMANDS.items():
         report = bundle.parent / f"{command}.json"
-        capsys.readouterr()
-        assert main(argv + ["--witness", str(bundle), "--out", str(report)]) == 3, command
-        assert not report.exists()
-        err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err, (command, err)
+        _assert_exit_3(argv + ["--witness", str(bundle), "--out", str(report)], capsys,
+                       message, report)
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -453,3 +461,51 @@ def test_bundle_with_off_diagonal_coefficient_exits_3(tmp_path, capsys):
         doc["blocks"].append(dict(first, y=second["x"]))
     _edit_json(bundle / "coeff_000.json", add_block)
     _assert_commands_exit_3(bundle, capsys, "propagation-zero band operator with fiber 1")
+
+
+SCALE_MESSAGE = "scale must be a finite real number >= 0"
+EPSILON_MESSAGE = "epsilon must be a finite real number"
+
+
+@pytest.mark.parametrize("r", ["nan", "inf", "-1"])
+def test_commands_reject_bad_scale(tmp_path, capsys, r):
+    """A scale that is not a finite real number >= 0 exits 3 before anything
+    is written; -1 used to pass cover check, and extract wrote a cover of
+    singletons at r = -1."""
+    bundle = _interval_bundle(tmp_path)
+    sp, cov = bundle.parent / "space.json", bundle.parent / "cover.json"
+    out, cover_out = tmp_path / "out.json", tmp_path / "cover_out.json"
+    _assert_exit_3(["cover", "gen", "--space", str(sp), "--r", r, "--brick-side", "8",
+                    "--out", str(out)], capsys, SCALE_MESSAGE, out)
+    _assert_exit_3(["cover", "check", "--space", str(sp), "--cover", str(cov), "--r", r,
+                    "--out", str(out)], capsys, SCALE_MESSAGE, out)
+    _assert_exit_3(["extract", "--witness", str(bundle), "--r", r, "--cover-out",
+                    str(cover_out), "--out", str(out)], capsys, SCALE_MESSAGE, out, cover_out)
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_witness_build_rejects_bad_epsilon(tmp_path, capsys, epsilon):
+    """A declared epsilon is held to the bundle rule before anything is
+    written; a NaN used to be saved and rejected only on loading."""
+    bundle = _interval_bundle(tmp_path)
+    out = tmp_path / "bad_witness"
+    _assert_exit_3(["witness", "build", "--space", str(bundle.parent / "space.json"),
+                    "--cover", str(bundle.parent / "cover.json"), "--r", "2", "--fiber", "1",
+                    "--epsilon", epsilon, "--out", str(out)], capsys, EPSILON_MESSAGE, out)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("test_scale", "x", f"a {SCALE_MESSAGE}"),
+    ("epsilon", float("nan"), f"witness {EPSILON_MESSAGE}"),
+    ("epsilon", "abc", f"witness {EPSILON_MESSAGE}"),
+    ("epsilon", [1], f"witness {EPSILON_MESSAGE}"),
+    ("epsilon", True, f"witness {EPSILON_MESSAGE}"),
+], ids=["test_scale-string", "epsilon-nan", "epsilon-string", "epsilon-list",
+        "epsilon-bool"])
+def test_run_rejects_bad_witness_inputs(tmp_path, capsys, key, value, message):
+    path, cfg = write_config(tmp_path, stages=["space", "cover", "witness", "check"],
+                             **{key: value})
+    out = pathlib.Path(cfg["out_dir"])
+    _assert_exit_3(["run", "--config", str(path)], capsys,
+                   f"stage 'witness' failed: {message}",
+                   out / "witness", out / "check_report.json")

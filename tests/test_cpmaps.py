@@ -4,17 +4,15 @@ import pytest
 from banddim.cpmaps import (BandAlgebra, CompressionMap, DenseCpMap, FactoredMap,
                             InclusionMap, OrderZeroFactorization,
                             PointBijectionHom, bump_function, choi_check, cop_check,
-                            diagonal_unit_images, factorize_order_zero,
-                            functional_calculus, order_zero_check, transpose_map,
-                            unit_image)
+                            factorize_order_zero, functional_calculus, order_zero_check,
+                            transpose_map)
 from banddim.errors import (FactorizationError, InvalidFunctionError,
                             InvalidParameterError, SizeLimitError)
 from banddim.fdalg import FdElement, FiniteDimAlgebra, Summand
 from banddim.operators import BandOperator
 from banddim.space import generate_space
 
-from conftest import (SMALL_WITNESS_POOL, WINDOW_ORDER_WITNESSES, build_small_witness,
-                      random_factored_map)
+from conftest import build_small_witness, random_factored_map
 
 
 def matrix_algebra(n, fiber=1):
@@ -305,41 +303,6 @@ def test_cop_disjoint_projections_pass():
     fact = factorize_order_zero(phi)
     rep = cop_check(fact, tol=1e-9)
     assert rep.flag and rep.worst == 0.0
-
-
-@pytest.mark.parametrize("index", [*range(0, len(SMALL_WITNESS_POOL), 3),
-                                   *WINDOW_ORDER_WITNESSES])
-def test_diagonal_unit_images_match_full_products(index, tmp_path):
-    """cop_check's column-indexed products, read off the windows, against
-    pinv @ phi(e_aa) with phi applied to the unit, block for block and in
-    the same order: for the witness colors (single-block unit images), also
-    with a random band operator as pinv, and for a map whose unit images
-    hold several blocks; on pool witnesses, a fiber-2 grid and bundles whose
-    windows list points out of order."""
-    if isinstance(index, int):
-        rng = np.random.default_rng(index)
-        w = build_small_witness(index, rng)
-    else:
-        rng = np.random.default_rng(0)
-        w = WINDOW_ORDER_WITNESSES[index](tmp_path)
-    m = w.fiber_dim
-    noise = BandOperator(w.space, m, {
-        (x, y): rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        for x in range(w.space.n) for y in range(w.space.n)
-        if abs(x - y) <= 2 and rng.random() < 0.6})
-    facts = []
-    for _, phi_i in w.color_phis():
-        fact = factorize_order_zero(phi_i)
-        facts += [fact, OrderZeroFactorization(phi_i, fact.h, noise, fact.support)]
-    facts.append(factorize_order_zero(random_factored_map(rng, w.space, fiber=m)))
-    for fact in facts:
-        want = [fact.pinv @ unit_image(fact.source, k, a, a)
-                for k, s in enumerate(fact.domain.summands) for a in range(s.size)]
-        got = list(diagonal_unit_images(fact))
-        assert len(got) == len(want)
-        for g, c in zip(got, want):
-            assert list(g.blocks) == list(c.blocks)
-            assert all(np.array_equal(g.blocks[key], c.blocks[key]) for key in c.blocks)
 
 
 class _FiberwiseConjugationHom:

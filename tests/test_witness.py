@@ -513,19 +513,25 @@ def _differential_witnesses():
     from conftest import SMALL_WITNESS_POOL, build_small_witness
     return ([pytest.param(lambda i=i: build_small_witness(i, None), id=f"pool{i}")
              for i in range(len(SMALL_WITNESS_POOL))]
-            + [pytest.param(_forty_point_cli_witness, id="cli40")])
+            + [pytest.param(_forty_point_cli_witness, id="cli40"),
+               pytest.param(lambda: permanence_combine(
+                   "tensor_matrix", build_small_witness(1, None), 2), id="tensor-fiber4")])
 
 
 @pytest.mark.parametrize("make", _differential_witnesses())
 def test_structural_conditions_4_5_match_generic_path(make):
+    """Conditions 4, 5 and 6 decided from the structure the maps carry give
+    the verdict, worst case and element of the generic path, which sees the
+    same maps only through ``apply``."""
     import dataclasses
-    from banddim.witness import _check_condition4, _check_condition5
+    from banddim.witness import _check_condition4, _check_condition5, _check_condition6
     w = make()
     generic = dataclasses.replace(
         w, psi=_PassThroughPsi(w.psi),
         phi=_ConjugatedPhi(w.phi, BandOperator.identity(w.space, w.fiber_dim)))
     for check, fast_mode, slow_mode in ((_check_condition4, "structural", "computed"),
-                                        (_check_condition5, "structural", "sampled")):
+                                        (_check_condition5, "structural", "sampled"),
+                                        (_check_condition6, "structural", "computed")):
         fast = check(w, 1e-9)
         slow = check(generic, 1e-9)
         assert (fast.mode, slow.mode) == (fast_mode, slow_mode)
@@ -554,7 +560,7 @@ def test_check_report_modes():
     w = interval_witness(length=12, r=1, side=4, fiber=2)
     rows = check_witness(w).to_json()["conditions"]
     assert [row["mode"] for row in rows] == ["computed", "computed", "structural",
-                                             "structural", "structural", "computed"]
+                                             "structural", "structural", "structural"]
     generic = dataclasses.replace(
         w, psi=_PassThroughPsi(w.psi),
         phi=_ConjugatedPhi(w.phi, BandOperator.identity(w.space, w.fiber_dim)))
