@@ -202,6 +202,11 @@ def _validate_config(cfg):
     for key in ("r", "fiber", "out_dir"):
         if key not in cfg:
             raise UsageError(f"config key {key!r} is required")
+    cover = cfg.get("cover", "auto-brick")
+    if not (cover == "auto-brick" or isinstance(cover, dict) and len(cover) == 1
+            and ("brick_side" in cover or isinstance(cover.get("file"), str))):
+        raise UsageError("config key 'cover' must be \"auto-brick\", {\"file\": path} or "
+                         f"{{\"brick_side\": s}}, got {cover!r}")
     return stages
 
 

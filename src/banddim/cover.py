@@ -76,9 +76,11 @@ def witness_brick(space, r, brick_side=None):
     One-dimensional alternating bricks of side ``s`` put same-color bricks
     ``s + 1`` apart, so the cover is built at ``r`` (default side ``6r``).  In
     dimension ``d >= 2`` it is built at ``3r``, with the default side
-    ``max(6r, 2m(d + 1))`` for the margin ``m`` at ``3r``.  ``brick_cover``
+    ``max(6r, 2m(d + 1))`` for the margin ``m`` at ``3r``.  A scale that
+    ``check_scale`` refuses raises ``InvalidParameterError``; ``brick_cover``
     rejects a space that is not a generated box.
     """
+    check_scale(r)
     meta = space.grid_meta
     if meta is None or len(meta.sides) == 1:
         return r, 6 * r if brick_side is None else brick_side

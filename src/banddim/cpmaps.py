@@ -106,6 +106,13 @@ class CpMap:
         return None
 
 
+def _runs(lengths):
+    """For runs of the given lengths laid end to end: the run of each item
+    and its position within the run."""
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    return run, np.arange(len(run)) - (np.cumsum(lengths) - lengths)[run]
+
+
 def _checked_windows(algebra, windows, n):
     """The windows as tuples: one per summand, each as long as its summand,
     listing distinct points of range(n)."""
@@ -155,23 +162,66 @@ class CompressionMap(CpMap):
         self.codomain = algebra
         self.windows = _checked_windows(algebra, windows, band.space.n)
         self.coefficients = _checked_coefficients(band, coefficients, len(self.windows))
-        self._slots = [{p: a for a, p in enumerate(w)} for w in self.windows]
+        self._index_slots()
+
+    def _index_slots(self):
+        """Number the slots (window k, position a) in window order and build
+        the owner index: the codes ``p K + k`` of the slots, sorted, with
+        their slot numbers, K being the number of windows.  The slots of
+        point p are one run of it, and the slot of p in window k is found by
+        one search.  Each slot also carries the coefficient block at its
+        point (zero when its window has no coefficient, or the coefficient
+        no block there), and each window the start of its part in the flat
+        buffer that ``apply`` fills."""
+        m, count = self.domain.fiber_dim, len(self.windows)
+        sizes = np.array([len(w) for w in self.windows], dtype=np.intp)
+        points = np.array([p for w in self.windows for p in w], dtype=np.intp)
+        self._slot_window, self._slot_position = _runs(sizes)
+        codes = points * count + self._slot_window
+        self._owner_slot = np.argsort(codes, kind="stable")
+        self._owner_code = codes[self._owner_slot]
+        self._scaled = np.array([c is not None for c in self.coefficients], dtype=bool)
+        zero = np.zeros((m, m), dtype=complex)
+        self._slot_coefficient = np.array(
+            [zero if c is None else c.blocks.get((p, p), zero)
+             for w, c in zip(self.windows, self.coefficients) for p in w]).reshape(-1, m, m)
+        self._dims = sizes * m
+        self._part_start = np.cumsum(self._dims ** 2) - self._dims ** 2
 
     def apply(self, op):
-        m = self.domain.fiber_dim
-        parts = [np.zeros((d, d), dtype=complex) for d in self.codomain.block_dims]
-        for k, (window, slots) in enumerate(zip(self.windows, self._slots)):
-            coeff = self.coefficients[k]
-            part = parts[k]
-            for (x, y), b in op.blocks.items():
-                a = slots.get(x)
-                c = slots.get(y)
-                if a is None or c is None:
-                    continue
-                blk = b
-                if coeff is not None:
-                    blk = coeff.block(x, x) @ blk @ coeff.block(y, y).conj().T
-                part[a * m:(a + 1) * m, c * m:(c + 1) * m] += blk
+        """One pass over the blocks: block (x, y) is placed at the slots
+        (a, c) of x and y in every window holding both, found through the
+        owner index, so it is visited once per window holding x.  The blocks
+        of windows with a coefficient become ``(c_x @ b) @ c_y^H`` in one
+        stacked product; all are added into one zero buffer that holds the
+        summand parts."""
+        m, count = self.domain.fiber_dim, len(self.windows)
+        codes, dims = self._owner_code, self._dims
+        flat = np.zeros(int((dims ** 2).sum()), dtype=complex)
+        if op.blocks:
+            x, y = np.array(list(op.blocks), dtype=np.intp).T
+            start = np.searchsorted(codes, x * count)
+            block, rank = _runs(np.searchsorted(codes, x * count + count) - start)
+            row_slot = self._owner_slot[start[block] + rank]
+            window = self._slot_window[row_slot]
+            want = y[block] * count + window
+            found = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
+            hit = codes[found] == want
+            block, row_slot, window = block[hit], row_slot[hit], window[hit]
+            col_slot = self._owner_slot[found[hit]]
+            values = np.array(list(op.blocks.values()))[block]
+            scaled = self._scaled[window]
+            coeff = self._slot_coefficient
+            values[scaled] = ((coeff[row_slot[scaled]] @ values[scaled])
+                              @ coeff[col_slot[scaled]].conj().transpose(0, 2, 1))
+            d = dims[window]
+            corner = (self._part_start[window] + self._slot_position[row_slot] * m * d
+                      + self._slot_position[col_slot] * m)
+            fiber = np.arange(m)
+            at = corner[:, None, None] + fiber[:, None] * d[:, None, None] + fiber
+            flat[at.reshape(-1)] += values.reshape(-1)
+        parts = [flat[start:start + d * d].reshape(d, d)
+                 for start, d in zip(self._part_start.tolist(), dims.tolist())]
         return FdElement(self.codomain, parts)
 
     def diagonal_certificate(self):
@@ -224,17 +274,39 @@ class InclusionMap(CpMap):
         return out
 
     def apply(self, elem):
-        m = self.domain.fiber_dim
-        blocks = {}
-        for k, window in enumerate(self.windows):
-            part = elem.parts[k]
+        """The nonzero fiber blocks of each part, read off its (s, m, s, m)
+        view; a point pair held by several windows gets the sum of their
+        blocks in window order, and the blocks keep the order of first
+        appearance (window by window, row by row)."""
+        m, n = self.domain.fiber_dim, self.codomain.space.n
+        codes, values = [], []
+        for window, part in zip(self.windows, elem.parts):
             s = len(window)
-            view = np.abs(part.reshape(s, m, s, m)).max(axis=(1, 3))
-            for a, c in np.argwhere(view > 0.0):
-                key = (window[a], window[c])
-                blk = part[a * m:(a + 1) * m, c * m:(c + 1) * m]
-                blocks[key] = blocks.get(key, 0) + blk
-        return BandOperator(self.codomain.space, self.codomain.fiber_dim, blocks)
+            # the largest modulus of each fiber block, over its m rows and
+            # then over the m column strides: numpy reduces the two short
+            # axes of the (s, m, s, m) view several times slower
+            top = np.abs(part).reshape(s, m, s * m).max(axis=1)
+            rows, cols = np.nonzero(np.maximum.reduce([top[:, b::m] for b in range(m)]) > 0.0)
+            points = np.array(window, dtype=np.intp)
+            codes.append(points[rows] * n + points[cols])
+            values.append(part.reshape(s, m, s, m)[rows, :, cols, :])
+        codes = np.concatenate(codes) if codes else np.zeros(0, dtype=np.intp)
+        if not len(codes):
+            return BandOperator._raw(self.codomain.space, self.codomain.fiber_dim, {})
+        values = np.concatenate(values)
+        # equal codes in runs, each run in window order
+        order = np.argsort(codes, kind="stable")
+        first = np.flatnonzero(np.diff(codes[order], prepend=-1))
+        group, rank = _runs(np.diff(first, append=len(order)))
+        heads = order[first]
+        sums = values[heads] + 0j  # complex blocks, as the constructor stores them
+        for r in range(1, int(rank.max()) + 1):
+            later = rank == r
+            sums[group[later]] += values[order[later]]
+        appearance = np.argsort(heads, kind="stable")
+        keys = codes[heads[appearance]]
+        blocks = dict(zip(zip((keys // n).tolist(), (keys % n).tolist()), sums[appearance]))
+        return BandOperator._raw(self.codomain.space, self.codomain.fiber_dim, blocks)
 
     def order_zero_certificate(self):
         if len({s.color for s in self.domain.summands}) != 1:

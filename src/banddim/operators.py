@@ -82,21 +82,28 @@ def _same_space(s1, s2):
     return s1.points == s2.points and np.array_equal(s1.dist, s2.dist)
 
 
-def _block_norm(b):
-    if b.size <= 16:
-        return max(map(abs, b.ravel().tolist()))
-    return float(np.abs(b).max())
+def _block_norms(stack):
+    """The largest entry modulus of each m x m block of a stack (..., m, m).
+    The modulus is libm's ``hypot``, as Python's ``abs`` of a complex number
+    computes it; numpy's complex ``abs`` can differ from it by an ulp."""
+    return np.hypot(stack.real, stack.imag).max(axis=(-2, -1))
 
 
 def _pruned(blocks):
+    """The blocks whose largest entry modulus exceeds PRUNE_REL times the
+    largest over all blocks, in their order: one max-of-modulus over the
+    stacked blocks.  None are kept when every block is zero, and all of them
+    when the largest modulus is not finite."""
     if not blocks:
         return {}
-    norms = [(k, b, _block_norm(b)) for k, b in blocks.items()]
-    biggest = max(t[2] for t in norms)
-    if biggest == 0.0:
-        return {}
-    cut = PRUNE_REL * biggest
-    return {k: b for (k, b, w) in norms if w > cut}
+    norms = _block_norms(np.array(list(blocks.values())))
+    biggest = norms.max()
+    if not np.isfinite(biggest):
+        return blocks
+    keep = norms > PRUNE_REL * biggest
+    if keep.all():
+        return blocks
+    return {k: b for (k, b), kept in zip(blocks.items(), keep.tolist()) if kept}
 
 
 class BandOperator:
@@ -105,16 +112,25 @@ class BandOperator:
     __slots__ = ("space", "fiber_dim", "blocks", "_diag")
 
     def __init__(self, space, fiber_dim, blocks):
+        """Validating constructor: a block key that is not a pair of points of
+        range(n), a block that is not m x m or not finite raise
+        ``InvalidParameterError``."""
         self.space = space
-        self.fiber_dim = check_fiber_dim(fiber_dim)
+        self.fiber_dim = m = check_fiber_dim(fiber_dim)
         self._diag = None
+        n = space.n
         cleaned = {}
         for (x, y), b in blocks.items():
             arr = np.asarray(b, dtype=complex)
-            if arr.shape != (self.fiber_dim, self.fiber_dim):
+            if arr.shape != (m, m):
                 raise InvalidParameterError("fiber block has wrong shape")
-            if _block_norm(arr) > 0.0:
-                cleaned[(int(x), int(y))] = arr
+            key = (int(x), int(y))
+            if not (0 <= key[0] < n and 0 <= key[1] < n):
+                raise InvalidParameterError(
+                    f"block key {key} is not a pair of points of range({n})")
+            cleaned[key] = arr
+        if not np.isfinite(np.array(list(cleaned.values()))).all():
+            raise InvalidParameterError("a fiber block has an entry that is not finite")
         self.blocks = _pruned(cleaned)
 
     @classmethod
@@ -164,14 +180,14 @@ class BandOperator:
 
     @classmethod
     def from_dense(cls, space, fiber_dim, mat, tol=0.0):
+        """The blocks of an (n m) x (n m) matrix whose largest entry modulus
+        exceeds ``tol``."""
         m = check_fiber_dim(fiber_dim)
-        blocks = {}
-        for x in range(space.n):
-            for y in range(space.n):
-                b = mat[x * m:(x + 1) * m, y * m:(y + 1) * m]
-                if _block_norm(b) > tol:
-                    blocks[(x, y)] = b.copy()
-        return cls(space, fiber_dim, blocks)
+        n = space.n
+        tiles = np.asarray(mat).reshape(n, m, n, m).swapaxes(1, 2)  # tiles[x, y]: block (x, y)
+        rows, cols = np.nonzero(_block_norms(tiles) > tol)
+        return cls(space, fiber_dim, {(x, y): tiles[x, y].copy()
+                                      for x, y in zip(rows.tolist(), cols.tolist())})
 
     # -- arithmetic ------------------------------------------------------
 

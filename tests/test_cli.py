@@ -509,3 +509,30 @@ def test_run_rejects_bad_witness_inputs(tmp_path, capsys, key, value, message):
     _assert_exit_3(["run", "--config", str(path)], capsys,
                    f"stage 'witness' failed: {message}",
                    out / "witness", out / "check_report.json")
+
+
+@pytest.mark.parametrize("r", [float("nan"), "2"], ids=["nan", "string"])
+def test_grid_run_rejects_bad_scale(tmp_path, capsys, r):
+    """A grid's auto-brick reads the scale before the cover is built; it used
+    to end in a ValueError (NaN) or TypeError (string) traceback."""
+    path, cfg = write_config(tmp_path, space={"family": "grid", "sides": [6, 6]},
+                             cover="auto-brick", r=r)
+    out = pathlib.Path(cfg["out_dir"])
+    _assert_exit_3(["run", "--config", str(path)], capsys,
+                   f"stage 'cover' failed: a {SCALE_MESSAGE}", out / "cover.json")
+
+
+@pytest.mark.parametrize("cover", ["x", 5, None, [], {}, {"brick_side": 4, "zzz": 1},
+                                   {"file": 3}, {"file": "c.json", "brick_side": 4}],
+                         ids=["string", "number", "null", "list", "empty", "extra-key",
+                              "file-not-a-path", "file-and-brick"])
+def test_run_rejects_malformed_cover(tmp_path, capsys, cover):
+    """Only "auto-brick", {"file": path} and {"brick_side": s} name a cover;
+    anything else is a usage error before any stage runs (it used to run as
+    auto-brick or brick)."""
+    path, cfg = write_config(tmp_path, cover=cover)
+    capsys.readouterr()
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: config key 'cover'"), err
+    assert not os.path.exists(cfg["out_dir"])

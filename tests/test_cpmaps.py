@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from banddim.cpmaps import (BandAlgebra, CompressionMap, DenseCpMap, FactoredMap,
                             InclusionMap, OrderZeroFactorization,
@@ -12,7 +14,7 @@ from banddim.fdalg import FdElement, FiniteDimAlgebra, Summand
 from banddim.operators import BandOperator
 from banddim.space import generate_space
 
-from conftest import build_small_witness, random_factored_map
+from conftest import DIFF, build_small_witness, random_factored_map
 
 
 def matrix_algebra(n, fiber=1):
@@ -472,3 +474,86 @@ def test_unit_image_identities_with_nontrivial_h():
     # the sub-delta orbit position is annihilated, the middle one survives
     assert all(abs(x) >= 6 for (x, y) in f_img[(0, 0)].blocks)
     assert f_img[(0, 0)].block(6, 6)[0, 0] > 0
+
+
+# -- window maps against the dense oracle -----------------------------------
+
+def random_windows(rng, n, count):
+    """``count`` windows of distinct points of range(n), overlapping at
+    random; a point may lie in no window."""
+    return [tuple(int(p) for p in rng.permutation(n)[:rng.integers(1, n + 1)])
+            for _ in range(count)]
+
+
+def random_blocks(rng, keys, m):
+    return {k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for k in keys}
+
+
+@DIFF
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), m=st.sampled_from([1, 2, 3]),
+       count=st.integers(1, 4), density=st.sampled_from([0.0, 0.3, 1.0]),
+       scaled=st.sampled_from(["none", "some", "all"]))
+@example(seed=0, n=1, m=1, count=1, density=0.0, scaled="all")
+@example(seed=1, n=6, m=2, count=3, density=1.0, scaled="some")
+def test_compression_apply_matches_dense_compression(seed, n, m, count, density, scaled):
+    """Each part of psi(T) is the window's corner of the dense ``c T c^H``
+    (c the window's coefficient, identity when None), over overlapping
+    windows, blocks outside every window and the zero operator; without a
+    coefficient the corner is copied exactly."""
+    rng = np.random.default_rng(seed)
+    sp = generate_space("interval", length=n)
+    windows = random_windows(rng, n, count)
+    alg = FiniteDimAlgebra([Summand(k % 2, k, len(w)) for k, w in enumerate(windows)], m)
+    coefficients = [
+        None if scaled == "none" or scaled == "some" and rng.random() < 0.5 else
+        BandOperator(sp, m, random_blocks(rng, [(p, p) for p in range(n)
+                                                if rng.random() < 0.8], m))
+        for _ in windows]
+    op = BandOperator(sp, m, random_blocks(
+        rng, [(x, y) for x in range(n) for y in range(n) if rng.random() < density], m))
+    psi = CompressionMap(BandAlgebra(sp, m), alg, windows, coefficients)
+    image = psi.apply(op)
+    dense = op.to_dense()
+    for window, c, part in zip(windows, coefficients, image.parts):
+        coords = [p * m + a for p in window for a in range(m)]
+        if c is None:
+            assert np.array_equal(part, dense[np.ix_(coords, coords)])
+        else:
+            cd = c.to_dense()
+            expected = (cd @ dense @ cd.conj().T)[np.ix_(coords, coords)]
+            np.testing.assert_allclose(part, expected, rtol=0, atol=1e-12)
+
+
+@DIFF
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), m=st.sampled_from([1, 2, 3]),
+       count=st.integers(1, 4), density=st.sampled_from([0.0, 0.3, 1.0]))
+@example(seed=0, n=1, m=1, count=1, density=0.0)
+@example(seed=2, n=5, m=2, count=4, density=1.0)
+def test_inclusion_apply_matches_apply_dense(seed, n, m, count, density):
+    """phi(x) as a band operator is exactly the dense scatter of the parts,
+    overlapping windows summed in window order, on elements whose nonzero
+    fiber blocks sit far above PRUNE_REL of the largest."""
+    rng = np.random.default_rng(seed)
+    sp = generate_space("interval", length=n)
+    windows = random_windows(rng, n, count)
+    alg = FiniteDimAlgebra([Summand(0, k, len(w)) for k, w in enumerate(windows)], m)
+    parts = []
+    for d in alg.block_dims:
+        s = d // m
+        part = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        tiles = part.reshape(s, m, s, m)
+        tiles *= (rng.random((s, 1, s, 1)) < density)  # zero fiber blocks
+        part *= rng.random((d, d)) < 0.7                 # zero single entries
+        parts.append(part)
+    elem = FdElement(alg, parts)
+    phi = InclusionMap(alg, BandAlgebra(sp, m), windows)
+    image = phi.apply(elem)
+    assert np.array_equal(image.to_dense(), phi.apply_dense(elem))
+    # the blocks keep their order of first appearance, window by window and
+    # row by row, which fixes the summation order of later products
+    first_seen = {}
+    for window, part in zip(windows, parts):
+        s = len(window)
+        for a, c in np.argwhere(np.abs(part.reshape(s, m, s, m)).max(axis=(1, 3)) > 0):
+            first_seen.setdefault((window[a], window[c]), None)
+    assert list(image.blocks) == list(first_seen)

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from banddim.errors import IncompatibilityError
-from banddim.operators import (CERT_PANEL, BandOperator, _cert_panels,
+from banddim.errors import IncompatibilityError, InvalidParameterError
+from banddim.operators import (CERT_PANEL, PRUNE_REL, BandOperator, _cert_panels, _pruned,
                                certified_below, connected_components, diagonal_membership,
                                load_operator, max_spectral_norm, normalizer_check,
                                operator_norm, prop_support, save_operator, spectral_norm)
@@ -150,6 +152,81 @@ def test_pruning_keeps_support_clean(interval8):
     big = BandOperator(interval8, 1, {(0, 0): np.array([[1.0]]),
                                       (0, 1): np.array([[1e-20]])})
     assert set(big.blocks) == {(0, 0)}
+
+
+def scalar_pruned(blocks):
+    """The pruning rule block by block: keep a block whose largest entry
+    modulus exceeds PRUNE_REL times the largest over all blocks."""
+    norms = {k: max(abs(v) for v in b.ravel().tolist()) for k, b in blocks.items()}
+    cut = PRUNE_REL * max(norms.values(), default=0.0)
+    return {k: b for k, b in blocks.items() if norms[k] > cut}
+
+
+# Block sizes for the pruning rule: ties with the largest block, zeros, and
+# blocks exactly at, one ulp above and one ulp below PRUNE_REL of the largest.
+PRUNE_KINDS = ["random", "tie", "zero", "cut", "above", "below", "tiny"]
+
+
+@DIFF
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([1, 2, 3]),
+       kinds=st.lists(st.sampled_from(PRUNE_KINDS), max_size=10))
+@example(seed=0, m=1, kinds=[])
+@example(seed=0, m=2, kinds=["zero", "zero"])
+@example(seed=0, m=2, kinds=["random", "cut", "above", "below", "tie", "zero"])
+def test_pruned_matches_scalar_rule(seed, m, kinds):
+    rng = np.random.default_rng(seed)
+    top = 10.0 ** rng.uniform(-3, 3)
+    cut = PRUNE_REL * top
+    size = {"random": lambda: top * rng.uniform(0.0, 1.0), "tie": lambda: top,
+            "zero": lambda: 0.0, "cut": lambda: cut,
+            "above": lambda: np.nextafter(cut, np.inf),
+            "below": lambda: np.nextafter(cut, 0.0), "tiny": lambda: cut * 1e-3}
+    blocks = {}
+    for i, kind in enumerate(["tie"] + kinds if kinds else []):
+        # the largest entry sits at a random place, real, imaginary or
+        # complex with the same modulus; the rest are smaller
+        block = (rng.uniform(-0.5, 0.5, (m, m)) + 1j * rng.uniform(-0.5, 0.5, (m, m)))
+        value = size[kind]()
+        block *= value
+        turn = rng.choice([1.0, 1j, -1.0, (0.6 + 0.8j)])
+        block[rng.integers(m), rng.integers(m)] = value * turn
+        blocks[(i, i + 1)] = block
+    got, want = _pruned(blocks), scalar_pruned(blocks)
+    assert list(got) == list(want)
+    assert all(got[k] is want[k] for k in got)
+
+
+def test_pruned_keeps_every_block_when_not_finite(interval8):
+    """A block that is not finite makes the largest norm meaningless, so
+    arithmetic keeps every block; it used to empty the operator (inf) or
+    drop blocks in an order-dependent way (NaN)."""
+    for bad in (np.inf, -np.inf, np.nan, complex(np.nan, 1.0)):
+        blocks = {(0, 0): np.array([[bad]], dtype=complex),
+                  (1, 1): np.array([[1.0]], dtype=complex),
+                  (2, 2): np.array([[0.0]], dtype=complex)}
+        assert list(_pruned(blocks)) == list(blocks)
+    op = BandOperator.partial_translation(interval8, 2, [(1, 0), (2, 1)])
+    with np.errstate(invalid="ignore"):  # inf * 0 off the fiber diagonal
+        assert set((np.inf * op).blocks) == set(op.blocks)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ({(-1, 0): 1.0}, "not a pair of points of range(4)"),
+    ({(0, -1): 1.0}, "not a pair of points of range(4)"),
+    ({(9, 0): 1.0}, "not a pair of points of range(4)"),
+    ({(0, 4): 1.0}, "not a pair of points of range(4)"),
+    ({(0, 0): 1.0, (1, 1): np.nan}, "not finite"),
+    ({(0, 0): 1.0, (1, 2): complex(0.0, np.inf)}, "not finite"),
+    ({(0, 0): -np.inf}, "not finite"),
+], ids=["row-negative", "column-negative", "row-past-end", "column-past-end", "nan",
+        "inf-imaginary", "inf-alone"])
+def test_constructor_rejects_bad_blocks(blocks, message):
+    """The validating constructor refuses a key outside range(n), which an
+    array lookup would wrap to point n - 1, and a block that is not finite,
+    which it used to drop (NaN) or let empty the operator (inf)."""
+    sp = generate_space("interval", length=4)
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        BandOperator(sp, 1, {k: np.array([[v]]) for k, v in blocks.items()})
 
 
 def test_operator_json_round_trip(tmp_path, interval8):
