@@ -207,6 +207,10 @@ def _validate_config(cfg):
             and ("brick_side" in cover or isinstance(cover.get("file"), str))):
         raise UsageError("config key 'cover' must be \"auto-brick\", {\"file\": path} or "
                          f"{{\"brick_side\": s}}, got {cover!r}")
+    space = cfg.get("space", {})
+    if not (isinstance(space, dict) and isinstance(space.get("file", ""), str)):
+        raise UsageError("config key 'space' must be {\"file\": path} or a generator "
+                         f"spec object, got {space!r}")
     return stages
 
 

@@ -284,9 +284,10 @@ class InclusionMap(CpMap):
             s = len(window)
             # the largest modulus of each fiber block, over its m rows and
             # then over the m column strides: numpy reduces the two short
-            # axes of the (s, m, s, m) view several times slower
+            # axes of the (s, m, s, m) view several times slower; a NaN
+            # entry makes it NaN, which is not zero, so that block is kept
             top = np.abs(part).reshape(s, m, s * m).max(axis=1)
-            rows, cols = np.nonzero(np.maximum.reduce([top[:, b::m] for b in range(m)]) > 0.0)
+            rows, cols = np.nonzero(np.maximum.reduce([top[:, b::m] for b in range(m)]) != 0.0)
             points = np.array(window, dtype=np.intp)
             codes.append(points[rows] * n + points[cols])
             values.append(part.reshape(s, m, s, m)[rows, :, cols, :])

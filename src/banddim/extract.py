@@ -10,13 +10,16 @@ witness algebra down to matrix corners over the fiber.
 corner through the f_delta / g_delta functional calculus of the corner's
 order-zero map, reads off the sets U_k where the diagonal images carry more
 than eta^2 of a point, and extracts the partial bijections sigma_bar between
-them from singleton supports of conjugated operators.  When the corner map
-has ``image_of_unit`` (an inclusion map), h = phi(1) is the projection onto
-the corner window W, so the image of unit (k, l) is f(1) times the fiber
-identity at (W[k], W[l]): the corner is held as W and the two scalars
-f_delta(1) and g_delta(1), with no factorization and no functional
-calculus.  Any other corner map is factorized and held as one band operator
-per matrix unit.  ``extract_cover``
+them from singleton supports of conjugated operators.  Each corner keeps one
+translation table, ``U[k]`` sending each x in U_k to its s targets
+sigma_bar_kl(x), and verification checks sigma_bar_kk(x) = x and the round
+trip sigma_bar_lk(sigma_bar_kl(x)) = x on it, which also makes every
+sigma_bar_kl injective.  When the corner map has ``image_of_unit`` (an
+inclusion map), h = phi(1) is the projection onto the corner window W, so
+the image of unit (k, l) is f(1) times the fiber identity at (W[k], W[l]):
+the corner is held as W and the two scalars f_delta(1) and g_delta(1), with
+no factorization and no functional calculus.  Any other corner map is
+factorized and held as one band operator per matrix unit.  ``extract_cover``
 closes each color's U-set under r-chains; the classes form the extracted
 colored cover and their sizes are compared against the corner sizes.
 """
@@ -114,7 +117,6 @@ class ThresholdData:
     delta: Fraction
     eta: Fraction
     eps: Fraction
-    q: object
     corners: list
 
     @property
@@ -133,9 +135,8 @@ def threshold_setup(witness, tol=1e-9):
 
     A slot survives when its fiber block of psi(1) has an eigenvalue strictly
     above delta (eigenvalues within 1e-9 of delta are excluded, matching the
-    half-open spectral interval); ``q`` promotes every surviving slot to a
-    full fiber unit.  Corners enumerate, per color, the summands with
-    surviving slots.
+    half-open spectral interval) and is promoted to a full fiber unit.
+    Corners enumerate, per color, the summands with surviving slots.
     """
     d = witness.d
     delta, eta, eps = threshold_constants(d)
@@ -146,13 +147,9 @@ def threshold_setup(witness, tol=1e-9):
             f"psi(1) is not in the canonical diagonal (off-diagonal mass {mass:.3e})")
 
     algebra = witness.algebra
-    m = algebra.fiber_dim
     cut = float(delta) + THRESHOLD_EIG_MARGIN
-    q_parts = []
     kept = []
     for k, s in enumerate(algebra.summands):
-        dim = s.size * m
-        q_p = np.zeros((dim, dim), dtype=complex)
         kept_slots = []
         for a in range(s.size):
             blk = psi1.fiber_block(k, a, a)
@@ -160,9 +157,7 @@ def threshold_setup(witness, tol=1e-9):
             # bit for bit
             w, _ = np.linalg.eigh((blk + blk.conj().T) / 2.0)
             if np.any(w > cut):
-                q_p[a * m:(a + 1) * m, a * m:(a + 1) * m] = np.eye(m)
                 kept_slots.append(a)
-        q_parts.append(q_p)
         kept.append(tuple(kept_slots))
 
     corners = []
@@ -172,7 +167,7 @@ def threshold_setup(witness, tol=1e-9):
             if kept[k]:
                 corners.append(CornerData(color, j, k, kept[k]))
                 j += 1
-    return ThresholdData(d, delta, eta, eps, algebra.element(q_parts), corners)
+    return ThresholdData(d, delta, eta, eps, corners)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +358,10 @@ class WindowImages:
 
 @dataclass
 class CornerSystem:
+    """A corner's images and its translation table: ``U[k]`` maps each x in
+    U_k, in point order, to its targets (sigma_bar_k0(x), ...,
+    sigma_bar_k,s-1(x)), so its keys are the set U_k."""
+
     corner: CornerData
     images: object  # WindowImages or OperatorImages
     U: dict = field(default_factory=dict)
@@ -371,7 +370,6 @@ class CornerSystem:
 @dataclass
 class PartialTranslationSystem:
     corners: list
-    sigma_bar: dict  # (corner index, k, l) -> {x: y}
     delta: float
     eta: float
     borderline: list = field(default_factory=list)
@@ -386,7 +384,7 @@ def build_translation_system(witness, td, tol=1e-8):
     A corner map with single-block unit images (``image_of_unit``) is read
     off its window, with f_delta(1) and g_delta(1) as the image scalars;
     any other corner map is factorized and its images formed as band
-    operators.  The U-sets and sigma_bar follow from
+    operators.  The translation tables follow from
     :func:`assemble_translation_system`.
     """
     delta = float(td.delta)
@@ -406,12 +404,12 @@ def build_translation_system(witness, td, tol=1e-8):
 
 
 def assemble_translation_system(corners, delta, eta):
-    """U-sets and sigma_bar of corner systems whose images are computed.
+    """Translation tables of corner systems whose images are computed.
 
     U_k collects the points where the k-th diagonal f-image compresses to
     norm strictly above eta^2 (values within 1e-9 of eta^2 are flagged as
-    borderline).  For x in U_k the conjugate g_{l,k} (f_{k,k} 1_x f_{k,k})
-    g_{k,l} must be supported in a single point, which defines
+    borderline).  For x in U_k and every l the conjugate g_{l,k} (f_{k,k}
+    1_x f_{k,k}) g_{k,l} must be supported in a single point, which defines
     sigma_bar_{k,l}(x); zero mass, or residual mass above 1e-6 of the total,
     raises an error naming the indices.
     """
@@ -419,54 +417,37 @@ def assemble_translation_system(corners, delta, eta):
     eta_sq = eta * eta
     for ci, cs in enumerate(corners):
         for k, norms in enumerate(cs.images.diagonal_point_norms()):
-            members = []
+            row = {}
             for x, val in norms:
                 if abs(val - eta_sq) <= 1e-9:
                     borderline.append((ci, k, x, val))
                 if val > eta_sq:
-                    members.append(x)
-            cs.U[k] = tuple(members)
-
-    sigma_bar = {}
-    for ci, cs in enumerate(corners):
-        s = cs.corner.s
-        for k in range(s):
-            targets = {x: cs.images.conjugate_targets(k, x) for x in cs.U[k]}
-            for l in range(s):
-                mapping = {}
-                for x in cs.U[k]:
-                    y = targets[x][l]
-                    if y is None:
+                    ys = tuple(cs.images.conjugate_targets(k, x))
+                    if None in ys:
                         raise AmbiguousSupportError(
                             "conjugated operator is not supported in a single point",
-                            indices=(cs.corner.color, cs.corner.j, k, l, x))
-                    mapping[x] = y
-                sigma_bar[(ci, k, l)] = mapping
-    return PartialTranslationSystem(corners, sigma_bar, delta, eta, borderline)
+                            indices=(cs.corner.color, cs.corner.j, k, ys.index(None), x))
+                    row[x] = ys
+            cs.U[k] = row
+    return PartialTranslationSystem(corners, delta, eta, borderline)
 
 
 def _verify_translation_system(pts, tol):
+    """sigma_bar_kk is the identity on U_k, and sigma_bar_lk undoes
+    sigma_bar_kl, which makes each sigma_bar_kl a bijection onto its image
+    in U_l."""
     for ci, cs in enumerate(pts.corners):
-        s = cs.corner.s
-        u_sets = {k: set(cs.U[k]) for k in range(s)}
-        for k in range(s):
-            for x, y in pts.sigma_bar[(ci, k, k)].items():
-                if y != x:
+        for k, row in cs.U.items():
+            for x, ys in row.items():
+                if ys[k] != x:
                     raise InvalidWitnessError(
-                        f"sigma_bar[{ci},{k},{k}] moves {x} to {y}")
-        for k in range(s):
-            for l in range(s):
-                fwd = pts.sigma_bar[(ci, k, l)]
-                back = pts.sigma_bar[(ci, l, k)]
-                values = list(fwd.values())
-                if len(set(values)) != len(values):
-                    raise InvalidWitnessError(
-                        f"sigma_bar[{ci},{k},{l}] is not injective")
-                for x, y in fwd.items():
-                    if y not in u_sets[l]:
+                        f"sigma_bar[{ci},{k},{k}] moves {x} to {ys[k]}")
+                for l, y in enumerate(ys):
+                    back = cs.U[l].get(y)
+                    if back is None:
                         raise InvalidWitnessError(
                             f"sigma_bar[{ci},{k},{l}]({x}) = {y} lands outside U_{l}")
-                    if back.get(y) != x:
+                    if back[k] != x:
                         raise InvalidWitnessError(
                             f"sigma_bar round trip fails at corner {ci}, "
                             f"({k},{l}), point {x}")

@@ -59,14 +59,14 @@ def operator_images(space, m, window, f1, g1):
 
 
 def outcome(images, eta):
-    """U-sets, borderline list and sigma_bar, or the indices of the
+    """Translation tables and borderline list, or the indices of the
     ambiguous conjugate that stopped them."""
     cs = CornerSystem(CornerData(0, 0, 0, tuple(range(images.s))), images)
     try:
         pts = assemble_translation_system([cs], 0.0, eta)
     except AmbiguousSupportError as err:
         return cs.U, "ambiguous", err.indices
-    return cs.U, pts.borderline, pts.sigma_bar
+    return cs.U, pts.borderline
 
 
 def assert_same_blocks(got, want):
@@ -90,7 +90,7 @@ def test_block_path_matches_operator_path(case):
 def test_small_witness_pool_same_system_on_both_paths(tmp_path):
     """The window reading against the corner map factorized and applied to
     every matrix unit: the same blocks bit for bit, the same deviations,
-    U-sets, sigma_bar and borderline list, on every pool witness, on a
+    translation tables and borderline list, on every pool witness, on a
     fiber-2 grid and on bundles whose windows list points out of order."""
     rng = np.random.default_rng(0)
     witnesses = [build_small_witness(idx, rng) for idx in range(len(SMALL_WITNESS_POOL))]
@@ -118,7 +118,6 @@ def test_small_witness_pool_same_system_on_both_paths(tmp_path):
             ref_corners.append(CornerSystem(cs.corner, images))
         ref = assemble_translation_system(ref_corners, pts.delta, pts.eta)
         assert [cs.U for cs in ref.corners] == [cs.U for cs in pts.corners], idx
-        assert ref.sigma_bar == pts.sigma_bar, idx
         assert ref.borderline == pts.borderline, idx
 
 

@@ -2,6 +2,8 @@ import filecmp
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +21,34 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
+
+
+# A fresh interpreter runs every stage and lists the top-level modules it
+# loaded beyond its startup set, apart from the standard library.
+IMPORT_PROBE = """
+import json, sys
+start = set(sys.modules)
+from banddim.cli import main
+code = main(["run", "--config", sys.argv[1]])
+loaded = {name.partition(".")[0] for name in set(sys.modules) - start}
+print(json.dumps([code, sorted(loaded - set(sys.stdlib_module_names))]))
+"""
+
+
+def test_run_imports_only_numpy(tmp_path):
+    """The runtime needs numpy and the standard library only: a new runtime
+    import must be declared, and the hat stays numpy only.  numpy's compiled
+    extensions register ``cython_runtime`` and ``_cython_*`` modules."""
+    path, _ = write_config(tmp_path)
+    src = pathlib.Path(banddim.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(path)], env=env,
+                          capture_output=True, text=True, check=True)
+    code, extra = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert [m for m in extra if m not in ("banddim", "numpy", "cython_runtime")
+            and not m.startswith("_cython_")] == []
 
 
 def test_full_pipeline_run(tmp_path, capsys):
@@ -535,4 +565,17 @@ def test_run_rejects_malformed_cover(tmp_path, capsys, cover):
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: config key 'cover'"), err
+    assert not os.path.exists(cfg["out_dir"])
+
+
+@pytest.mark.parametrize("space", [{"file": 7}, "x"], ids=["file-descriptor", "string"])
+def test_run_rejects_malformed_space(tmp_path, capsys, space):
+    """A space is {"file": path} or a generator spec object; an integer file
+    used to open that file descriptor, and a string ended in an
+    AttributeError traceback."""
+    path, cfg = write_config(tmp_path, space=space)
+    capsys.readouterr()
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: config key 'space'"), err
     assert not os.path.exists(cfg["out_dir"])

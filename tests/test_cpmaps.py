@@ -557,3 +557,16 @@ def test_inclusion_apply_matches_apply_dense(seed, n, m, count, density):
         for a, c in np.argwhere(np.abs(part.reshape(s, m, s, m)).max(axis=(1, 3)) > 0):
             first_seen.setdefault((window[a], window[c]), None)
     assert list(image.blocks) == list(first_seen)
+
+
+def test_inclusion_apply_keeps_nan_block():
+    """A NaN entry shows in phi(x) as it does in the dense scatter; its
+    block is not read as zero."""
+    sp = generate_space("interval", length=2)
+    alg = FiniteDimAlgebra([Summand(0, 0, 2)], 1)
+    phi = InclusionMap(alg, BandAlgebra(sp, 1), [(0, 1)])
+    x = FdElement(alg, [np.array([[1.0, np.nan], [0.0, 2.0]], dtype=complex)])
+    image = phi.apply(x)
+    assert list(image.blocks) == [(0, 0), (0, 1), (1, 1)]
+    assert np.isnan(image.blocks[(0, 1)]).all()
+    assert np.array_equal(image.to_dense(), phi.apply_dense(x), equal_nan=True)

@@ -5,11 +5,13 @@ import pytest
 
 from banddim.cover import verify_cover
 from banddim.cpmaps import BandAlgebra, CompressionMap, SandwichedMap
-from banddim.errors import CoverGapError, DiagonalViolationError
-from banddim.extract import (_diagonal_columns, build_translation_system,
-                             decompose_neighbors, extract_cover,
-                             matrix_unit_identities, threshold_constants,
-                             threshold_setup)
+from banddim.errors import (AmbiguousSupportError, CoverGapError, DiagonalViolationError,
+                            InvalidWitnessError)
+from banddim.extract import (IDENTITY_NAMES, CornerData, CornerSystem, _diagonal_columns,
+                             _verify_translation_system, assemble_translation_system,
+                             build_translation_system, decompose_neighbors,
+                             extract_cover, matrix_unit_identities,
+                             threshold_constants, threshold_setup)
 from banddim.fdalg import FiniteDimAlgebra, Summand
 from banddim.operators import BandOperator, spectral_norm
 from banddim.space import generate_space, ulf_profile
@@ -102,7 +104,6 @@ def test_threshold_selects_strictly_above_delta():
     # only the 0.9 slot survives the half-open cut; delta itself is excluded
     assert len(td.corners) == 1
     assert td.corners[0].kept_slots == (0,)
-    assert np.allclose(td.q.parts[0], np.diag([1.0, 0.0, 0.0]))
 
 
 def test_threshold_requires_diagonal_psi1():
@@ -140,8 +141,7 @@ def test_single_point_translation_system():
     pts = build_translation_system(w, td)
     assert len(pts.corners) == 1
     cs = pts.corners[0]
-    assert cs.U == {0: (0,)}
-    assert pts.sigma_bar[(0, 0, 0)] == {0: 0}
+    assert cs.U == {0: {0: (0,)}}
     ec = extract_cover(pts, w.space, 1)
     assert ec.S == 1 and ec.passed
 
@@ -173,26 +173,24 @@ def test_absorption_identity_via_dense_oracle(pts150):
 
 def test_sigma_bar_round_trip(pts150):
     _, pts = pts150
-    for ci, cs in enumerate(pts.corners):
+    for cs in pts.corners:
         s = cs.corner.s
         for k in range(s):
             for l in range(0, s, 7):
-                fwd = pts.sigma_bar[(ci, k, l)]
-                back = pts.sigma_bar[(ci, l, k)]
-                for x, y in fwd.items():
-                    assert back[y] == x
+                for x, ys in cs.U[k].items():
+                    assert cs.U[l][ys[l]][k] == x
 
 
 def test_sigma_bar_conjugate_supported_in_single_point(pts150):
     _, pts = pts150
     cs = pts.corners[0]
     from banddim.extract import _column_compression
-    x = cs.U[3][0]
+    x = next(iter(cs.U[3]))
     img = cs.images
     xi = img.g_image(8, 3) @ _column_compression(img.f_image(3, 3), x) @ img.g_image(3, 8)
     diag_pts = {u for (u, v) in xi.blocks}
     assert len(diag_pts) == 1
-    assert diag_pts == {pts.sigma_bar[(0, 3, 8)][x]}
+    assert diag_pts == {cs.U[3][x][8]}
 
 
 def test_extract_reference_cover(witness150, pts150):
@@ -240,6 +238,60 @@ def test_ambiguous_support_raises():
     with pytest.raises(AmbiguousSupportError) as err:
         build_translation_system(bad, td)
     assert err.value.indices is not None
+
+
+class _StubImages:
+    """Crafted answers to the queries extraction asks of a corner: every
+    point of ``targets[k]`` carries norm 1 in the k-th diagonal image, the
+    conjugate of (k, x) lands at ``targets[k][x][l]`` for each l, and every
+    identity holds exactly."""
+
+    def __init__(self, targets):
+        self.targets = targets
+
+    def diagonal_point_norms(self):
+        return [[(x, 1.0) for x in row] for row in self.targets]
+
+    def conjugate_targets(self, k, x):
+        return list(self.targets[k][x])
+
+    def identity_deviations(self):
+        return dict.fromkeys(IDENTITY_NAMES, 0.0)
+
+
+def stub_system(targets):
+    """The translation system of one stub corner with s = len(targets), the
+    corner j = 1 of color 2."""
+    corner = CornerData(2, 1, 0, tuple(range(len(targets))))
+    return assemble_translation_system([CornerSystem(corner, _StubImages(targets))],
+                                       0.0, 0.5)
+
+
+def test_stub_translation_system_verifies():
+    # U_0 = (0, 3) and U_1 = (1, 2), swapped by sigma_bar_01 and sigma_bar_10
+    pts = stub_system([{0: (0, 1), 3: (3, 2)}, {1: (0, 1), 2: (3, 2)}])
+    assert [list(pts.corners[0].U[k]) for k in range(2)] == [[0, 3], [1, 2]]
+    assert _verify_translation_system(pts, 1e-8).flag
+
+
+@pytest.mark.parametrize("targets, message", [
+    ([{0: (1,)}], "moves 0 to 1"),
+    ([{0: (0, 5)}, {1: (0, 1)}], "lands outside U_1"),
+    ([{0: (0, 1), 3: (3, 2)}, {1: (3, 1), 2: (0, 2)}], "round trip fails"),
+    # sigma_bar_01 sends both points of U_0 to 1, which no round trip can
+    # undo; the check that catches it is not pinned
+    ([{0: (0, 1), 3: (3, 1)}, {1: (0, 1)}], None),
+], ids=["diagonal-moves", "outside", "round-trip", "non-injective"])
+def test_verify_translation_system_branches(targets, message):
+    pts = stub_system(targets)
+    with pytest.raises(InvalidWitnessError, match=message):
+        _verify_translation_system(pts, 1e-8)
+
+
+def test_assemble_names_ambiguous_conjugate():
+    with pytest.raises(AmbiguousSupportError) as err:
+        stub_system([{0: (0, 1)}, {1: (None, 1)}])
+    assert err.value.indices == (2, 1, 1, 0, 1)
 
 
 def test_round_trip_on_2d_grid():

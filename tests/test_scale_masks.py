@@ -173,7 +173,7 @@ def test_extract_cover_classes_match_pair_rule(case, data):
         U = {k: tuple(sorted(s)) for k, s in enumerate(fam)}
         f_img = {(k, k): zero for k in U}
         corners.append(CornerSystem(corner, OperatorImages(f_img, {}, len(U)), U))
-    pts = PartialTranslationSystem(corners, {}, 0.0, 0.0)
+    pts = PartialTranslationSystem(corners, 0.0, 0.0)
     ec = extract_cover(pts, sp, radius)
     expected = [chain_classes_ref(sp, sorted(set().union(*fam)), radius)
                 for fam in families]
