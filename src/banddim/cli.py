@@ -12,6 +12,7 @@ are data, not errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -283,7 +284,10 @@ def _cmd_run(args):
 
 # -- parser ----------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs a few milliseconds per call."""
     parser = argparse.ArgumentParser(
         prog="banddim",
         description="covers, band operators, and approximation witnesses on "

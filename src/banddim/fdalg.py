@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .errors import IncompatibilityError, InvalidParameterError
-from .operators import check_dense_size, spectral_norm
+from .operators import check_dense_size, max_spectral_norm, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,9 @@ class FdElement:
         return FdElement(self.algebra, [p.conj().T for p in self.parts])
 
     def norm(self):
-        return max((spectral_norm(p) for p in self.parts), default=0.0)
+        """The largest spectral norm of a part: an SVD only for the parts
+        not certified below the running maximum."""
+        return max_spectral_norm(self.parts)
 
     def eigenvalues(self):
         """Eigenvalues of a Hermitian element, per summand."""

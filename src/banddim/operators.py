@@ -12,7 +12,8 @@ Operators are immutable values: arithmetic returns new instances.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,10 @@ from .space import _id_from_json, _id_to_json, read_json, write_json
 PRUNE_REL = 1e-14
 CERT_MARGIN = 1e-10
 CERT_PANEL = 48
+ENCLOSURE_REL = 1e-9
+LANCZOS_BREAKDOWN = 1e-13
+LANCZOS_STALL = 1e-15
+LANCZOS_SEED = 0
 DENSE_BYTES_LIMIT = 1 << 30
 
 
@@ -375,16 +380,23 @@ def _cert_panels(mat):
     meets j's, and at least j + 1.  The ends are made nondecreasing by a
     running maximum, so the Cholesky factor of a Hermitian matrix with this
     band, fill-in included, stays inside it.  A matrix of fewer than
-    2 CERT_PANEL columns is one panel.
+    2 CERT_PANEL columns is one panel.  The first and last nonzero rows are
+    read in strips of rows of about 2^18 entries, so no mask of the whole
+    matrix is held, and each strip searches only the columns it meets.
     """
     rows, cols = mat.shape
     count = max(cols // CERT_PANEL, 1)
     if count == 1:
         return [(0, cols, cols, 0, rows)]
-    nz = mat != 0
-    used = nz.any(axis=0)
-    first = np.where(used, nz.argmax(axis=0), rows)  # empty columns: (rows, -1)
-    last = np.where(used, rows - 1 - nz[::-1].argmax(axis=0), -1)
+    first = np.full(cols, rows)  # empty columns: (rows, -1)
+    last = np.full(cols, -1)
+    step = max(1, (1 << 18) // cols)
+    for r0 in range(0, rows, step):
+        nz = _nonzero(mat[r0:r0 + step])
+        hit = np.flatnonzero(nz.any(axis=0))
+        strip = nz[:, hit]
+        first[hit] = np.minimum(first[hit], r0 + strip.argmax(axis=0))
+        last[hit] = r0 + len(nz) - 1 - strip[::-1].argmax(axis=0)  # strips run downwards
     # the suffix minimum of first is sorted, so a search finds the last
     # column k with first[k] <= last[j]
     reach = np.minimum.accumulate(first[::-1])[::-1]
@@ -393,6 +405,16 @@ def _cert_panels(mat):
     edges = [cols * i // count for i in range(count + 1)]
     return [(p0, p1, int(ends[p1 - 1]), int(first[p0:p1].min()), int(last[p0:p1].max()) + 1)
             for p0, p1 in zip(edges, edges[1:])]
+
+
+def _nonzero(mat):
+    """The mask ``mat != 0``.  A contiguous complex128 matrix is read through
+    its float64 view: the two bools of an entry, taken as one uint16, are
+    nonzero when its real or imaginary part is, about four times faster than
+    the complex comparison."""
+    if mat.dtype == np.complex128 and mat.flags.c_contiguous:
+        return (mat.view(np.float64) != 0).view(np.uint16) != 0
+    return mat != 0
 
 
 def certified_below(mat, bound):
@@ -457,39 +479,184 @@ def certified_below(mat, bound):
 
 
 class Nearby(NamedTuple):
-    """A matrix met through an approximation: ``approx`` lies within ``gap``
-    of ``exact()`` in spectral norm."""
+    """A matrix met through an approximation: the matrix it stands for lies
+    within ``gap`` of ``approx`` in spectral norm."""
 
     approx: np.ndarray
     gap: float
-    exact: Optional[Callable[[], np.ndarray]]
 
 
 def max_spectral_norm(mats):
     """Exactly ``max(spectral_norm(M) for M in mats)``, 0.0 when empty.
 
-    Only a matrix that may raise the running maximum ``best`` pays for an
-    SVD; any other one is skipped on :func:`certified_below`.  An item may be
-    a :class:`Nearby`: its ``approx`` is certified below ``best - gap``, and
-    only when that fails is ``exact()`` formed and passed to the SVD.  No
-    certificate is tried unless ``gap < best / 2``, so a skipped exact matrix
-    stays at least ``best CERT_MARGIN / 4`` below ``best``, far above the
-    rounding of its SVD.
+    Only a matrix that may raise the running maximum pays for an SVD; any
+    other one is skipped on :func:`certified_below`.
     """
-    best = None
-    for mat, gap, exact in map(_nearby, mats):
-        if best is not None and gap < 0.5 * best and certified_below(mat, best - gap):
-            continue
-        if exact is not None:
-            mat = None  # freed before the exact matrix is formed
-            mat = exact()
+    return _running_max(mats, lambda mat: (spectral_norm(mat), 0.0))[0]
+
+
+def max_norm_enclosure(items):
+    """``(value, upper)`` for the largest spectral norm of a stream: the
+    largest :func:`norm_enclosure` value of a record, and an upper end proved
+    for every item; (0.0, 0.0) when empty.
+
+    An item is a matrix or a :class:`Nearby`, whose matrix lies within
+    ``gap`` of its ``approx``.  An item whose ``approx`` is certified below
+    the running maximum ``best`` less its gap is skipped: the matrix it
+    stands for lies below ``best``.  Any other item is a *record*: its
+    ``approx`` is valued and its upper end, with its gap added, enters the
+    largest upper end.  No certificate is tried unless ``gap < best / 2``.
+    """
+    return _running_max(items, norm_enclosure)
+
+
+def _running_max(items, measure):
+    """The largest ``measure(approx)`` value over the items (matrices or
+    :class:`Nearby`) that :func:`certified_below` cannot place below the
+    running maximum less their gap, and the largest of their upper ends plus
+    gap.  Each item is released before the next one is formed."""
+    best, upper = None, 0.0
+    for item in items:
+        mat, gap = item if isinstance(item, Nearby) else (item, 0.0)
+        item = None
+        if best is None or not (gap < 0.5 * best and certified_below(mat, best - gap)):
+            value, top = measure(mat)
+            best = value if best is None else max(best, value)
+            upper = max(upper, float(top + gap))
+        mat = None
+    return (0.0, 0.0) if best is None else (best, upper)
+
+
+def norm_enclosure(mat):
+    """``(value, upper)`` for the spectral norm of a dense matrix M:
+    ``value`` estimates it, and ``upper = value (1 + ENCLOSURE_REL)`` is
+    proved above it by :func:`certified_below`; (0.0, 0.0) when M is empty
+    or zero.  An entry that is not finite raises ``LinAlgError``, as the SVD
+    does.
+
+    A matrix of fewer than 2 CERT_PANEL columns (one certificate panel)
+    takes its value from LAPACK's SVD.  A larger one takes it from a
+    Golub-Kahan-Lanczos bidiagonalization (G. Golub and W. Kahan, SIAM J.
+    Numer. Anal. Ser. B 2, 1965) with full reorthogonalization (B. Parlett,
+    *The Symmetric Eigenvalue Problem*, SIAM, 1998) of the taller of M and
+    M^H, from a start vector drawn with the seed LANCZOS_SEED:
+
+    * a step multiplies by M and by M^H once each, panel by panel over the
+      column panels of :func:`_cert_panels`, so a banded matrix costs its
+      band, not its size;
+    * each new basis vector is orthogonalized twice against the basis; an
+      alpha or beta at most LANCZOS_BREAKDOWN ||M||_F is a breakdown: it is
+      taken as 0 and the next vector is drawn afresh, orthogonal to the
+      basis, so rounding noise is never normalized into a basis vector;
+    * the run stops at a breakdown, or when the top Ritz value rises by at
+      most LANCZOS_STALL of itself in one step;
+    * the value is ``||M x|| / ||x||`` for the top Ritz vector x, which
+      stays below ||M|| up to the rounding of one product, whatever the
+      basis;
+    * the value counts once the certificate proves its upper end; else the
+      run goes on to twice its length, or to full dimension, before the
+      next try.  At full dimension the basis spans the space, so a refusal
+      there raises ``LinAlgError``.
+
+    Each record of :func:`max_norm_enclosure` is certified on its own: an
+    under-valued record could otherwise hide the largest norm.
+    """
+    if not np.isfinite(mat).all():
+        raise np.linalg.LinAlgError("a matrix with an entry that is not finite has no norm")
+    if not mat.any():
+        return 0.0, 0.0
+    if mat.shape[1] < 2 * CERT_PANEL:
         value = spectral_norm(mat)
-        best = value if best is None else max(best, value)
-    return 0.0 if best is None else best
+        if not certified_below(mat, value * (1.0 + ENCLOSURE_REL)):
+            raise np.linalg.LinAlgError("the SVD value of a matrix could not be certified")
+        return value, value * (1.0 + ENCLOSURE_REL)
+    return _lanczos_enclosure(mat)
 
 
-def _nearby(item):
-    return item if isinstance(item, Nearby) else Nearby(item, 0.0, None)
+def _lanczos_enclosure(mat):
+    """The Golub-Kahan-Lanczos run of :func:`norm_enclosure`."""
+    a = mat if mat.shape[0] >= mat.shape[1] else np.ascontiguousarray(mat.conj().T)
+    rows, n = a.shape
+    panels = []
+    for p0, p1, _, r0, r1 in _cert_panels(a):
+        if panels and panels[-1][2:] == [r0, r1]:
+            panels[-1][1] = p1  # panels over the same rows are one product
+        else:
+            panels.append([p0, p1, r0, r1])
+
+    def times(x):
+        out = np.zeros(rows, dtype=complex)
+        for p0, p1, r0, r1 in panels:
+            out[r0:r1] += a[r0:r1, p0:p1] @ x[p0:p1]
+        return out
+
+    def adjoint_times(u):
+        return np.concatenate([(u[r0:r1].conj() @ a[r0:r1, p0:p1]).conj()
+                               for p0, p1, r0, r1 in panels])
+
+    rng = np.random.default_rng(LANCZOS_SEED)
+
+    def orthogonal(w, basis):
+        for _ in range(2):
+            w = w - (basis @ w.conj()).conj() @ basis
+        return w
+
+    def fresh(size, basis):
+        w = orthogonal(rng.standard_normal(size) + 1j * rng.standard_normal(size), basis)
+        return w / np.linalg.norm(w)
+
+    tiny = LANCZOS_BREAKDOWN * math.sqrt(np.vdot(a, a).real)  # of ||M||_F, with no copy
+    vs = np.zeros((min(n, 32), n), dtype=complex)  # the bases, one vector per row
+    us = np.zeros((min(n, 32), rows), dtype=complex)
+    alphas, betas = [], []
+    v = fresh(n, vs[:0])
+    beta = 0.0
+    ritz = 0.0
+    next_try = 0
+    k = 0
+    while True:
+        if k == len(vs):
+            vs = np.concatenate([vs, np.zeros((min(n, 2 * k) - k, n), dtype=complex)])
+            us = np.concatenate([us, np.zeros((min(n, 2 * k) - k, rows), dtype=complex)])
+        vs[k] = v
+        p = times(v)
+        if k:
+            p -= beta * us[k - 1]
+        p = orthogonal(p, us[:k])
+        alpha = float(np.linalg.norm(p))
+        broke = alpha <= tiny
+        if broke:
+            alpha = 0.0
+            us[k] = fresh(rows, us[:k])
+        else:
+            us[k] = p / alpha
+        alphas.append(alpha)
+        k += 1
+        w = orthogonal(adjoint_times(us[k - 1]) - alpha * v, vs[:k])
+        beta = float(np.linalg.norm(w)) if k < n else 0.0
+        if beta <= tiny:
+            broke = True
+            beta = 0.0
+        # the top Ritz pair of M from that of B^T B, B upper bidiagonal
+        diag, off = np.array(alphas), np.array(betas)
+        gram = np.diag(diag ** 2 + np.concatenate([[0.0], off ** 2]))
+        gram += np.diag(diag[:-1] * off, 1) + np.diag(diag[:-1] * off, -1)
+        lams, vecs = np.linalg.eigh(gram)
+        top = math.sqrt(max(lams[-1], 0.0))
+        stalled = top <= ritz * (1.0 + LANCZOS_STALL)
+        ritz = max(ritz, top)
+        if ((broke or stalled) and k >= next_try) or k == n:
+            x = vecs[:, -1] @ vs[:k]
+            value = float(np.linalg.norm(times(x)) / np.linalg.norm(x))
+            upper = value * (1.0 + ENCLOSURE_REL)
+            if certified_below(mat, upper):
+                return value, upper
+            if k == n:
+                raise np.linalg.LinAlgError(
+                    "the Lanczos value of a matrix could not be certified at full dimension")
+            next_try = 2 * k
+        betas.append(beta)
+        v = fresh(n, vs[:k]) if beta == 0.0 else w / beta
 
 
 def operator_norm(op):

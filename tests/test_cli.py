@@ -282,6 +282,48 @@ def test_every_json_file_is_canonical(run_and_chain):
                                   separators=(",", ":")) + "\n", p
 
 
+def test_hat_falsifier_on_readme_witness(tmp_path):
+    """Epsilon 0.1 declared on the README interval witness: condition 2
+    (worst 0.087) and the build pass, and the hat reports a failure, its
+    approximation and multiplicativity bounds below the measured defects."""
+    path, cfg = write_config(tmp_path, space={"family": "interval", "length": 150},
+                             cover={"brick_side": 30}, r=5, fiber=2, epsilon=0.1,
+                             stages=["space", "cover", "witness", "check", "hat"])
+    assert main(["run", "--config", str(path)]) == 0
+    check = json.load(open(os.path.join(cfg["out_dir"], "check_report.json")))
+    assert check["epsilon"] == 0.1
+    assert all(row["verdict"] for row in check["conditions"])
+    assert 0.08 < check["conditions"][1]["worst"] < 0.1
+    hat = json.load(open(os.path.join(cfg["out_dir"], "hat_report.json")))
+    assert hat["passed"] is False
+    assert hat["approximation_worst"] > hat["approximation_bound"]
+    assert hat["multiplicativity_worst"] > hat["multiplicativity_bound"]
+
+
+def test_parser_survives_usage_error(tmp_path, capsys):
+    """The parser is built once per process: a usage error (exit 2) followed
+    by valid calls in one process writes the same files as the same calls in
+    fresh processes."""
+    chain = subcommand_chain("interval", "{out}")[:4]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    assert main(["space", "gen", "--length", "not-a-number", "--out", "x.json"]) == 2
+    assert main(["witness", "hat"]) == 2
+    for argv in chain:
+        assert main([a.format(out=here) for a in argv]) == 0
+    src = pathlib.Path(banddim.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    for argv in chain:
+        subprocess.run([sys.executable, "-m", "banddim.cli",
+                        *[a.format(out=fresh) for a in argv]], env=env, check=True)
+    names = ["space.json", "cover.json", "cover_check.json", "witness"]
+    assert sorted(os.listdir(here)) == sorted(os.listdir(fresh)) == sorted(names)
+    for name in names:
+        assert _same_files(here / name, fresh / name), name
+
+
 def test_benchmark_patch_points(tmp_path, monkeypatch):
     """The benchmark's traced run wraps banddim functions where callers look
     them up; a moved or renamed function breaks ``install`` or the counts."""

@@ -6,10 +6,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from banddim.errors import IncompatibilityError, InvalidParameterError
-from banddim.operators import (CERT_PANEL, PRUNE_REL, BandOperator, _cert_panels, _pruned,
-                               certified_below, connected_components, diagonal_membership,
-                               load_operator, max_spectral_norm, normalizer_check,
-                               operator_norm, prop_support, save_operator, spectral_norm)
+from banddim.operators import (CERT_PANEL, ENCLOSURE_REL, LANCZOS_SEED, PRUNE_REL,
+                               BandOperator, Nearby, _cert_panels, _pruned, certified_below,
+                               connected_components, diagonal_membership, load_operator,
+                               max_norm_enclosure, max_spectral_norm, norm_enclosure,
+                               normalizer_check, operator_norm, prop_support, save_operator,
+                               spectral_norm)
 from banddim.space import generate_space
 
 from conftest import DIFF
@@ -411,6 +413,151 @@ def test_max_spectral_norm_raises_on_nan(position):
         max(spectral_norm(m) for m in mats)
     with pytest.raises(np.linalg.LinAlgError):
         max_spectral_norm(mats)
+
+
+# Matrices for the norm enclosure, square or rectangular, small enough for
+# LAPACK or with 2 CERT_PANEL columns or more for the Lanczos run: random
+# ones, tied top singular values, zero, rank one, rank-deficient ones at
+# rounding level (1e-16) and near overflow (1e150), and one whose top right
+# singular vector is orthogonal to the Lanczos start vector, so the run
+# breaks down on the second singular value and the certificate sends it on.
+ENCLOSURE_KINDS = ["random", "tie", "zero", "rank1", "deficient16", "deficient150",
+                   "hidden"]
+
+
+def _unitary(rng, n, first=None):
+    """A random n x n unitary matrix, with first column ``first`` when
+    given (a unit vector)."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if first is not None:
+        g[:, 0] = first
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def _enclosure_matrix(rng, rows, cols, kind):
+    k = min(rows, cols)
+    if kind == "random":
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=complex)
+    if kind in ("rank1", "deficient16", "deficient150"):
+        rank = 1 if kind == "rank1" else int(rng.integers(1, min(k, 4) + 1))
+        scale = {"rank1": 1.0, "deficient16": 1e-16, "deficient150": 1e150}[kind]
+        left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+        right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+        return scale * (left @ right)
+    # the taller of M and M^H, which the Lanczos run takes, is a = Q1 S Q2^H
+    values = np.sort(rng.uniform(0.1, 0.5, k))[::-1]
+    first = None
+    if kind == "tie":
+        values[:3] = 0.5
+    elif k > 1:  # "hidden": top singular value 1, its right vector orthogonal
+        # to the start, over two other values, so the run breaks down on them
+        values = np.where(np.arange(k) % 2, 0.5, 0.25)
+        values[0] = 1.0
+        start = np.random.default_rng(LANCZOS_SEED)
+        v0 = start.standard_normal(k) + 1j * start.standard_normal(k)
+        first = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        first -= v0 * (np.vdot(v0, first) / np.vdot(v0, v0))
+        first /= np.linalg.norm(first)
+    a = (_unitary(rng, max(rows, cols))[:, :k] * values) @ _unitary(rng, k, first).conj().T
+    return a if rows >= cols else a.conj().T
+
+
+@DIFF
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 160),
+       cols=st.integers(1, 160), kind=st.sampled_from(ENCLOSURE_KINDS))
+@example(seed=0, rows=150, cols=150, kind="hidden")
+@example(seed=1, rows=120, cols=100, kind="hidden")
+@example(seed=2, rows=130, cols=130, kind="deficient16")
+@example(seed=3, rows=100, cols=140, kind="deficient150")
+@example(seed=4, rows=110, cols=110, kind="tie")
+@example(seed=5, rows=100, cols=100, kind="rank1")
+@example(seed=6, rows=120, cols=120, kind="zero")
+def test_norm_enclosure_against_svd(seed, rows, cols, kind):
+    """The SVD value lies in the enclosure, and the value lies within
+    1e-13 of it (relative): on LAPACK's path below 2 CERT_PANEL columns and
+    on the Lanczos run from there up."""
+    mat = _enclosure_matrix(np.random.default_rng(seed), rows, cols, kind)
+    sigma = spectral_norm(mat)
+    value, upper = norm_enclosure(mat)
+    assert type(value) is float and type(upper) is float
+    if sigma == 0.0:
+        assert (value, upper) == (0.0, 0.0)
+        return
+    assert value <= sigma * (1 + 1e-13) and sigma <= upper
+    assert abs(value - sigma) <= 1e-13 * sigma
+    assert upper == value * (1.0 + ENCLOSURE_REL)
+
+
+@pytest.mark.parametrize("cols", [8, 2 * CERT_PANEL + 4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_norm_enclosure_refuses_non_finite(cols, bad):
+    rng = np.random.default_rng(cols)
+    mat = rng.standard_normal((cols + 3, cols)) + 0j
+    mat[2, cols - 1] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        norm_enclosure(mat)
+    with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+        max_norm_enclosure([np.eye(cols + 3, cols, dtype=complex), mat])
+
+
+def test_max_norm_enclosure_adds_the_gap_of_a_record():
+    """A Nearby record contributes its upper end plus its gap; an item
+    certified below the running maximum less its gap is skipped."""
+    rng = np.random.default_rng(9)
+    big = rng.standard_normal((120, 120)) + 0j
+    sigma = spectral_norm(big)
+    value, upper = max_norm_enclosure([Nearby(big, 1e-3), Nearby(0.5 * big, 1e-3)])
+    assert abs(value - sigma) <= 1e-13 * sigma
+    assert upper == value * (1 + ENCLOSURE_REL) + 1e-3
+    assert max_norm_enclosure([]) == (0.0, 0.0)
+
+
+def _panels_from_full_mask(mat):
+    """The panels of ``_cert_panels`` with the nonzero mask read as
+    ``mat != 0`` over the whole matrix at once."""
+    rows, cols = mat.shape
+    count = max(cols // CERT_PANEL, 1)
+    if count == 1:
+        return [(0, cols, cols, 0, rows)]
+    nz = mat != 0
+    used = nz.any(axis=0)
+    first = np.where(used, nz.argmax(axis=0), rows)
+    last = np.where(used, rows - 1 - nz[::-1].argmax(axis=0), -1)
+    reach = np.minimum.accumulate(first[::-1])[::-1]
+    ends = np.maximum(np.searchsorted(reach, last, side="right"), np.arange(1, cols + 1))
+    ends = np.maximum.accumulate(ends)
+    edges = [cols * i // count for i in range(count + 1)]
+    return [(p0, p1, int(ends[p1 - 1]), int(first[p0:p1].min()), int(last[p0:p1].max()) + 1)
+            for p0, p1 in zip(edges, edges[1:])]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(150, 150), (300, 2000)])
+def test_cert_panels_match_full_mask(dtype, shape):
+    """The strip-wise mask of ``_cert_panels`` (the float64 view of a complex
+    matrix) gives the panels of ``mat != 0``: with purely imaginary entries,
+    signed zeros, empty columns and strips of several rows, on contiguous
+    and transposed input."""
+    rows, cols = shape
+    rng = np.random.default_rng(rows)
+    mat = np.zeros(shape, dtype=dtype)
+    lo = np.sort(rng.integers(0, rows, cols))
+    for j in range(cols):
+        if j % 37 == 5:
+            continue  # an empty column
+        span = slice(lo[j], min(rows, lo[j] + int(rng.integers(1, 40))))
+        mat[span, j] = rng.standard_normal(span.stop - span.start)
+        if dtype is complex and j % 3 == 0:
+            mat[span, j] *= 1j  # purely imaginary
+    mat[rows - 1, ::7] = -0.0  # a signed zero below every band: not a nonzero
+    if dtype is complex:
+        mat[0, 1::7] = complex(-0.0, -0.0)
+        mat[rows // 2, 2::11] = complex(0.0, 1e-300)
+    for m in (mat, np.ascontiguousarray(mat.T), mat.T):
+        assert _cert_panels(m) == _panels_from_full_mask(m)
 
 
 # Block supports for the component split: the zero operator, one giant
