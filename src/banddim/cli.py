@@ -198,8 +198,8 @@ def _validate_config(cfg):
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     stages = cfg.get("stages", STAGES)
-    if stages != STAGES[:len(stages)]:
-        raise UsageError(f"stages must be a prefix of {STAGES}, got {stages}")
+    if not isinstance(stages, list) or stages != STAGES[:len(stages)]:
+        raise UsageError(f"stages must be a prefix of {STAGES}, got {stages!r}")
     for key in ("r", "fiber", "out_dir"):
         if key not in cfg:
             raise UsageError(f"config key {key!r} is required")
@@ -212,6 +212,12 @@ def _validate_config(cfg):
     if not (isinstance(space, dict) and isinstance(space.get("file", ""), str)):
         raise UsageError("config key 'space' must be {\"file\": path} or a generator "
                          f"spec object, got {space!r}")
+    if not isinstance(cfg.get("tolerances", {}), dict):
+        raise UsageError("config key 'tolerances' must be an object {\"check\": tol}, "
+                         f"got {cfg['tolerances']!r}")
+    test_ops = cfg.get("test_ops", [])
+    if not (isinstance(test_ops, list) and all(isinstance(p, str) for p in test_ops)):
+        raise UsageError(f"config key 'test_ops' must be a list of paths, got {test_ops!r}")
     return stages
 
 

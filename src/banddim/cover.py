@@ -24,7 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError, SizeLimitError
-from .space import _id_from_json, _id_to_json, check_scale, read_json, write_json
+from .space import (_id_from_json, _id_to_json, check_positive, check_scale, read_json,
+                    write_json)
 
 
 @dataclass
@@ -99,8 +100,8 @@ def brick_cover(space, r, brick_side):
     if meta is None:
         raise InvalidParameterError("brick_cover requires a generated interval or grid")
     r_units = Fraction(check_scale(r)) / meta.spacing
-    s_units = Fraction(brick_side) / meta.spacing
-    if s_units.denominator != 1 or s_units <= 0:
+    s_units = check_positive(brick_side, "brick_side") / meta.spacing
+    if s_units.denominator != 1:
         raise InvalidParameterError("brick_side must be a positive multiple of the spacing")
     s = int(s_units)
     if s_units <= 2 * r_units:

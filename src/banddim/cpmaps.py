@@ -243,35 +243,6 @@ class InclusionMap(CpMap):
         self.domain = algebra
         self.codomain = band
         self.windows = _checked_windows(algebra, windows, band.space.n)
-        self._coords = None
-        self._positions = None
-
-    def window_coords(self):
-        if self._coords is None:
-            m = self.codomain.fiber_dim
-            self._coords = [np.array([p * m + a for p in w for a in range(m)])
-                            for w in self.windows]
-        return self._coords
-
-    def window_positions(self):
-        """Per window, the flat positions of its block in an N x N matrix,
-        row by row, so they index ``matrix.reshape(-1)``."""
-        if self._positions is None:
-            n = self.codomain.matrix_dim
-            self._positions = [(c[:, None] * n + c).reshape(-1)
-                               for c in self.window_coords()]
-        return self._positions
-
-    def apply_dense(self, elem):
-        """Image as a dense matrix (one scatter per window, for dense
-        elements); the windows list distinct points, so no position repeats
-        within a window."""
-        check_dense_size(self.codomain.matrix_dim)
-        out = np.zeros((self.codomain.matrix_dim,) * 2, dtype=complex)
-        flat = out.reshape(-1)
-        for idx, part in zip(self.window_positions(), elem.parts):
-            flat[idx] += part.reshape(-1)
-        return out
 
     def apply(self, elem):
         """The nonzero fiber blocks of each part, read off its (s, m, s, m)

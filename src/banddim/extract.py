@@ -147,18 +147,16 @@ def threshold_setup(witness, tol=1e-9):
             f"psi(1) is not in the canonical diagonal (off-diagonal mass {mass:.3e})")
 
     algebra = witness.algebra
+    m = algebra.fiber_dim
     cut = float(delta) + THRESHOLD_EIG_MARGIN
     kept = []
-    for k, s in enumerate(algebra.summands):
-        kept_slots = []
-        for a in range(s.size):
-            blk = psi1.fiber_block(k, a, a)
-            # the eigenvalues of eigh, not eigvalsh, keep the slot decisions
-            # bit for bit
-            w, _ = np.linalg.eigh((blk + blk.conj().T) / 2.0)
-            if np.any(w > cut):
-                kept_slots.append(a)
-        kept.append(tuple(kept_slots))
+    for s, part in zip(algebra.summands, psi1.parts):
+        slots = np.arange(s.size)
+        blocks = part.reshape(s.size, m, s.size, m)[slots, :, slots, :]
+        # the eigenvalues of eigh, not eigvalsh, keep the slot decisions
+        # bit for bit; one stacked call per summand
+        w, _ = np.linalg.eigh((blocks + blocks.conj().swapaxes(1, 2)) / 2.0)
+        kept.append(tuple(np.flatnonzero((w > cut).any(axis=1)).tolist()))
 
     corners = []
     for color in algebra.colors():
@@ -567,17 +565,16 @@ def extract_cover(pts, space, r):
 
     # Coverage guarantee: a point whose summed diagonal f-image column
     # carries norm above 3/4 must lie in some U-set; record violations of
-    # the implication before raising on uncovered points.
-    col_index = {color: _diagonal_columns(pts, color) for color in colors}
-    coverage_violations = []
-    for x in range(space.n):
-        mass = 0.0
-        for color in colors:
-            blocks = col_index[color].get(x)
-            if blocks:
-                mass += spectral_norm(np.vstack(blocks))
-        if mass > 0.75 and x not in covered:
-            coverage_violations.append(space.points[x])
+    # the implication before raising on uncovered points.  The colors'
+    # column norms are added in color order, one stacked SVD per column height.
+    mass = np.zeros(space.n)
+    for color in colors:
+        cols = _diagonal_columns(pts, color)
+        for xs in group_by(cols, lambda x: len(cols[x])):
+            stack = np.array([cols[x] for x in xs])
+            mass[xs] += spectral_norm(stack.reshape(len(xs), -1, stack.shape[-1]))
+    coverage_violations = [space.points[x] for x in np.flatnonzero(mass > 0.75).tolist()
+                           if x not in covered]
 
     for x in range(space.n):
         if x not in covered:

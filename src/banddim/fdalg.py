@@ -216,9 +216,5 @@ class FdElement:
             offset += d
         return out
 
-    def fiber_block(self, k, a, b):
-        m = self.algebra.fiber_dim
-        return self.parts[k][a * m:(a + 1) * m, b * m:(b + 1) * m]
-
     def __repr__(self):
         return f"FdElement({self.algebra!r})"

@@ -760,7 +760,16 @@ def _block_to_json(b):
 
 
 def _block_from_json(rows):
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    """A block from its rows of [re, im] pairs; anything else raises
+    ``InvalidParameterError``."""
+    try:
+        block = np.array([[complex(re, im) for re, im in row] for row in rows])
+    except (TypeError, ValueError):
+        block = None
+    if block is None or block.ndim != 2:
+        raise InvalidParameterError(
+            f"an operator block must be a list of rows of [re, im] pairs, got {rows!r}")
+    return block
 
 
 def save_operator(op, path):
@@ -778,8 +787,11 @@ def save_operator(op, path):
 
 def load_operator(path, space):
     doc = read_json(path)
+    records = doc["blocks"]
+    if not (isinstance(records, list) and all(isinstance(rec, dict) for rec in records)):
+        raise InvalidParameterError(f"{path}: 'blocks' must be a list of block records")
     blocks = {}
-    for rec in doc["blocks"]:
+    for rec in records:
         x = space.index(_id_from_json(rec["x"]))
         y = space.index(_id_from_json(rec["y"]))
         blocks[(x, y)] = _block_from_json(rec["block"])

@@ -36,6 +36,20 @@ def check_scale(radius):
     return radius
 
 
+def check_positive(value, name):
+    """``value`` as a Fraction > 0: a finite real number, by the rule of
+    ``check_scale``, or a string that ``Fraction`` reads, such as "1/2";
+    anything else raises ``InvalidParameterError`` naming ``name``."""
+    try:
+        exact = Fraction(value if isinstance(value, str) else check_scale(value))
+    except (InvalidParameterError, ValueError, ZeroDivisionError):
+        exact = 0
+    if exact <= 0:
+        raise InvalidParameterError(
+            f"{name} must be a positive finite number, got {value!r}")
+    return exact
+
+
 @dataclass(frozen=True)
 class GridMeta:
     """Construction parameters of a generated integer box."""
@@ -136,9 +150,7 @@ def generate_space(family, *, length=None, sides=None, metric="linf", spacing=1)
     dimension) and the ``l1`` or ``linf`` metric on integer coordinates,
     scaled by ``spacing``.
     """
-    spacing = Fraction(spacing)
-    if spacing <= 0:
-        raise InvalidParameterError("spacing must be positive")
+    spacing = check_positive(spacing, "spacing")
     if family == "interval":
         if length is None:
             raise InvalidParameterError("interval requires a length")
@@ -229,11 +241,10 @@ def save_space(space, path):
 
 
 def _regenerate(gen):
-    spacing = Fraction(gen["spacing"])
     if gen["family"] == "interval":
-        return generate_space("interval", length=gen["sides"][0], spacing=spacing)
+        return generate_space("interval", length=gen["sides"][0], spacing=gen["spacing"])
     return generate_space("grid", sides=gen["sides"], metric=gen["metric"],
-                          spacing=spacing)
+                          spacing=gen["spacing"])
 
 
 def load_space(path):

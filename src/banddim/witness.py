@@ -422,9 +422,8 @@ class WindowDefects:
     which costs O(windows s^3 + N^2) against the O(N^3) of the dense
     products; ``left(x)`` and ``right(y)`` hold the factors, so each is
     formed once per test element or sample.  Every block is added through
-    the flat positions of its entries in the N x N matrix, as
-    ``InclusionMap.apply_dense`` adds its window blocks; the windows list
-    distinct points, so no position repeats within a block.
+    the flat positions of its entries in the N x N matrix, row by row; the
+    windows list distinct points, so no position repeats within a block.
 
     ``defect`` returns the sum and an a-priori bound ``gap`` on its spectral
     distance from the dense defect ``phi_hat(x y) - phi_hat(x) phi_hat(y)``
@@ -453,13 +452,13 @@ class WindowDefects:
     """
 
     def __init__(self, phi, p, scale):
-        coords = phi.window_coords()
-        n = phi.codomain.matrix_dim
+        m, n = phi.codomain.fiber_dim, phi.codomain.matrix_dim
+        coords = [np.array([x * m + a for x in w for a in range(m)]) for w in phi.windows]
         self.n = n
         self.scale = scale
         self.p = p.parts
         self.p_fro2 = np.array([np.linalg.norm(part) ** 2 for part in self.p])
-        self.index = phi.window_positions()
+        self.index = [(c[:, None] * n + c).reshape(-1) for c in coords]
         owners = {}
         for k, c in enumerate(coords):
             for slot, x in enumerate(c.tolist()):
@@ -566,33 +565,13 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
     above = psi1.funcalc(lambda t: (t > bp).astype(float))
     unit_dev = ((p @ p_prime) @ above - above).norm()
 
-    # The few scale and approximation defects are dense N x N matrices, each
-    # formed in one array: the image subtracted from the hat image is added
-    # in over its own support, in the order of ``InclusionMap.apply_dense``.
-    m = witness.fiber_dim
-    positions = witness.phi.window_positions()
-    support, slots = np.unique(np.concatenate(positions), return_inverse=True)
-    slots = np.split(slots, np.cumsum([len(q) for q in positions])[:-1])
-
-    def hat_image(elem):
-        out = witness.phi.apply_dense(p @ elem @ p)
-        out *= scale
-        return out
-
+    # The few scale and approximation defects are band operators made dense.
     def scale_defect(a):
-        out = hat_image(psi_hat.apply(a))
-        image = np.zeros(len(support), dtype=complex)
-        for slot, part in zip(slots, witness.psi.apply(a).parts):
-            image[slot] += part.reshape(-1)
-        image *= scale
-        out.reshape(-1)[support] -= image
-        return out
+        return (phi_hat.apply(psi_hat.apply(a))
+                - scale * witness.phi.apply(witness.psi.apply(a))).to_dense()
 
     def approx_defect(a):
-        out = hat_image(psi_hat.apply(a))
-        for (x, y), block in a.blocks.items():
-            out[x * m:(x + 1) * m, y * m:(y + 1) * m] -= block
-        return out
+        return (phi_hat.apply(psi_hat.apply(a)) - a).to_dense()
 
     scale_dev, scale_upper = max_norm_enclosure(map(scale_defect, witness.test_set))
     squares = witness.test_set + [a @ a for a in witness.test_set]
@@ -806,6 +785,10 @@ def load_witness(dirpath):
     from .space import _id_from_json, load_space, read_json
 
     doc = read_json(os.path.join(dirpath, "witness.json"))
+    for key in ("summands", "coefficients", "test_set"):
+        if not isinstance(doc[key], list):
+            raise InvalidParameterError(f"witness bundle key {key!r} must be a list, "
+                                        f"got {doc[key]!r}")
     space = load_space(os.path.join(dirpath, doc["space"]))
     fiber = doc["fiber"]
     band = BandAlgebra(space, fiber)

@@ -9,6 +9,7 @@ import json
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -45,6 +46,20 @@ def witness150(interval150):
 def pts150(witness150):
     td = threshold_setup(witness150)
     return td, build_translation_system(witness150, td)
+
+
+def dense_image(phi, elem):
+    """The image of ``elem`` under the inclusion map ``phi`` as a dense N x N
+    matrix: each part scattered onto its window's coordinates and added in
+    window order.  The reference ``InclusionMap.apply`` and the hat defects
+    are tested against."""
+    m, n = phi.codomain.fiber_dim, phi.codomain.matrix_dim
+    out = np.zeros((n, n), dtype=complex)
+    flat = out.reshape(-1)
+    for window, part in zip(phi.windows, elem.parts):
+        c = np.array([x * m + a for x in window for a in range(m)])
+        flat[(c[:, None] * n + c).reshape(-1)] += part.reshape(-1)
+    return out
 
 
 def random_factored_map(rng, space, fiber=1, slots=None):

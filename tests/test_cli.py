@@ -621,3 +621,78 @@ def test_run_rejects_malformed_space(tmp_path, capsys, space):
     err = capsys.readouterr().err
     assert err.startswith("usage error: config key 'space'"), err
     assert not os.path.exists(cfg["out_dir"])
+
+
+@pytest.mark.parametrize("command, value", [
+    ("cover-gen", "nan"), ("cover-gen", "inf"), ("space-gen", "nan"), ("space-gen", "inf"),
+    ("run-brick-side", "x"), ("run-brick-side", float("nan")),
+    ("run-spacing", float("nan")),
+], ids=["cover-gen-nan", "cover-gen-inf", "space-gen-nan", "space-gen-inf",
+        "run-brick-side-string", "run-brick-side-nan", "run-spacing-nan"])
+def test_non_finite_sizes_exit_3(tmp_path, capsys, command, value):
+    """A brick side or spacing that is not a positive finite number exits 3
+    before its file is written; each used to end in a traceback from
+    ``Fraction``."""
+    out = tmp_path / "out.json"
+    if command == "cover-gen":
+        bundle = _interval_bundle(tmp_path)
+        _assert_exit_3(["cover", "gen", "--space", str(bundle.parent / "space.json"),
+                        "--r", "2", "--brick-side", value, "--out", str(out)],
+                       capsys, "brick_side must be a positive finite number", out)
+    elif command == "space-gen":
+        _assert_exit_3(["space", "gen", "--length", "8", "--spacing", value,
+                        "--out", str(out)],
+                       capsys, "spacing must be a positive finite number", out)
+    elif command == "run-brick-side":
+        path, cfg = write_config(tmp_path, cover={"brick_side": value})
+        run_out = pathlib.Path(cfg["out_dir"])
+        _assert_exit_3(["run", "--config", str(path)], capsys,
+                       "stage 'cover' failed: brick_side must be a positive finite number",
+                       run_out / "cover.json")
+    else:
+        path, cfg = write_config(tmp_path, space={"family": "interval", "length": 40,
+                                                  "spacing": value})
+        run_out = pathlib.Path(cfg["out_dir"])
+        _assert_exit_3(["run", "--config", str(path)], capsys,
+                       "stage 'space' failed: spacing must be a positive finite number",
+                       run_out / "space.json")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("stages", None), ("tolerances", "x"), ("tolerances", None), ("test_ops", 3),
+], ids=["stages-null", "tolerances-string", "tolerances-null", "test_ops-number"])
+def test_run_rejects_malformed_structure(tmp_path, capsys, key, value):
+    """A stage list, tolerances object or operator list of the wrong type is
+    a usage error before any stage writes; each used to end in a
+    traceback."""
+    path, cfg = write_config(tmp_path, **{key: value})
+    out = pathlib.Path(cfg["out_dir"])
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and key in err and "Traceback" not in err, err
+    assert list(out.iterdir()) == []
+
+
+def _set_first_test_block(value):
+    def edit(doc):
+        doc["blocks"][0]["block"] = value
+    return "test_000.json", edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    (*_set_first_test_block("x"), "operator block must be a list of rows"),
+    (*_set_first_test_block([[[1.0]]]), "operator block must be a list of rows"),
+    ("test_000.json", lambda doc: doc.update(blocks="x"), "'blocks' must be a list"),
+    ("witness.json", lambda doc: doc.update(summands="x"), "'summands' must be a list"),
+    ("witness.json", lambda doc: doc.update(coefficients=5), "'coefficients' must be a list"),
+    ("witness.json", lambda doc: doc.update(test_set=3), "'test_set' must be a list"),
+], ids=["block-string", "block-without-imaginary-part", "blocks-string", "summands-string",
+        "coefficients-number", "test_set-number"])
+def test_malformed_bundle_exits_3(tmp_path, capsys, name, edit, message):
+    """A bundle file holding a value of the wrong type fails every command
+    with exit 3; each used to end in a traceback."""
+    bundle = _interval_bundle(tmp_path)
+    _edit_json(bundle / name, edit)
+    _assert_commands_exit_3(bundle, capsys, message)

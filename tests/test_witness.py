@@ -14,7 +14,7 @@ from banddim.witness import (WindowDefects, build_upper_witness, check_witness,
                              condition2_errors, default_test_set, hat_normalize,
                              load_witness, permanence_combine, save_witness)
 
-from conftest import grid_witness, interval_witness, permuted_bundle
+from conftest import dense_image, grid_witness, interval_witness, permuted_bundle
 
 
 def single_point_witness(fiber=2):
@@ -62,7 +62,7 @@ def test_witness_conditions_and_dense_oracle():
     # condition 2: error値 validated against a dense recomputation
     errs = condition2_errors(w)
     a = w.test_set[int(np.argmax(errs))]
-    dense = w.phi.apply_dense(w.psi.apply(a)) - a.to_dense()
+    dense = dense_image(w.phi, w.psi.apply(a)) - a.to_dense()
     expected = np.linalg.svd(dense, compute_uv=False)[0]
     assert abs(max(errs) - expected) < 1e-12
     assert math.isfinite(report[2].worst)
@@ -157,11 +157,11 @@ def test_hat_worst_cases_match_brute_force():
     psi1 = w.psi.apply(w.band.identity())
 
     def phi_hat_dense(x):
-        return pair.scale * w.phi.apply_dense(pair.p @ x @ pair.p)
+        return pair.scale * dense_image(w.phi, pair.p @ x @ pair.p)
 
     scale_dev = max(spectral_norm(
         phi_hat_dense(pair.psi_hat.apply(a))
-        - pair.scale * w.phi.apply_dense(w.psi.apply(a))) for a in w.test_set)
+        - pair.scale * dense_image(w.phi, w.psi.apply(a))) for a in w.test_set)
     approx = max(spectral_norm(phi_hat_dense(pair.psi_hat.apply(a)) - a.to_dense())
                  for a in w.test_set + [a @ a for a in w.test_set])
     rng = np.random.default_rng(3)
@@ -175,10 +175,20 @@ def test_hat_worst_cases_match_brute_force():
                                       - phi_hat_dense(pa) @ phi_hat_dense(b)))
     assert len(mult) == 10 * len(w.test_set)
     rep = pair.report
+    assert w.space.n * w.fiber_dim < 2 * CERT_PANEL
+    _assert_lapack_values(rep, scale_dev, approx)
     _assert_encloses(rep, "scale_identity_deviation", scale_dev)
     _assert_encloses(rep, "approximation_worst", approx)
     _assert_encloses(rep, "multiplicativity_worst", max(mult),
                      _largest_gap(w, pair, _sampled_corner_elements(w, 10, 3)))
+
+
+def _assert_lapack_values(report, scale_dev, approx):
+    """Below 2 CERT_PANEL columns each reported worst case is LAPACK's value
+    of one defect, so it equals the brute-force maximum over the defects of
+    the dense reference."""
+    assert report["scale_identity_deviation"] == scale_dev
+    assert report["approximation_worst"] == approx
 
 
 def _assert_encloses(report, key, brute, gap=0.0):
@@ -224,11 +234,11 @@ def test_hat_worst_cases_match_brute_force_off_intervals(make, tmp_path):
     pair = hat_normalize(w, samples=6, seed=2)
 
     def phi_hat_dense(x):
-        return pair.scale * w.phi.apply_dense(pair.p @ x @ pair.p)
+        return pair.scale * dense_image(w.phi, pair.p @ x @ pair.p)
 
     scale_dev = max(spectral_norm(
         phi_hat_dense(pair.psi_hat.apply(a))
-        - pair.scale * w.phi.apply_dense(w.psi.apply(a))) for a in w.test_set)
+        - pair.scale * dense_image(w.phi, w.psi.apply(a))) for a in w.test_set)
     approx = max(spectral_norm(phi_hat_dense(pair.psi_hat.apply(a)) - a.to_dense())
                  for a in w.test_set + [a @ a for a in w.test_set])
     mult = [spectral_norm(phi_hat_dense(pa @ b) - phi_hat_dense(pa) @ phi_hat_dense(b))
@@ -236,6 +246,8 @@ def test_hat_worst_cases_match_brute_force_off_intervals(make, tmp_path):
             for pa in map(pair.psi_hat.apply, w.test_set)]
     assert len(mult) == 6 * len(w.test_set)
     rep = pair.report
+    if w.space.n * w.fiber_dim < 2 * CERT_PANEL:
+        _assert_lapack_values(rep, scale_dev, approx)
     _assert_encloses(rep, "scale_identity_deviation", scale_dev)
     _assert_encloses(rep, "approximation_worst", approx)
     _assert_encloses(rep, "multiplicativity_worst", max(mult),
@@ -267,7 +279,7 @@ def test_window_defects_match_dense(make, tmp_path):
     assert windows.pairs  # the windows overlap
 
     def phi_hat_dense(x):
-        return pair.scale * w.phi.apply_dense(pair.p @ x @ pair.p)
+        return pair.scale * dense_image(w.phi, pair.p @ x @ pair.p)
 
     for b in _sampled_corner_elements(w, 3, 7):
         right = windows.right(b)
