@@ -372,31 +372,53 @@ def spectral_norm(mat):
 def _cert_panels(mat):
     """Panels ``(p0, p1, e, r0, r1)`` of the columns of a matrix M for
     :func:`certified_below`: columns [p0, p1) reach the columns up to the
-    band end ``e`` of M^H M, and hold their nonzeros in rows [r0, r1).
-
-    (M^H M)_jk vanishes unless columns j and k share a nonzero row.  The band
-    end of column j is one past the last column k whose first nonzero row
-    lies at or above j's last one, which holds every column whose row range
-    meets j's, and at least j + 1.  The ends are made nondecreasing by a
-    running maximum, so the Cholesky factor of a Hermitian matrix with this
-    band, fill-in included, stays inside it.  A matrix of fewer than
-    2 CERT_PANEL columns is one panel.  The first and last nonzero rows are
-    read in strips of rows of about 2^18 entries, so no mask of the whole
-    matrix is held, and each strip searches only the columns it meets.
+    band end ``e`` of M^H M, and hold their nonzeros in rows [r0, r1).  They
+    are the :func:`band_panels` of M's :func:`_row_profile`; a matrix of
+    fewer than 2 CERT_PANEL columns is one panel, with no profile read.
     """
     rows, cols = mat.shape
-    count = max(cols // CERT_PANEL, 1)
-    if count == 1:
+    if cols < 2 * CERT_PANEL:
         return [(0, cols, cols, 0, rows)]
-    first = np.full(cols, rows)  # empty columns: (rows, -1)
+    return band_panels(*_row_profile(mat), rows)
+
+
+def _row_profile(mat):
+    """The first and last nonzero row of each column of a matrix, (rows, -1)
+    for an empty column.  They are read in strips of rows of about 2^18
+    entries, so no mask of the whole matrix is held, and each strip
+    searches only the columns it meets."""
+    rows, cols = mat.shape
+    first = np.full(cols, rows)
     last = np.full(cols, -1)
-    step = max(1, (1 << 18) // cols)
+    step = max(1, (1 << 18) // max(cols, 1))
     for r0 in range(0, rows, step):
         nz = _nonzero(mat[r0:r0 + step])
         hit = np.flatnonzero(nz.any(axis=0))
         strip = nz[:, hit]
         first[hit] = np.minimum(first[hit], r0 + strip.argmax(axis=0))
         last[hit] = r0 + len(nz) - 1 - strip[::-1].argmax(axis=0)  # strips run downwards
+    return first, last
+
+
+def band_panels(first, last, rows):
+    """The panels ``(p0, p1, e, r0, r1)`` of :func:`_cert_panels` for a
+    matrix of ``rows`` rows whose column j holds its nonzeros in rows
+    ``first[j]`` to ``last[j]`` (an empty column: ``rows`` and -1).  Bounds
+    wider than the true first and last nonzero rows give wider panels, which
+    the certificate and the Lanczos products may use all the same.
+
+    (M^H M)_jk vanishes unless columns j and k share a nonzero row.  The band
+    end of column j is one past the last column k whose first nonzero row
+    lies at or above j's last one, which holds every column whose row range
+    meets j's, and at least j + 1.  The ends are made nondecreasing by a
+    running maximum, so the Cholesky factor of a Hermitian matrix with this
+    band, fill-in included, stays inside it.  Fewer than 2 CERT_PANEL
+    columns make one panel.
+    """
+    cols = len(first)
+    count = max(cols // CERT_PANEL, 1)
+    if count == 1:
+        return [(0, cols, cols, 0, rows)]
     # the suffix minimum of first is sorted, so a search finds the last
     # column k with first[k] <= last[j]
     reach = np.minimum.accumulate(first[::-1])[::-1]
@@ -417,9 +439,11 @@ def _nonzero(mat):
     return mat != 0
 
 
-def certified_below(mat, bound):
+def certified_below(mat, bound, panels=None):
     """True when ``||mat|| < bound`` is proved by a Cholesky factor of
     ``G = bound^2 (1 - CERT_MARGIN) I - M^H M``; False says nothing.
+    ``panels`` are M's :func:`_cert_panels`, or :func:`band_panels` of
+    bounds on its nonzero rows; None reads them off M.
 
     The factorization is blocked and right-looking, as LAPACK's banded
     ``zpbtrf``, over panels of about CERT_PANEL columns (a matrix of fewer
@@ -453,7 +477,7 @@ def certified_below(mat, bound):
     if mat.size == 0:
         return True
     shift = bound * bound * (1.0 - CERT_MARGIN)
-    panels = _cert_panels(mat)
+    panels = _cert_panels(mat) if panels is None else panels
     slabs = []
     for i, (p0, p1, end, _, _) in enumerate(panels):
         while len(slabs) < len(panels) and panels[len(slabs)][0] < end:
@@ -480,10 +504,12 @@ def certified_below(mat, bound):
 
 class Nearby(NamedTuple):
     """A matrix met through an approximation: the matrix it stands for lies
-    within ``gap`` of ``approx`` in spectral norm."""
+    within ``gap`` of ``approx`` in spectral norm.  ``panels``, when given,
+    are the certificate panels of ``approx`` (see :func:`certified_below`)."""
 
     approx: np.ndarray
     gap: float
+    panels: list = None
 
 
 def max_spectral_norm(mats):
@@ -492,7 +518,7 @@ def max_spectral_norm(mats):
     Only a matrix that may raise the running maximum pays for an SVD; any
     other one is skipped on :func:`certified_below`.
     """
-    return _running_max(mats, lambda mat: (spectral_norm(mat), 0.0))[0]
+    return _running_max(mats, lambda mat, _: (spectral_norm(mat), 0.0))[0]
 
 
 def max_norm_enclosure(items):
@@ -501,7 +527,8 @@ def max_norm_enclosure(items):
     for every item; (0.0, 0.0) when empty.
 
     An item is a matrix or a :class:`Nearby`, whose matrix lies within
-    ``gap`` of its ``approx``.  An item whose ``approx`` is certified below
+    ``gap`` of its ``approx`` and which may carry the certificate panels of
+    its ``approx``.  An item whose ``approx`` is certified below
     the running maximum ``best`` less its gap is skipped: the matrix it
     stands for lies below ``best``.  Any other item is a *record*: its
     ``approx`` is valued and its upper end, with its gap added, enters the
@@ -511,28 +538,29 @@ def max_norm_enclosure(items):
 
 
 def _running_max(items, measure):
-    """The largest ``measure(approx)`` value over the items (matrices or
-    :class:`Nearby`) that :func:`certified_below` cannot place below the
-    running maximum less their gap, and the largest of their upper ends plus
-    gap.  Each item is released before the next one is formed."""
+    """The largest ``measure(approx, panels)`` value over the items
+    (matrices or :class:`Nearby`) that :func:`certified_below` cannot place
+    below the running maximum less their gap, and the largest of their upper
+    ends plus gap.  Each item is released before the next one is formed."""
     best, upper = None, 0.0
     for item in items:
-        mat, gap = item if isinstance(item, Nearby) else (item, 0.0)
+        mat, gap, panels = item if isinstance(item, Nearby) else (item, 0.0, None)
         item = None
-        if best is None or not (gap < 0.5 * best and certified_below(mat, best - gap)):
-            value, top = measure(mat)
+        if best is None or not (gap < 0.5 * best and certified_below(mat, best - gap, panels)):
+            value, top = measure(mat, panels)
             best = value if best is None else max(best, value)
             upper = max(upper, float(top + gap))
         mat = None
     return (0.0, 0.0) if best is None else (best, upper)
 
 
-def norm_enclosure(mat):
+def norm_enclosure(mat, panels=None):
     """``(value, upper)`` for the spectral norm of a dense matrix M:
     ``value`` estimates it, and ``upper = value (1 + ENCLOSURE_REL)`` is
     proved above it by :func:`certified_below`; (0.0, 0.0) when M is empty
     or zero.  An entry that is not finite raises ``LinAlgError``, as the SVD
-    does.
+    does.  ``panels`` are M's certificate panels, as :func:`certified_below`
+    takes them; None reads them off M.
 
     A matrix of fewer than 2 CERT_PANEL columns (one certificate panel)
     takes its value from LAPACK's SVD.  A larger one takes it from a
@@ -542,7 +570,7 @@ def norm_enclosure(mat):
     M^H, from a start vector drawn with the seed LANCZOS_SEED:
 
     * a step multiplies by M and by M^H once each, panel by panel over the
-      column panels of :func:`_cert_panels`, so a banded matrix costs its
+      certificate panels of the taller one, so a banded matrix costs its
       band, not its size;
     * each new basis vector is orthogonalized twice against the basis; an
       alpha or beta at most LANCZOS_BREAKDOWN ||M||_F is a breakdown: it is
@@ -567,18 +595,24 @@ def norm_enclosure(mat):
         return 0.0, 0.0
     if mat.shape[1] < 2 * CERT_PANEL:
         value = spectral_norm(mat)
-        if not certified_below(mat, value * (1.0 + ENCLOSURE_REL)):
+        if not certified_below(mat, value * (1.0 + ENCLOSURE_REL), panels):
             raise np.linalg.LinAlgError("the SVD value of a matrix could not be certified")
         return value, value * (1.0 + ENCLOSURE_REL)
-    return _lanczos_enclosure(mat)
+    return _lanczos_enclosure(mat, panels)
 
 
-def _lanczos_enclosure(mat):
-    """The Golub-Kahan-Lanczos run of :func:`norm_enclosure`."""
-    a = mat if mat.shape[0] >= mat.shape[1] else np.ascontiguousarray(mat.conj().T)
+def _lanczos_enclosure(mat, cert_panels):
+    """The Golub-Kahan-Lanczos run of :func:`norm_enclosure`; ``cert_panels``
+    are M's certificate panels, or None to read them off M."""
+    cert_panels = _cert_panels(mat) if cert_panels is None else cert_panels
+    if mat.shape[0] >= mat.shape[1]:
+        a, a_panels = mat, cert_panels
+    else:
+        a = np.ascontiguousarray(mat.conj().T)
+        a_panels = _cert_panels(a)
     rows, n = a.shape
     panels = []
-    for p0, p1, _, r0, r1 in _cert_panels(a):
+    for p0, p1, _, r0, r1 in a_panels:
         if panels and panels[-1][2:] == [r0, r1]:
             panels[-1][1] = p1  # panels over the same rows are one product
         else:
@@ -649,7 +683,7 @@ def _lanczos_enclosure(mat):
             x = vecs[:, -1] @ vs[:k]
             value = float(np.linalg.norm(times(x)) / np.linalg.norm(x))
             upper = value * (1.0 + ENCLOSURE_REL)
-            if certified_below(mat, upper):
+            if certified_below(mat, upper, cert_panels):
                 return value, upper
             if k == n:
                 raise np.linalg.LinAlgError(
@@ -665,12 +699,14 @@ def operator_norm(op):
     After permuting rows and columns the operator is block diagonal over the
     connected components of its bipartite block support (row x and column y
     are the nodes x and ~y), so the norm is the largest component norm;
-    equal-shape components take one stacked SVD.
+    equal-shape components take one stacked SVD.  A component of one block
+    is that block, with no dense copy.
     """
     labels = connected_components((x, ~y) for x, y in op.blocks)
-    mats = [op._dense(sorted({x for x, _ in keys}), sorted({y for _, y in keys}), keys)
+    mats = [op.blocks[keys[0]] if len(keys) == 1 else
+            op._dense(sorted({x for x, _ in keys}), sorted({y for _, y in keys}), keys)
             for keys in group_by(op.blocks, lambda key: labels[key[0]])]
-    return max((float(spectral_norm(np.stack(same)).max())
+    return max((float(spectral_norm(np.stack(same, dtype=complex)).max())
                 for same in group_by(mats, np.shape)), default=0.0)
 
 

@@ -36,6 +36,11 @@ def check_scale(radius):
     return radius
 
 
+def _is_int(value):
+    """True for an integer that is not a bool (numpy integers included)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_positive(value, name):
     """``value`` as a Fraction > 0: a finite real number, by the rule of
     ``check_scale``, or a string that ``Fraction`` reads, such as "1/2";
@@ -146,16 +151,19 @@ def generate_space(family, *, length=None, sides=None, metric="linf", spacing=1)
     """Generate an integer interval or box with an exact metric.
 
     ``interval`` takes ``length`` and yields points ``0..length-1`` with
-    distance ``spacing * |i - j|``.  ``grid`` takes ``sides`` (one entry per
-    dimension) and the ``l1`` or ``linf`` metric on integer coordinates,
-    scaled by ``spacing``.
+    distance ``spacing * |i - j|``.  ``grid`` takes ``sides`` (a list or
+    tuple, one entry per dimension) and the ``l1`` or ``linf`` metric on
+    integer coordinates, scaled by ``spacing``.  The length and every side
+    must be an integer >= 1 that is not a bool (no float, however whole);
+    anything else raises ``InvalidParameterError``.
     """
     spacing = check_positive(spacing, "spacing")
     if family == "interval":
         if length is None:
             raise InvalidParameterError("interval requires a length")
-        if int(length) != length or length < 1:
-            raise InvalidParameterError("interval length must be a positive integer")
+        if not (_is_int(length) and length >= 1):
+            raise InvalidParameterError(
+                f"interval length must be an integer >= 1, got {length!r}")
         n = int(length)
         points = list(range(n))
         idx = np.arange(n)
@@ -164,9 +172,10 @@ def generate_space(family, *, length=None, sides=None, metric="linf", spacing=1)
     elif family == "grid":
         if not sides:
             raise InvalidParameterError("grid requires side lengths")
+        if not (isinstance(sides, (list, tuple)) and all(_is_int(s) and s >= 1 for s in sides)):
+            raise InvalidParameterError(
+                f"grid sides must be a list of integers >= 1, got {sides!r}")
         sides = tuple(int(s) for s in sides)
-        if any(s < 1 for s in sides):
-            raise InvalidParameterError("all grid sides must be >= 1")
         if metric not in ("l1", "linf"):
             raise InvalidParameterError(f"unknown metric {metric!r}")
         points = [tuple(p) for p in itertools.product(*(range(s) for s in sides))]

@@ -44,12 +44,9 @@ from .cpmaps import (BandAlgebra, CompressionMap, InclusionMap, SandwichedMap,
 from .errors import (CoverGapError, IncompatibilityError, InvalidParameterError,
                      InvalidWitnessError, PreconditionError)
 from .fdalg import FiniteDimAlgebra, Summand
-from .operators import BandOperator, Nearby, fiber_unit, max_norm_enclosure, operator_norm
-from .space import FiniteMetricSpace
-
-
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+from .operators import (BandOperator, Nearby, band_panels, fiber_unit, max_norm_enclosure,
+                        operator_norm)
+from .space import FiniteMetricSpace, _is_int
 
 
 @dataclass
@@ -69,6 +66,13 @@ class DiagDimWitness:
     test_set: list
     epsilon: float
     meta: dict = field(default_factory=dict)
+    # condition2_errors over the test set, measured once
+    _errors: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        if name in ("phi", "psi", "test_set"):
+            object.__setattr__(self, "_errors", None)  # measured with the old ones
+        object.__setattr__(self, name, value)
 
     def __post_init__(self):
         if not _is_int(self.d) or self.d < 0:
@@ -97,9 +101,17 @@ class DiagDimWitness:
 
 
 def condition2_errors(witness, test_set=None):
-    """Per-element norms ||phi(psi(a)) - a|| over the test set."""
-    ops = witness.test_set if test_set is None else test_set
-    return [operator_norm(witness.phi.apply(witness.psi.apply(a)) - a) for a in ops]
+    """Per-element norms ||phi(psi(a)) - a|| over ``test_set``, by default
+    the witness's own test set.  Those are measured once (the build keeps
+    the ones its epsilon pass measured) and kept on the witness as floats,
+    never saved in a bundle; assigning its phi, psi or test set drops them,
+    and a witness made by ``dataclasses.replace`` measures its own.  The
+    test set list is not watched: replace it rather than edit it."""
+    if test_set is not None:
+        return [operator_norm(witness.phi.apply(witness.psi.apply(a)) - a) for a in test_set]
+    if witness._errors is None:
+        witness._errors = tuple(condition2_errors(witness, witness.test_set))
+    return list(witness._errors)
 
 
 def default_epsilon(err):
@@ -190,6 +202,7 @@ def build_upper_witness(space, cover, r, fiber_dim, test_set=None, epsilon=None)
     if epsilon is None:
         errs = condition2_errors(witness, witness.test_set
                                  + [a @ a for a in witness.test_set])
+        witness._errors = tuple(errs[:len(witness.test_set)])
         epsilon = default_epsilon(max(errs))
     witness.epsilon = float(epsilon)
     return witness
@@ -458,6 +471,7 @@ class WindowDefects:
         self.scale = scale
         self.p = p.parts
         self.p_fro2 = np.array([np.linalg.norm(part) ** 2 for part in self.p])
+        self.coords = coords
         self.index = [(c[:, None] * n + c).reshape(-1) for c in coords]
         owners = {}
         for k, c in enumerate(coords):
@@ -471,9 +485,7 @@ class WindowDefects:
                         rows, cols = shared.setdefault((k, l), ([], []))
                         rows.append(i)
                         cols.append(j)
-        self.pairs = [(k, l, np.array(i), np.array(j),
-                       (coords[k][:, None] * n + coords[l]).reshape(-1))
-                      for (k, l), (i, j) in shared.items()]
+        self.pairs = [(k, l, np.array(i), np.array(j)) for (k, l), (i, j) in shared.items()]
         c = max(map(len, owners.values()), default=0)
         d = max(map(len, coords), default=0)
         big_k = 10 * n + c * c + d * d + 4 * len(coords) + 40
@@ -481,11 +493,36 @@ class WindowDefects:
         self.gamma = big_k * u / (1.0 - big_k * u)
 
     def left(self, x):
-        """P_k X_k and |X_k|_F per window; A_k[:, O] per pair."""
+        """P_k X_k and |X_k|_F per window; the nonzero rows of A_k[:, O] and
+        their flat positions per pair; and the certificate panels of every
+        defect with this left factor.
+
+        A product's nonzero rows lie among those of its left factor, so each
+        defect holds its nonzeros in the rectangles (nonzero rows of
+        P_k X_k) x W_k and (nonzero rows of A_k[:, O]) x W_l, whatever the
+        right factor; the panels are the ``band_panels`` of their first and
+        last rows, column by column, and no defect is scanned for them."""
         px = [pk @ xk for pk, xk in zip(self.p, x.parts)]
         a = [self.scale * (pxk @ pk) for pxk, pk in zip(px, self.p)]
-        return (px, [a[k][:, rows].copy() for k, _, rows, _, _ in self.pairs],
-                np.array([np.linalg.norm(xk) for xk in x.parts]))
+        first = np.full(self.n, self.n)
+        last = np.full(self.n, -1)
+
+        def holds(rows, cols):
+            if len(rows):
+                first[cols] = np.minimum(first[cols], rows.min())
+                last[cols] = np.maximum(last[cols], rows.max())
+
+        for c, pxk in zip(self.coords, px):
+            holds(c[pxk.any(axis=1)], c)
+        pairs = []
+        for k, l, rows, _ in self.pairs:
+            ak = a[k][:, rows]
+            hit = np.flatnonzero(ak.any(axis=1))
+            at, cols = self.coords[k][hit], self.coords[l]
+            holds(at, cols)
+            pairs.append((ak[hit], (at[:, None] * self.n + cols).reshape(-1)))
+        return (px, pairs, np.array([np.linalg.norm(xk) for xk in x.parts]),
+                band_panels(first, last, self.n))
 
     def right(self, y):
         """scale (Y_k P_k - P_k B_k) and |Y_k|_F per window; -B_l[O', :] per
@@ -493,22 +530,23 @@ class WindowDefects:
         yp = [yk @ pk for yk, pk in zip(y.parts, self.p)]
         b = [self.scale * (pk @ ypk) for ypk, pk in zip(yp, self.p)]
         return ([self.scale * (ypk - pk @ bk) for ypk, pk, bk in zip(yp, self.p, b)],
-                [-b[l][cols, :] for _, l, _, cols, _ in self.pairs],
+                [-b[l][cols, :] for _, l, _, cols in self.pairs],
                 np.array([np.linalg.norm(yk) for yk in y.parts]))
 
     def defect(self, left, right):
-        """The N x N defect matrix and its ``gap`` to the dense one."""
-        diag_x, pair_x, x_fro = left
+        """The N x N defect matrix as a ``Nearby``: with its ``gap`` to the
+        dense one and the left's certificate panels."""
+        diag_x, pair_x, x_fro, panels = left
         diag_y, pair_y, y_fro = right
         out = np.zeros((self.n, self.n), dtype=complex)
         flat = out.reshape(-1)
         for idx, lk, rk in zip(self.index, diag_x, diag_y):
             flat[idx] += (lk @ rk).reshape(-1)
-        for (_, _, _, _, idx), lk, rk in zip(self.pairs, pair_x, pair_y):
+        for (lk, idx), rk in zip(pair_x, pair_y):
             flat[idx] += (lk @ rk).reshape(-1)
         s1 = self.scale * float(np.sum(self.p_fro2 * x_fro * y_fro))
         s2 = self.scale ** 2 * float(self.p_fro2 @ x_fro) * float(self.p_fro2 @ y_fro)
-        return out, 2.0 * self.gamma * (s1 + s2)
+        return Nearby(out, 2.0 * self.gamma * (s1 + s2), panels)
 
 
 def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
@@ -591,7 +629,7 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
                 continue
             right = windows.right((1.0 / nb) * b)
             for left in lefts:
-                yield Nearby(*windows.defect(left, right))
+                yield windows.defect(left, right)
 
     mult_worst, mult_upper = max_norm_enclosure(mult_defects())
     mult_bound = 6.0 * math.sqrt(eps ** 2 / 81.0)

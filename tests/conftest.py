@@ -48,6 +48,34 @@ def pts150(witness150):
     return td, build_translation_system(witness150, td)
 
 
+@pytest.fixture()
+def condition2_norms(monkeypatch):
+    """The operators whose norms ``witness.condition2_errors`` takes, one per
+    condition-2 evaluation of one element, recorded as they are taken.  The
+    function is wrapped where callers look it up, so a test calls it as
+    ``banddim.witness.condition2_errors`` to be counted."""
+    import banddim.witness as witness_mod
+
+    measure, norm = witness_mod.condition2_errors, witness_mod.operator_norm
+    depth, taken = [0], []
+
+    def counted_errors(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return measure(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_norm(op):
+        if depth[0]:
+            taken.append(op)
+        return norm(op)
+
+    monkeypatch.setattr(witness_mod, "condition2_errors", counted_errors)
+    monkeypatch.setattr(witness_mod, "operator_norm", counted_norm)
+    return taken
+
+
 def dense_image(phi, elem):
     """The image of ``elem`` under the inclusion map ``phi`` as a dense N x N
     matrix: each part scattered onto its window's coordinates and added in

@@ -696,3 +696,52 @@ def test_malformed_bundle_exits_3(tmp_path, capsys, name, edit, message):
     bundle = _interval_bundle(tmp_path)
     _edit_json(bundle / name, edit)
     _assert_commands_exit_3(bundle, capsys, message)
+
+
+@pytest.mark.parametrize("space, message", [
+    ({"family": "interval", "length": "x"}, "interval length must be an integer >= 1"),
+    ({"family": "interval", "length": True}, "interval length must be an integer >= 1"),
+    ({"family": "grid", "sides": ["x", 3]}, "grid sides must be a list of integers >= 1"),
+    ({"family": "grid", "sides": [2.5, 3]}, "grid sides must be a list of integers >= 1"),
+    ({"family": "grid", "sides": 5}, "grid sides must be a list of integers >= 1"),
+], ids=["length-string", "length-bool", "sides-string", "sides-fraction", "sides-number"])
+def test_run_rejects_non_integer_space_sizes(tmp_path, capsys, space, message):
+    """An interval length or grid side that is not an integer >= 1 (a bool
+    is not one) fails the space stage with exit 3 and writes nothing: a
+    string used to end in a ValueError traceback, a side of 2.5 ran as 2 and
+    a length of true as 1."""
+    path, cfg = write_config(tmp_path, space=space)
+    out = pathlib.Path(cfg["out_dir"])
+    _assert_exit_3(["run", "--config", str(path)], capsys,
+                   f"stage 'space' failed: {message}")
+    assert list(out.iterdir()) == []
+
+
+def test_run_and_sweep_measure_condition2_once(tmp_path, condition2_norms):
+    """A witness is measured against condition 2 once per test element: the
+    build's epsilon pass over the test set and its squares serves check, hat
+    and sweep, which each used to measure the test set again.  The values
+    they read are those of the test elements, the first half of the pass."""
+    from banddim.operators import operator_norm
+    from banddim.space import load_space
+    from banddim.witness import default_test_set
+
+    path, cfg = write_config(tmp_path, stages=["space", "cover", "witness", "check", "hat"])
+    assert main(["run", "--config", str(path)]) == 0
+    out = pathlib.Path(cfg["out_dir"])
+    t = len(json.loads((out / "witness" / "witness.json").read_text())["test_set"])
+    assert len(condition2_norms) == 2 * t
+    check = json.loads((out / "check_report.json").read_text())["conditions"][1]
+    assert check["worst"] == max(map(operator_norm, condition2_norms[:t]))
+
+    condition2_norms.clear()
+    space = tmp_path / "sweep_space.json"
+    assert main(["space", "gen", "--family", "interval", "--length", "40",
+                 "--out", str(space)]) == 0
+    assert main(["sweep", "--space", str(space), "--r", "2", "3", "--fiber", "1",
+                 "--out", str(tmp_path / "sweep.json")]) == 0
+    t = len(default_test_set(load_space(str(space)), 1, 1))
+    assert len(condition2_norms) == 2 * 2 * t
+    rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+    assert [row["error"] for row in rows] == [
+        max(map(operator_norm, condition2_norms[2 * t * i:2 * t * i + t])) for i in range(2)]

@@ -637,6 +637,45 @@ def test_component_split_matches_dense(seed, n, m, kind, fn):
 
 
 @DIFF
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), m=st.integers(1, 3),
+       singles=st.integers(0, 12), density=st.sampled_from([0.0, 0.2, 0.5]),
+       nan=st.booleans())
+@example(seed=0, n=6, m=2, singles=6, density=0.0, nan=False)
+@example(seed=1, n=8, m=2, singles=3, density=0.5, nan=True)
+def test_operator_norm_mixed_components_match_dense(seed, n, m, singles, density, nan):
+    """operator_norm, which passes a one-block component to the stacked SVD
+    as that block, against the SVD of the full dense matrix, on supports
+    that mix one-block components (``singles`` rows each paired with one
+    column of its own) with random larger ones on the other rows and
+    columns.  A NaN block, which only unvalidated arithmetic can hold,
+    raises as the SVD does."""
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.permutation(n), rng.permutation(n)
+    k = min(singles, n)
+    support = list(zip(rows[:k].tolist(), cols[:k].tolist()))
+    support += [(x, y) for x in rows[k:].tolist() for y in cols[k:].tolist()
+                if rng.random() < density]
+    blocks = {key: 10.0 ** rng.uniform(-1, 1)
+              * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+              for key in support}
+    sp = generate_space("interval", length=n)
+    if nan and blocks:
+        key = support[int(rng.integers(len(support)))]
+        blocks[key][int(rng.integers(m)), int(rng.integers(m))] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            operator_norm(BandOperator._raw(sp, m, blocks, prune=False))
+        return
+    T = BandOperator(sp, m, blocks)
+    got = operator_norm(T)
+    assert type(got) is float
+    if T.is_zero:
+        assert got == 0.0
+    else:
+        want = np.linalg.svd(T.to_dense(), compute_uv=False)[0]
+        assert abs(got - want) <= 1e-12 * want
+
+
+@DIFF
 @given(n=st.integers(1, 16), edges=st.lists(st.tuples(st.integers(0, 15),
                                                       st.integers(0, 15)), max_size=24))
 def test_connected_components_match_reachability(n, edges):

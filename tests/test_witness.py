@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import banddim.witness as witness_mod
 from banddim.cover import brick_cover, make_cover
 from banddim.cpmaps import order_zero_check
 from banddim.errors import IncompatibilityError, PreconditionError
-from banddim.operators import (CERT_PANEL, BandOperator, certified_below, normalizer_check,
-                               operator_norm, spectral_norm)
-from banddim.space import generate_space
+from banddim.operators import (CERT_PANEL, BandOperator, _cert_panels, certified_below,
+                               normalizer_check, operator_norm, spectral_norm)
+from banddim.space import canonical_json, generate_space
 from banddim.witness import (WindowDefects, build_upper_witness, check_witness,
                              condition2_errors, default_test_set, hat_normalize,
                              load_witness, permanence_combine, save_witness)
@@ -124,10 +125,69 @@ def test_perturbed_phi_fails_normalizer_condition():
     bad = perturbed.apply(w.algebra.matrix_unit(k0, a0, a0 + 2))
     assert not normalizer_check(bad, 1e-9).flag
     import dataclasses
+    errs = condition2_errors(w)
     w_bad = dataclasses.replace(w, phi=perturbed)
     report = check_witness(w_bad, tol=1e-9)
     assert not report[5].verdict
     assert report[3].verdict
+    # condition 2 is measured through the perturbed phi, not read off w
+    bad_errs = [operator_norm(perturbed.apply(w.psi.apply(a)) - a) for a in w.test_set]
+    assert condition2_errors(w_bad) == bad_errs != errs
+    assert report[2].worst == max(bad_errs)
+    assert condition2_errors(w) == errs
+
+
+def test_assigned_maps_and_test_set_are_measured_afresh(condition2_norms):
+    """The build's condition-2 values serve until the witness's phi, psi or
+    test set is assigned; then the new ones are measured, once."""
+    w = interval_witness(length=24, r=2, side=8)
+    t = len(w.test_set)
+    assert len(condition2_norms) == 2 * t  # the test set and its squares
+    errs = witness_mod.condition2_errors(w)
+    assert len(condition2_norms) == 2 * t
+    w.test_set = w.test_set[:1]
+    assert witness_mod.condition2_errors(w) == errs[:1] and len(condition2_norms) == 2 * t + 1
+    for name in ("phi", "psi"):
+        setattr(w, name, getattr(w, name))
+        assert witness_mod.condition2_errors(w) == errs[:1]
+    assert witness_mod.condition2_errors(w) == errs[:1] and len(condition2_norms) == 2 * t + 3
+
+
+def test_declared_epsilon_measures_condition2_in_check(condition2_norms):
+    """A declared epsilon needs no condition-2 pass in the build: the first
+    check measures the test set, and a second check and the hat read those
+    values."""
+    sp = generate_space("interval", length=24)
+    w = build_upper_witness(sp, brick_cover(sp, 2, 8), 2, 1, epsilon=3.0)
+    assert condition2_norms == []
+    report = check_witness(w)
+    t = len(w.test_set)
+    assert len(condition2_norms) == t
+    assert report[2].worst == max(map(operator_norm, condition2_norms))
+    assert check_witness(w).to_json() == report.to_json()
+    hat_normalize(w, samples=2, seed=0)  # its precondition reads condition 2
+    assert len(condition2_norms) == t
+
+
+def test_loaded_bundle_measures_its_own_condition2(tmp_path, condition2_norms):
+    """A bundle holds no condition-2 values, and values written into one are
+    never read: the loaded witness measures its test set on first use."""
+    w = interval_witness(length=24, r=2, side=8)
+    errs = witness_mod.condition2_errors(w)
+    save_witness(w, tmp_path)
+    path = tmp_path / "witness.json"
+    doc = json.loads(path.read_text())
+    assert sorted(doc) == ["coefficients", "d", "epsilon", "fiber", "meta", "space",
+                           "summands", "test_set"]
+    assert sorted(doc["meta"]) == ["cover_scale", "h_sum_defect", "r"]
+    doc["errors"] = doc["meta"]["errors"] = [0.0] * len(errs)
+    path.write_text(json.dumps(doc))
+    condition2_norms.clear()
+    back = load_witness(tmp_path)
+    assert condition2_norms == []
+    assert check_witness(back)[2].worst == max(errs)
+    assert witness_mod.condition2_errors(back) == errs
+    assert len(condition2_norms) == len(errs)
 
 
 def test_hat_normalize_single_point():
@@ -205,7 +265,7 @@ def _largest_gap(w, pair, corner_elements):
     of the window forms lies within it of the dense maximum."""
     windows = WindowDefects(w.phi, pair.p, pair.scale)
     lefts = [windows.left(pair.psi_hat.apply(a)) for a in w.test_set]
-    return max(windows.defect(left, windows.right(b))[1]
+    return max(windows.defect(left, windows.right(b)).gap
                for b in corner_elements for left in lefts)
 
 
@@ -255,8 +315,8 @@ def test_hat_worst_cases_match_brute_force_off_intervals(make, tmp_path):
     if w.space.n == 1:
         windows = WindowDefects(w.phi, pair.p, pair.scale)
         b = next(_sampled_corner_elements(w, 1, 2))
-        _, gap = windows.defect(windows.left(pair.psi_hat.apply(w.test_set[0])),
-                                windows.right(b))
+        gap = windows.defect(windows.left(pair.psi_hat.apply(w.test_set[0])),
+                             windows.right(b)).gap
         assert max(mult) < 1e-12 and gap > max(mult)
 
 
@@ -285,7 +345,7 @@ def test_window_defects_match_dense(make, tmp_path):
         right = windows.right(b)
         for a in w.test_set + [a @ a for a in w.test_set]:
             pa = pair.psi_hat.apply(a)
-            got, gap = windows.defect(windows.left(pa), right)
+            got, gap, _ = windows.defect(windows.left(pa), right)
             want = phi_hat_dense(pa @ b) - phi_hat_dense(pa) @ phi_hat_dense(b)
             sigma = spectral_norm(want)
             diff = spectral_norm(got - want)
@@ -293,6 +353,34 @@ def test_window_defects_match_dense(make, tmp_path):
             assert diff <= gap < 1e-3 * sigma
             assert not certified_below(got, sigma)
             assert certified_below(got, sigma * (1 + 1e-8))
+
+
+@pytest.mark.parametrize("make, samples, seed", [
+    (lambda request, tmp: request.getfixturevalue("witness150"), 50, 0),
+    (lambda request, tmp: grid_witness(), 6, 2),
+    (lambda request, tmp: single_point_witness(), 6, 2),
+    (lambda request, tmp: permuted_bundle(
+        interval_witness(length=40, r=2, side=10, fiber=2), tmp), 6, 2),
+    (lambda request, tmp: interval_witness(length=75, r=2, side=10, fiber=2), 6, 2),
+], ids=["readme", "grid", "point", "permuted-interval", "interval-lanczos"])
+def test_left_panels_match_every_defect(make, samples, seed, request, tmp_path,
+                                        monkeypatch):
+    """The certificate panels a left factor plans from its nonzero rows are
+    those read off each defect it forms, for every sample of the hat, and
+    the hat report is byte for byte the one of panels read off each
+    defect."""
+    w = make(request, tmp_path)
+    pair = hat_normalize(w, samples=samples, seed=seed)
+    windows = WindowDefects(w.phi, pair.p, pair.scale)
+    lefts = [windows.left(pair.psi_hat.apply(a)) for a in w.test_set]
+    for b in _sampled_corner_elements(w, samples, seed):
+        right = windows.right(b)
+        for left in lefts:
+            defect = windows.defect(left, right)
+            assert defect.panels == _cert_panels(defect.approx)
+    monkeypatch.setattr(witness_mod, "band_panels", lambda first, last, rows: None)
+    scanned = hat_normalize(w, samples=samples, seed=seed).report
+    assert canonical_json(scanned) == canonical_json(pair.report)
 
 
 def test_hat_takes_no_large_svd(monkeypatch):
