@@ -23,8 +23,8 @@ from .cover import brick_cover, load_cover, save_cover, verify_cover, witness_br
 from .errors import BandDimError, UsageError
 from .extract import build_translation_system, extract_cover, threshold_setup
 from .extract import matrix_unit_identities  # only for perfbench tracing
-from .space import (canonical_json, generate_space, load_space, read_json, save_space,
-                    write_json)
+from .space import (_is_list_of, canonical_json, generate_space, load_space, read_json,
+                    save_space, write_json)
 from .witness import (build_upper_witness, check_witness, condition2_errors,
                       default_test_set, hat_normalize, load_witness, save_witness)
 
@@ -154,11 +154,7 @@ def _cmd_sweep(args):
     test_set = _test_set(space, args.fiber, args.test_scale)
     rows = []
     for r in args.r:
-        # run's auto-brick scale; a grid built at 3r needs at least its side
-        scale, auto_side = witness_brick(space, r)
-        side = args.brick_side_factor * r
-        if scale != r:
-            side = max(side, auto_side)
+        scale, side = witness_brick(space, r)  # run's auto-brick cover
         cover = brick_cover(space, scale, side)
         witness = build_upper_witness(space, cover, r, args.fiber, test_set=test_set)
         err = max(condition2_errors(witness))
@@ -216,7 +212,7 @@ def _validate_config(cfg):
         raise UsageError("config key 'tolerances' must be an object {\"check\": tol}, "
                          f"got {cfg['tolerances']!r}")
     test_ops = cfg.get("test_ops", [])
-    if not (isinstance(test_ops, list) and all(isinstance(p, str) for p in test_ops)):
+    if not _is_list_of(test_ops, str):
         raise UsageError(f"config key 'test_ops' must be a list of paths, got {test_ops!r}")
     return stages
 
@@ -363,7 +359,6 @@ def _build_parser():
     s.add_argument("--r", type=int, nargs="+", required=True)
     s.add_argument("--fiber", type=int, required=True)
     s.add_argument("--test-scale", type=int, default=1)
-    s.add_argument("--brick-side-factor", type=int, default=6)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_sweep)
 

@@ -24,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError, SizeLimitError
-from .space import (_id_from_json, _id_to_json, check_positive, check_scale, read_json,
-                    write_json)
+from .space import (_id_from_json, _id_to_json, _is_list_of, check_positive, check_scale,
+                    read_json, write_json)
 
 
 @dataclass
@@ -309,7 +309,12 @@ def save_cover(cover, space, path):
 
 
 def load_cover(path, space):
+    """A cover file's cover of ``space``; a ``families`` or ``r`` of the wrong
+    type raises ``InvalidParameterError``."""
     doc = read_json(path)
+    families = doc["families"]
+    if not (_is_list_of(families, list) and all(_is_list_of(fam, list) for fam in families)):
+        raise InvalidParameterError(f"{path}: 'families' must be a list of lists of point lists")
     families = [[frozenset(space.index(_id_from_json(p)) for p in s) for s in fam]
-                for fam in doc["families"]]
-    return make_cover(space, families, doc["r"])
+                for fam in families]
+    return make_cover(space, families, check_scale(doc["r"]))

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IncompatibilityError, InvalidParameterError, SizeLimitError
-from .space import _id_from_json, _id_to_json, read_json, write_json
+from .space import _id_from_json, _id_to_json, _is_list_of, read_json, write_json
 
 PRUNE_REL = 1e-14
 CERT_MARGIN = 1e-10
@@ -275,6 +275,21 @@ class BandOperator:
     def to_dense(self):
         return self.dense_on(range(self.space.n * self.fiber_dim))
 
+    def row_profile(self):
+        """The first and last nonzero row of each column of ``to_dense()``,
+        (rows, -1) for an empty column, read off the block keys and the
+        nonzero entries inside each block: the bounds :func:`band_panels`
+        takes."""
+        m = self.fiber_dim
+        size = self.space.n * m
+        first, last = np.full(size, size), np.full(size, -1)
+        if self.blocks:
+            corners = m * np.array(list(self.blocks))  # the first coordinates of each block
+            k, i, j = np.nonzero(np.array(list(self.blocks.values())))
+            np.minimum.at(first, corners[k, 1] + j, corners[k, 0] + i)
+            np.maximum.at(last, corners[k, 1] + j, corners[k, 0] + i)
+        return first, last
+
     def active_coords(self):
         """Sorted dense coordinates of the points the operator touches."""
         m = self.fiber_dim
@@ -361,7 +376,14 @@ def prop_support(op):
 
 def spectral_norm(mat):
     """Largest singular value of a dense matrix; 0.0 for an empty one.  A
-    stack of shape (..., p, q) gives the array of its matrices' values."""
+    stack of shape (..., p, q) gives the array of its matrices' values.  An
+    entry that is not finite raises ``LinAlgError`` (the SVD gives NaN for inf).
+    The entries are finite when their sum is, so no mask is formed unless
+    the sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(mat.sum())
+    if not (finite or np.isfinite(mat).all()):
+        raise np.linalg.LinAlgError("a matrix with an entry that is not finite has no norm")
     if mat.ndim > 2:
         return np.linalg.svd(mat, compute_uv=False)[..., 0]
     if mat.size == 0:
@@ -369,42 +391,13 @@ def spectral_norm(mat):
     return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
-def _cert_panels(mat):
-    """Panels ``(p0, p1, e, r0, r1)`` of the columns of a matrix M for
-    :func:`certified_below`: columns [p0, p1) reach the columns up to the
-    band end ``e`` of M^H M, and hold their nonzeros in rows [r0, r1).  They
-    are the :func:`band_panels` of M's :func:`_row_profile`; a matrix of
-    fewer than 2 CERT_PANEL columns is one panel, with no profile read.
-    """
-    rows, cols = mat.shape
-    if cols < 2 * CERT_PANEL:
-        return [(0, cols, cols, 0, rows)]
-    return band_panels(*_row_profile(mat), rows)
-
-
-def _row_profile(mat):
-    """The first and last nonzero row of each column of a matrix, (rows, -1)
-    for an empty column.  They are read in strips of rows of about 2^18
-    entries, so no mask of the whole matrix is held, and each strip
-    searches only the columns it meets."""
-    rows, cols = mat.shape
-    first = np.full(cols, rows)
-    last = np.full(cols, -1)
-    step = max(1, (1 << 18) // max(cols, 1))
-    for r0 in range(0, rows, step):
-        nz = _nonzero(mat[r0:r0 + step])
-        hit = np.flatnonzero(nz.any(axis=0))
-        strip = nz[:, hit]
-        first[hit] = np.minimum(first[hit], r0 + strip.argmax(axis=0))
-        last[hit] = r0 + len(nz) - 1 - strip[::-1].argmax(axis=0)  # strips run downwards
-    return first, last
-
-
 def band_panels(first, last, rows):
-    """The panels ``(p0, p1, e, r0, r1)`` of :func:`_cert_panels` for a
-    matrix of ``rows`` rows whose column j holds its nonzeros in rows
-    ``first[j]`` to ``last[j]`` (an empty column: ``rows`` and -1).  Bounds
-    wider than the true first and last nonzero rows give wider panels, which
+    """The certificate panels ``(p0, p1, e, r0, r1)`` of a matrix M of
+    ``rows`` rows whose column j holds its nonzeros in rows ``first[j]`` to
+    ``last[j]`` (an empty column: ``rows`` and -1), bounds that come from
+    the structure M was formed from, never from a scan of M: columns
+    [p0, p1) reach the columns up to the band end ``e`` of M^H M, and hold
+    their nonzeros in rows [r0, r1).  Wider bounds give wider panels, which
     the certificate and the Lanczos products may use all the same.
 
     (M^H M)_jk vanishes unless columns j and k share a nonzero row.  The band
@@ -429,26 +422,16 @@ def band_panels(first, last, rows):
             for p0, p1 in zip(edges, edges[1:])]
 
 
-def _nonzero(mat):
-    """The mask ``mat != 0``.  A contiguous complex128 matrix is read through
-    its float64 view: the two bools of an entry, taken as one uint16, are
-    nonzero when its real or imaginary part is, about four times faster than
-    the complex comparison."""
-    if mat.dtype == np.complex128 and mat.flags.c_contiguous:
-        return (mat.view(np.float64) != 0).view(np.uint16) != 0
-    return mat != 0
-
-
 def certified_below(mat, bound, panels=None):
     """True when ``||mat|| < bound`` is proved by a Cholesky factor of
     ``G = bound^2 (1 - CERT_MARGIN) I - M^H M``; False says nothing.
-    ``panels`` are M's :func:`_cert_panels`, or :func:`band_panels` of
-    bounds on its nonzero rows; None reads them off M.
+    ``panels`` are the :func:`band_panels` of bounds on M's nonzero rows;
+    None takes M as dense, one panel ``(0, cols, cols, 0, rows)``.
 
     The factorization is blocked and right-looking, as LAPACK's banded
     ``zpbtrf``, over panels of about CERT_PANEL columns (a matrix of fewer
     than 2 CERT_PANEL columns is one panel, a dense Cholesky).  The band
-    comes from :func:`_cert_panels`: panel [p0, p1) reaches the columns up
+    comes from :func:`band_panels`: panel [p0, p1) reaches the columns up
     to the band end ``e`` of its last column, and since the ends are a
     running maximum, the rows an earlier panel's update fills in lie inside
     the band of every later panel.  Each panel keeps one slab, the rows
@@ -477,7 +460,8 @@ def certified_below(mat, bound, panels=None):
     if mat.size == 0:
         return True
     shift = bound * bound * (1.0 - CERT_MARGIN)
-    panels = _cert_panels(mat) if panels is None else panels
+    rows, cols = mat.shape
+    panels = [(0, cols, cols, 0, rows)] if panels is None else panels
     slabs = []
     for i, (p0, p1, end, _, _) in enumerate(panels):
         while len(slabs) < len(panels) and panels[len(slabs)][0] < end:
@@ -560,7 +544,7 @@ def norm_enclosure(mat, panels=None):
     proved above it by :func:`certified_below`; (0.0, 0.0) when M is empty
     or zero.  An entry that is not finite raises ``LinAlgError``, as the SVD
     does.  ``panels`` are M's certificate panels, as :func:`certified_below`
-    takes them; None reads them off M.
+    takes them; None takes M as dense.
 
     A matrix of fewer than 2 CERT_PANEL columns (one certificate panel)
     takes its value from LAPACK's SVD.  A larger one takes it from a
@@ -569,9 +553,9 @@ def norm_enclosure(mat, panels=None):
     *The Symmetric Eigenvalue Problem*, SIAM, 1998) of the taller of M and
     M^H, from a start vector drawn with the seed LANCZOS_SEED:
 
-    * a step multiplies by M and by M^H once each, panel by panel over the
-      certificate panels of the taller one, so a banded matrix costs its
-      band, not its size;
+    * a step multiplies by M and by M^H once each, panel by panel over M's
+      certificate panels when M is the taller one, so a banded matrix costs
+      its band, not its size;
     * each new basis vector is orthogonalized twice against the basis; an
       alpha or beta at most LANCZOS_BREAKDOWN ||M||_F is a breakdown: it is
       taken as 0 and the next vector is drawn afresh, orthogonal to the
@@ -603,16 +587,15 @@ def norm_enclosure(mat, panels=None):
 
 def _lanczos_enclosure(mat, cert_panels):
     """The Golub-Kahan-Lanczos run of :func:`norm_enclosure`; ``cert_panels``
-    are M's certificate panels, or None to read them off M."""
-    cert_panels = _cert_panels(mat) if cert_panels is None else cert_panels
+    are M's certificate panels, or None for a dense M.  A wide M is run as
+    its adjoint, over one dense panel."""
     if mat.shape[0] >= mat.shape[1]:
         a, a_panels = mat, cert_panels
     else:
-        a = np.ascontiguousarray(mat.conj().T)
-        a_panels = _cert_panels(a)
+        a, a_panels = np.ascontiguousarray(mat.conj().T), None
     rows, n = a.shape
     panels = []
-    for p0, p1, _, r0, r1 in a_panels:
+    for p0, p1, _, r0, r1 in a_panels or [(0, n, n, 0, rows)]:
         if panels and panels[-1][2:] == [r0, r1]:
             panels[-1][1] = p1  # panels over the same rows are one product
         else:
@@ -700,7 +683,8 @@ def operator_norm(op):
     connected components of its bipartite block support (row x and column y
     are the nodes x and ~y), so the norm is the largest component norm;
     equal-shape components take one stacked SVD.  A component of one block
-    is that block, with no dense copy.
+    is that block, with no dense copy.  An entry that is not finite raises
+    ``LinAlgError``, as in :func:`spectral_norm`.
     """
     labels = connected_components((x, ~y) for x, y in op.blocks)
     mats = [op.blocks[keys[0]] if len(keys) == 1 else
@@ -824,7 +808,7 @@ def save_operator(op, path):
 def load_operator(path, space):
     doc = read_json(path)
     records = doc["blocks"]
-    if not (isinstance(records, list) and all(isinstance(rec, dict) for rec in records)):
+    if not _is_list_of(records, dict):
         raise InvalidParameterError(f"{path}: 'blocks' must be a list of block records")
     blocks = {}
     for rec in records:

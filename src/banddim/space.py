@@ -41,6 +41,11 @@ def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_list_of(value, *types):
+    """True for a list whose items are all instances of ``types``."""
+    return isinstance(value, list) and all(isinstance(item, types) for item in value)
+
+
 def check_positive(value, name):
     """``value`` as a Fraction > 0: a finite real number, by the rule of
     ``check_scale``, or a string that ``Fraction`` reads, such as "1/2";
@@ -265,9 +270,12 @@ def load_space(path):
     mode), unless it also carries a generator block whose regenerated space
     has the same points and agrees with the stored matrix: then the exact
     integer representation is returned without validation, since it is a
-    metric by construction.
+    metric by construction.  A ``points`` or ``dist`` of the wrong type
+    raises ``InvalidParameterError``.
     """
     doc = read_json(path)
+    if not isinstance(doc["points"], list):
+        raise InvalidParameterError(f"{path}: 'points' must be a list of point ids")
     points = [_id_from_json(p) for p in doc["points"]]
     gen = doc.get("generator")
     # A block naming another point count cannot match; regenerating it could
@@ -280,7 +288,10 @@ def load_space(path):
                 "space file has no distance matrix and no generator block that "
                 "yields its points")
         return regen
-    dist = np.asarray(doc["dist"], dtype=float)
+    try:
+        dist = np.asarray(doc["dist"], dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{path}: 'dist' must be a matrix of numbers") from None
     if fits:
         regen = _regenerate(gen)
         if regen.points == points and regen.dist.shape == dist.shape and \

@@ -46,7 +46,7 @@ from .errors import (CoverGapError, IncompatibilityError, InvalidParameterError,
 from .fdalg import FiniteDimAlgebra, Summand
 from .operators import (BandOperator, Nearby, band_panels, fiber_unit, max_norm_enclosure,
                         operator_norm)
-from .space import FiniteMetricSpace, _is_int
+from .space import FiniteMetricSpace, _is_int, _is_list_of
 
 
 @dataclass
@@ -603,17 +603,18 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
     above = psi1.funcalc(lambda t: (t > bp).astype(float))
     unit_dev = ((p @ p_prime) @ above - above).norm()
 
-    # The few scale and approximation defects are band operators made dense.
-    def scale_defect(a):
-        return (phi_hat.apply(psi_hat.apply(a))
-                - scale * witness.phi.apply(witness.psi.apply(a))).to_dense()
+    # The few scale and approximation defects are band operators made dense,
+    # with the certificate panels of their own row profile.
+    def banded(op):
+        return Nearby(op.to_dense(), 0.0,
+                      band_panels(*op.row_profile(), witness.band.matrix_dim))
 
-    def approx_defect(a):
-        return (phi_hat.apply(psi_hat.apply(a)) - a).to_dense()
-
-    scale_dev, scale_upper = max_norm_enclosure(map(scale_defect, witness.test_set))
+    scale_dev, scale_upper = max_norm_enclosure(
+        banded(phi_hat.apply(psi_hat.apply(a)) - scale * witness.phi.apply(witness.psi.apply(a)))
+        for a in witness.test_set)
     squares = witness.test_set + [a @ a for a in witness.test_set]
-    approx_worst, approx_upper = max_norm_enclosure(map(approx_defect, squares))
+    approx_worst, approx_upper = max_norm_enclosure(
+        banded(phi_hat.apply(psi_hat.apply(a)) - a) for a in squares)
     approx_bound = eps ** 2 / 27.0
 
     windows = WindowDefects(witness.phi, p, scale)
@@ -816,17 +817,26 @@ def save_witness(witness, dirpath):
 
 
 def load_witness(dirpath):
+    """A bundle of ``save_witness``; a ``witness.json`` key of the wrong type
+    raises ``InvalidParameterError``."""
     import os
 
-    from .cpmaps import CompressionMap, InclusionMap
     from .operators import load_operator
     from .space import _id_from_json, load_space, read_json
 
     doc = read_json(os.path.join(dirpath, "witness.json"))
-    for key in ("summands", "coefficients", "test_set"):
-        if not isinstance(doc[key], list):
-            raise InvalidParameterError(f"witness bundle key {key!r} must be a list, "
-                                        f"got {doc[key]!r}")
+    meta = doc.get("meta", {})
+    for key, ok, rule in [
+            ("space", isinstance(doc["space"], str), "a file name"),
+            ("summands", _is_list_of(doc["summands"], dict) and all(
+                isinstance(rec.get("points"), list) for rec in doc["summands"]),
+             "a list of records with a 'points' list"),
+            ("coefficients", _is_list_of(doc["coefficients"], str, type(None)),
+             "a list of file names or nulls"),
+            ("test_set", _is_list_of(doc["test_set"], str), "a list of file names"),
+            ("meta", isinstance(meta, dict), "an object")]:
+        if not ok:
+            raise InvalidParameterError(f"witness bundle key {key!r} must be {rule}")
     space = load_space(os.path.join(dirpath, doc["space"]))
     fiber = doc["fiber"]
     band = BandAlgebra(space, fiber)
@@ -839,19 +849,13 @@ def load_witness(dirpath):
         windows.append(pts)
     algebra = FiniteDimAlgebra(summands, fiber)
 
-    loaded_ops = {}
-    coeffs = []
-    for ref in doc["coefficients"]:
-        if ref is None:
-            coeffs.append(None)
-        else:
-            if ref not in loaded_ops:
-                loaded_ops[ref] = load_operator(os.path.join(dirpath, ref), space)
-            coeffs.append(loaded_ops[ref])
+    loaded = {ref: load_operator(os.path.join(dirpath, ref), space)
+              for ref in dict.fromkeys(doc["coefficients"]) if ref is not None}
+    coeffs = [None if ref is None else loaded[ref] for ref in doc["coefficients"]]
     psi = CompressionMap(band, algebra, windows, coeffs)
     phi = InclusionMap(algebra, band, windows)
     test_set = [load_operator(os.path.join(dirpath, ref), space)
                 for ref in doc["test_set"]]
     return DiagDimWitness(d=doc["d"], algebra=algebra, band=band, psi=psi, phi=phi,
                           test_set=test_set, epsilon=doc["epsilon"],
-                          meta=dict(doc.get("meta", {})))
+                          meta=dict(meta))

@@ -21,7 +21,7 @@ from banddim.cover import brick_cover
 from banddim.cpmaps import BandAlgebra, FactoredMap, PointBijectionHom
 from banddim.extract import build_translation_system, threshold_setup
 from banddim.fdalg import FiniteDimAlgebra, Summand
-from banddim.operators import BandOperator
+from banddim.operators import CERT_PANEL, BandOperator
 from banddim.space import generate_space
 from banddim.witness import build_upper_witness, default_test_set, load_witness, save_witness
 
@@ -88,6 +88,33 @@ def dense_image(phi, elem):
         c = np.array([x * m + a for x in window for a in range(m)])
         flat[(c[:, None] * n + c).reshape(-1)] += part.reshape(-1)
     return out
+
+
+def mask_profile(mat):
+    """The first and last row of the nonzeros ``mat != 0`` of each column,
+    (rows, -1) for an empty column, read over the whole matrix at once."""
+    rows = mat.shape[0]
+    nz = mat != 0
+    used = nz.any(axis=0)
+    return (np.where(used, nz.argmax(axis=0), rows),
+            np.where(used, rows - 1 - nz[::-1].argmax(axis=0), -1))
+
+
+def mask_panels(mat):
+    """The certificate panels of a matrix from its :func:`mask_profile`, with
+    the band rule of ``operators.band_panels`` written out again: the
+    reference the panels planned from structure are tested against."""
+    rows, cols = mat.shape
+    count = max(cols // CERT_PANEL, 1)
+    if count == 1:
+        return [(0, cols, cols, 0, rows)]
+    first, last = mask_profile(mat)
+    reach = np.minimum.accumulate(first[::-1])[::-1]
+    ends = np.maximum(np.searchsorted(reach, last, side="right"), np.arange(1, cols + 1))
+    ends = np.maximum.accumulate(ends)
+    edges = [cols * i // count for i in range(count + 1)]
+    return [(p0, p1, int(ends[p1 - 1]), int(first[p0:p1].min()), int(last[p0:p1].max()) + 1)
+            for p0, p1 in zip(edges, edges[1:])]
 
 
 def random_factored_map(rng, space, fiber=1, slots=None):

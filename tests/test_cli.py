@@ -137,15 +137,13 @@ def test_sweep_subcommand(tmp_path):
     assert [row["r"] for row in doc["rows"]] == [2, 4]
 
 
-@pytest.mark.parametrize("factor", ["6", "12"])
-def test_sweep_subcommand_grid(tmp_path, factor):
-    """On a 2-D grid the sweep builds each cover at 3r, as run's auto-brick
-    does, with the auto side 12 at r = 1 unless the factor's is larger."""
+def test_sweep_subcommand_grid(tmp_path):
+    """On a 2-D grid the sweep builds each cover at 3r with run's auto-brick
+    side, 12 at r = 1."""
     sp = tmp_path / "space.json"
     assert main(["space", "gen", "--family", "grid", "--sides", "6", "6",
                  "--metric", "linf", "--out", str(sp)]) == 0
     assert main(["sweep", "--space", str(sp), "--r", "1", "--fiber", "1",
-                 "--brick-side-factor", factor,
                  "--out", str(tmp_path / "sweep.json")]) == 0
     doc = json.load(open(tmp_path / "sweep.json"))
     assert [(row["r"], row["brick_side"]) for row in doc["rows"]] == [(1, 12)]
@@ -681,6 +679,22 @@ def _set_first_test_block(value):
     return "test_000.json", edit
 
 
+def _set_first(key, value):
+    def edit(doc):
+        doc[key][0] = value
+    return edit
+
+
+# Space-file edits of the wrong type, shared by bundles and the commands that
+# read a space file.
+SPACE_EDITS = [
+    (lambda doc: doc.update(points=5), "'points' must be a list of point ids"),
+    (lambda doc: doc.update(dist="x"), "'dist' must be a matrix of numbers"),
+    (lambda doc: doc.update(dist=[[0.0, 1.0], [1.0]]), "'dist' must be a matrix of numbers"),
+]
+SPACE_EDIT_IDS = ["points-number", "dist-string", "dist-ragged"]
+
+
 @pytest.mark.parametrize("name, edit, message", [
     (*_set_first_test_block("x"), "operator block must be a list of rows"),
     (*_set_first_test_block([[[1.0]]]), "operator block must be a list of rows"),
@@ -688,14 +702,52 @@ def _set_first_test_block(value):
     ("witness.json", lambda doc: doc.update(summands="x"), "'summands' must be a list"),
     ("witness.json", lambda doc: doc.update(coefficients=5), "'coefficients' must be a list"),
     ("witness.json", lambda doc: doc.update(test_set=3), "'test_set' must be a list"),
-], ids=["block-string", "block-without-imaginary-part", "blocks-string", "summands-string",
-        "coefficients-number", "test_set-number"])
+    ("witness.json", _set_first("summands", 5), "'summands' must be a list of records"),
+    ("witness.json", lambda doc: doc["summands"][0].update(points=5),
+     "'summands' must be a list of records with a 'points' list"),
+    ("witness.json", _set_first("coefficients", 5), "'coefficients' must be a list of file"),
+    ("witness.json", _set_first("test_set", 5), "'test_set' must be a list of file names"),
+    ("witness.json", lambda doc: doc.update(space=5), "'space' must be a file name"),
+    ("witness.json", lambda doc: doc.update(meta="x"), "'meta' must be an object"),
+] + [("space.json", *case) for case in SPACE_EDITS],
+    ids=["block-string", "block-without-imaginary-part", "blocks-string", "summands-string",
+         "coefficients-number", "test_set-number", "summand-number", "summand-points-number",
+         "coefficient-number", "test_set-entry-number", "space-number", "meta-string"]
+    + [f"space-{i}" for i in SPACE_EDIT_IDS])
 def test_malformed_bundle_exits_3(tmp_path, capsys, name, edit, message):
     """A bundle file holding a value of the wrong type fails every command
     with exit 3; each used to end in a traceback."""
     bundle = _interval_bundle(tmp_path)
     _edit_json(bundle / name, edit)
     _assert_commands_exit_3(bundle, capsys, message)
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("cover.json", lambda doc: doc.update(families=[[5]]),
+     "'families' must be a list of lists of point lists"),
+    ("cover.json", lambda doc: doc.update(families=None),
+     "'families' must be a list of lists of point lists"),
+    ("cover.json", lambda doc: doc.update(r="x"), "a scale must be a finite real number"),
+    ("cover.json", lambda doc: doc.update(r=None), "a scale must be a finite real number"),
+] + [("space.json", *case) for case in SPACE_EDITS],
+    ids=["families-set-number", "families-null", "r-string", "r-null"]
+    + [f"space-{i}" for i in SPACE_EDIT_IDS])
+def test_malformed_cover_or_space_file_exits_3(tmp_path, capsys, name, edit, message):
+    """A cover or space file holding a value of the wrong type fails every
+    command that reads it with exit 3 and writes nothing; each used to end
+    in a traceback."""
+    _interval_bundle(tmp_path)
+    sp, cov = str(tmp_path / "space.json"), str(tmp_path / "cover.json")
+    _edit_json(tmp_path / name, edit)
+    commands = [["cover", "check", "--space", sp, "--cover", cov, "--r", "6"],
+                ["witness", "build", "--space", sp, "--cover", cov, "--r", "2",
+                 "--fiber", "1"]]
+    if name == "space.json":
+        commands += [["cover", "gen", "--space", sp, "--r", "2", "--brick-side", "8"],
+                     ["sweep", "--space", sp, "--r", "2", "--fiber", "1"]]
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"out{i}"
+        _assert_exit_3(argv + ["--out", str(out)], capsys, message, out)
 
 
 @pytest.mark.parametrize("space, message", [

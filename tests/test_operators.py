@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from banddim.errors import IncompatibilityError, InvalidParameterError
 from banddim.operators import (CERT_PANEL, ENCLOSURE_REL, LANCZOS_SEED, PRUNE_REL,
-                               BandOperator, Nearby, _cert_panels, _pruned, certified_below,
+                               BandOperator, Nearby, _pruned, band_panels, certified_below,
                                connected_components, diagonal_membership, load_operator,
                                max_norm_enclosure, max_spectral_norm, norm_enclosure,
                                normalizer_check, operator_norm, prop_support, save_operator,
                                spectral_norm)
 from banddim.space import generate_space
 
-from conftest import DIFF
+from conftest import DIFF, mask_panels, mask_profile
 
 
 @pytest.fixture()
@@ -343,7 +343,8 @@ BAND_KINDS = ["square", "tall", "wide", "profile", "zero", "full", "row", "col"]
 def test_certified_below_against_svd(seed, n, lower, upper, kind, k):
     """The certificate refuses every bound at or a few ulps around the SVD
     value and 1e-13 above it, all inside its margin, and proves one 1e-8
-    above it."""
+    above it: as a dense matrix (no panels, one dense panel) and over the
+    reference panels of its band."""
     rng = np.random.default_rng(seed)
     short = max(1, (2 * n) // 3)
     rows, cols = {"tall": (n, short), "wide": (short, n), "row": (1, n),
@@ -359,16 +360,18 @@ def test_certified_below_against_svd(seed, n, lower, upper, kind, k):
     elif kind == "zero":
         mat[:] = 0.0
     sigma = spectral_norm(mat)
-    if sigma == 0.0:
-        assert certified_below(mat, 1e-100) and not certified_below(mat, 0.0)
-        return
-    for bound in (sigma * (1 - k * 1e-16), sigma, sigma * (1 + k * 1e-16),
-                  sigma * (1 + 1e-13)):
-        assert not certified_below(mat, bound)
-    assert certified_below(mat, sigma * (1 + 1e-8))
     bad = mat.copy()
     bad[-1, -1] = np.nan
-    assert not certified_below(bad, 2.0 * sigma)
+    for panels, bad_panels in ((None, None), (mask_panels(mat), mask_panels(bad))):
+        if sigma == 0.0:
+            assert certified_below(mat, 1e-100, panels)
+            assert not certified_below(mat, 0.0, panels)
+            continue
+        for bound in (sigma * (1 - k * 1e-16), sigma, sigma * (1 + k * 1e-16),
+                      sigma * (1 + 1e-13)):
+            assert not certified_below(mat, bound, panels)
+        assert certified_below(mat, sigma * (1 + 1e-8), panels)
+        assert not certified_below(bad, 2.0 * sigma, bad_panels)
 
 
 def test_certified_below_refuses_nan_at_panel_edge():
@@ -381,14 +384,50 @@ def test_certified_below_refuses_nan_at_panel_edge():
     i, j = np.indices((n, n))
     mat[abs(i - j) > half] = 0.0
     sigma = spectral_norm(mat)
-    assert certified_below(mat, 2.0 * sigma)
+    panels = mask_panels(mat)
+    assert certified_below(mat, 2.0 * sigma, panels)
     # The first panel holds columns [0, CERT_PANEL); its band ends one past
     # column `edge`, which meets the panel in the one row `row`.
     edge, row = CERT_PANEL + 2 * half - 1, CERT_PANEL - 1 + half
-    assert _cert_panels(mat)[0][2] == edge + 1
+    assert panels[0][2] == edge + 1
     bad = mat.copy()
-    bad[row, edge] = np.nan
-    assert not certified_below(bad, 2.0 * sigma)
+    bad[row, edge] = np.nan  # inside the band: the panels of bad are those of mat
+    assert mask_panels(bad) == panels
+    assert not certified_below(bad, 2.0 * sigma, panels)
+
+
+@DIFF
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), m=st.integers(1, 3),
+       count=st.integers(0, 60), spread=st.integers(0, 40), zeros=st.booleans())
+@example(seed=0, n=4, m=2, count=0, spread=0, zeros=False)  # the zero operator
+@example(seed=1, n=5, m=3, count=6, spread=1, zeros=True)  # blocks of zeros only
+@example(seed=2, n=40, m=3, count=60, spread=2, zeros=False)  # several panels
+def test_row_profile_matches_dense_mask(seed, n, m, count, spread, zeros):
+    """``BandOperator.row_profile`` is the ``mat != 0`` profile of
+    ``to_dense()``, and its ``band_panels`` the reference panels of that
+    matrix: on unpruned blocks within ``spread`` of the diagonal whose
+    entries are real, purely imaginary, both or zero, with zero rows and
+    columns inside blocks and signed zeros (``zeros`` stores blocks of
+    zeros only)."""
+    rng = np.random.default_rng(seed)
+    blocks = {}
+    for _ in range(count):
+        x = int(rng.integers(n))
+        y = int(np.clip(x + rng.integers(-spread, spread + 1), 0, n - 1))
+        re = rng.standard_normal((m, m)) * (rng.random((m, m)) < 0.6)  # 0.0 or -0.0 off it
+        im = rng.standard_normal((m, m)) * (rng.random((m, m)) < 0.4)
+        block = re + 1j * im
+        if rng.random() < 0.3:
+            block[int(rng.integers(m)), :] = 0.0
+        if rng.random() < 0.3:
+            block[:, int(rng.integers(m))] = complex(-0.0, -0.0)
+        blocks[(x, y)] = 0.0 * block if zeros else block
+    op = BandOperator._raw(generate_space("interval", length=n), m, blocks, prune=False)
+    mat = op.to_dense()
+    first, last = op.row_profile()
+    want_first, want_last = mask_profile(mat)
+    assert np.array_equal(first, want_first) and np.array_equal(last, want_last)
+    assert band_panels(first, last, n * m) == mask_panels(mat)
 
 
 def test_certified_below_refuses_overflow():
@@ -413,6 +452,23 @@ def test_max_spectral_norm_raises_on_nan(position):
         max(spectral_norm(m) for m in mats)
     with pytest.raises(np.linalg.LinAlgError):
         max_spectral_norm(mats)
+
+
+def test_spectral_norm_raises_on_infinite_entries():
+    """An infinite entry raises ``LinAlgError``, alone, in a stack and in a
+    stream, where the SVD gives NaN; finite entries whose sum overflows are
+    valued as before."""
+    big = np.array([[1e308, 1e308], [1e308, -1e308]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(big.sum())
+    assert spectral_norm(big) == np.linalg.svd(big, compute_uv=False)[0] > 1e308
+    for bad in (np.inf, complex(0, -np.inf)):
+        mat = np.eye(2, dtype=complex)
+        mat[0, 1] = bad
+        for call in (lambda: spectral_norm(mat), lambda: spectral_norm(np.stack([big, mat])),
+                     lambda: max_spectral_norm([big, mat])):
+            with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+                call()
 
 
 # Matrices for the norm enclosure, square or rectangular, small enough for
@@ -515,51 +571,6 @@ def test_max_norm_enclosure_adds_the_gap_of_a_record():
     assert max_norm_enclosure([]) == (0.0, 0.0)
 
 
-def _panels_from_full_mask(mat):
-    """The panels of ``_cert_panels`` with the nonzero mask read as
-    ``mat != 0`` over the whole matrix at once."""
-    rows, cols = mat.shape
-    count = max(cols // CERT_PANEL, 1)
-    if count == 1:
-        return [(0, cols, cols, 0, rows)]
-    nz = mat != 0
-    used = nz.any(axis=0)
-    first = np.where(used, nz.argmax(axis=0), rows)
-    last = np.where(used, rows - 1 - nz[::-1].argmax(axis=0), -1)
-    reach = np.minimum.accumulate(first[::-1])[::-1]
-    ends = np.maximum(np.searchsorted(reach, last, side="right"), np.arange(1, cols + 1))
-    ends = np.maximum.accumulate(ends)
-    edges = [cols * i // count for i in range(count + 1)]
-    return [(p0, p1, int(ends[p1 - 1]), int(first[p0:p1].min()), int(last[p0:p1].max()) + 1)
-            for p0, p1 in zip(edges, edges[1:])]
-
-
-@pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("shape", [(150, 150), (300, 2000)])
-def test_cert_panels_match_full_mask(dtype, shape):
-    """The strip-wise mask of ``_cert_panels`` (the float64 view of a complex
-    matrix) gives the panels of ``mat != 0``: with purely imaginary entries,
-    signed zeros, empty columns and strips of several rows, on contiguous
-    and transposed input."""
-    rows, cols = shape
-    rng = np.random.default_rng(rows)
-    mat = np.zeros(shape, dtype=dtype)
-    lo = np.sort(rng.integers(0, rows, cols))
-    for j in range(cols):
-        if j % 37 == 5:
-            continue  # an empty column
-        span = slice(lo[j], min(rows, lo[j] + int(rng.integers(1, 40))))
-        mat[span, j] = rng.standard_normal(span.stop - span.start)
-        if dtype is complex and j % 3 == 0:
-            mat[span, j] *= 1j  # purely imaginary
-    mat[rows - 1, ::7] = -0.0  # a signed zero below every band: not a nonzero
-    if dtype is complex:
-        mat[0, 1::7] = complex(-0.0, -0.0)
-        mat[rows // 2, 2::11] = complex(0.0, 1e-300)
-    for m in (mat, np.ascontiguousarray(mat.T), mat.T):
-        assert _cert_panels(m) == _panels_from_full_mask(m)
-
-
 # Block supports for the component split: the zero operator, one giant
 # (tridiagonal) component, equal-shape components with exactly equal blocks,
 # rectangular bipartite components (row x against columns x and x + 1, and
@@ -639,16 +650,18 @@ def test_component_split_matches_dense(seed, n, m, kind, fn):
 @DIFF
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), m=st.integers(1, 3),
        singles=st.integers(0, 12), density=st.sampled_from([0.0, 0.2, 0.5]),
-       nan=st.booleans())
-@example(seed=0, n=6, m=2, singles=6, density=0.0, nan=False)
-@example(seed=1, n=8, m=2, singles=3, density=0.5, nan=True)
-def test_operator_norm_mixed_components_match_dense(seed, n, m, singles, density, nan):
+       bad=st.sampled_from([None, np.nan, np.inf]))
+@example(seed=0, n=6, m=2, singles=6, density=0.0, bad=None)
+@example(seed=1, n=8, m=2, singles=3, density=0.5, bad=np.nan)
+@example(seed=2, n=6, m=2, singles=6, density=0.0, bad=np.inf)  # in a one-block component
+@example(seed=3, n=8, m=2, singles=0, density=0.5, bad=np.inf)  # in a larger one
+def test_operator_norm_mixed_components_match_dense(seed, n, m, singles, density, bad):
     """operator_norm, which passes a one-block component to the stacked SVD
     as that block, against the SVD of the full dense matrix, on supports
     that mix one-block components (``singles`` rows each paired with one
     column of its own) with random larger ones on the other rows and
-    columns.  A NaN block, which only unvalidated arithmetic can hold,
-    raises as the SVD does."""
+    columns.  A NaN or infinite entry, which only unvalidated arithmetic
+    can hold, raises ``LinAlgError``; an infinite one used to give NaN."""
     rng = np.random.default_rng(seed)
     rows, cols = rng.permutation(n), rng.permutation(n)
     k = min(singles, n)
@@ -659,9 +672,9 @@ def test_operator_norm_mixed_components_match_dense(seed, n, m, singles, density
               * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
               for key in support}
     sp = generate_space("interval", length=n)
-    if nan and blocks:
+    if bad is not None and blocks:
         key = support[int(rng.integers(len(support)))]
-        blocks[key][int(rng.integers(m)), int(rng.integers(m))] = np.nan
+        blocks[key][int(rng.integers(m)), int(rng.integers(m))] = bad
         with pytest.raises(np.linalg.LinAlgError):
             operator_norm(BandOperator._raw(sp, m, blocks, prune=False))
         return

@@ -8,14 +8,14 @@ import banddim.witness as witness_mod
 from banddim.cover import brick_cover, make_cover
 from banddim.cpmaps import order_zero_check
 from banddim.errors import IncompatibilityError, PreconditionError
-from banddim.operators import (CERT_PANEL, BandOperator, _cert_panels, certified_below,
+from banddim.operators import (CERT_PANEL, BandOperator, Nearby, certified_below,
                                normalizer_check, operator_norm, spectral_norm)
-from banddim.space import canonical_json, generate_space
+from banddim.space import generate_space
 from banddim.witness import (WindowDefects, build_upper_witness, check_witness,
                              condition2_errors, default_test_set, hat_normalize,
                              load_witness, permanence_combine, save_witness)
 
-from conftest import dense_image, grid_witness, interval_witness, permuted_bundle
+from conftest import dense_image, grid_witness, interval_witness, mask_panels, permuted_bundle
 
 
 def single_point_witness(fiber=2):
@@ -345,14 +345,14 @@ def test_window_defects_match_dense(make, tmp_path):
         right = windows.right(b)
         for a in w.test_set + [a @ a for a in w.test_set]:
             pa = pair.psi_hat.apply(a)
-            got, gap, _ = windows.defect(windows.left(pa), right)
+            got, gap, panels = windows.defect(windows.left(pa), right)
             want = phi_hat_dense(pa @ b) - phi_hat_dense(pa) @ phi_hat_dense(b)
             sigma = spectral_norm(want)
             diff = spectral_norm(got - want)
             assert diff <= 1e-13 * sigma
             assert diff <= gap < 1e-3 * sigma
-            assert not certified_below(got, sigma)
-            assert certified_below(got, sigma * (1 + 1e-8))
+            assert not certified_below(got, sigma, panels)
+            assert certified_below(got, sigma * (1 + 1e-8), panels)
 
 
 @pytest.mark.parametrize("make, samples, seed", [
@@ -365,22 +365,25 @@ def test_window_defects_match_dense(make, tmp_path):
 ], ids=["readme", "grid", "point", "permuted-interval", "interval-lanczos"])
 def test_left_panels_match_every_defect(make, samples, seed, request, tmp_path,
                                         monkeypatch):
-    """The certificate panels a left factor plans from its nonzero rows are
-    those read off each defect it forms, for every sample of the hat, and
-    the hat report is byte for byte the one of panels read off each
-    defect."""
+    """Every matrix the hat certifies carries the reference panels of its
+    nonzero mask, planned from structure: the scale and approximation
+    defects from their band operators' row profiles, and the
+    multiplicativity defects from their left factors, for every sample of
+    the hat."""
     w = make(request, tmp_path)
-    pair = hat_normalize(w, samples=samples, seed=seed)
-    windows = WindowDefects(w.phi, pair.p, pair.scale)
-    lefts = [windows.left(pair.psi_hat.apply(a)) for a in w.test_set]
-    for b in _sampled_corner_elements(w, samples, seed):
-        right = windows.right(b)
-        for left in lefts:
-            defect = windows.defect(left, right)
-            assert defect.panels == _cert_panels(defect.approx)
-    monkeypatch.setattr(witness_mod, "band_panels", lambda first, last, rows: None)
-    scanned = hat_normalize(w, samples=samples, seed=seed).report
-    assert canonical_json(scanned) == canonical_json(pair.report)
+    enclose, streams = witness_mod.max_norm_enclosure, []
+
+    def checked(items):
+        streams.append(0)
+        for item in items:
+            assert isinstance(item, Nearby) and item.panels == mask_panels(item.approx)
+            streams[-1] += 1
+            yield item
+
+    monkeypatch.setattr(witness_mod, "max_norm_enclosure", lambda items: enclose(checked(items)))
+    hat_normalize(w, samples=samples, seed=seed)
+    k = len(w.test_set)
+    assert streams == [k, 2 * k, samples * k]
 
 
 def test_hat_takes_no_large_svd(monkeypatch):
