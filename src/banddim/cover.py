@@ -24,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError, SizeLimitError
-from .space import (_id_from_json, _id_to_json, _is_list_of, check_positive, check_scale,
-                    read_json, write_json)
+from .space import (_id_from_json, _id_to_json, _is_list_of, _read_object, check_positive,
+                    check_scale, write_json)
 
 
 @dataclass
@@ -309,9 +309,10 @@ def save_cover(cover, space, path):
 
 
 def load_cover(path, space):
-    """A cover file's cover of ``space``; a ``families`` or ``r`` of the wrong
-    type raises ``InvalidParameterError``."""
-    doc = read_json(path)
+    """A cover file's cover of ``space``; a file that is not an object, and
+    a ``families``, point id or ``r`` of the wrong type, raise
+    ``InvalidParameterError``."""
+    doc = _read_object(path)
     families = doc["families"]
     if not (_is_list_of(families, list) and all(_is_list_of(fam, list) for fam in families)):
         raise InvalidParameterError(f"{path}: 'families' must be a list of lists of point lists")

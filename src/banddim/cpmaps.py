@@ -17,6 +17,7 @@ map; a dense conjugation map is ``DenseCpMap.from_callable``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -113,6 +114,29 @@ def _runs(lengths):
     return run, np.arange(len(run)) - (np.cumsum(lengths) - lengths)[run]
 
 
+def _window_sum(space, m, codes, values):
+    """The band operator of the fiber blocks ``values`` at the point pairs
+    ``codes`` (x n + y), listed window by window: the blocks of one pair are
+    summed in list order, the pairs keep their order of first appearance,
+    and the sum is pruned."""
+    if not len(codes):
+        return BandOperator._raw(space, m, {})
+    n = space.n
+    # equal codes in runs, each run in list order
+    order = np.argsort(codes, kind="stable")
+    first = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    group, rank = _runs(np.diff(first, append=len(order)))
+    heads = order[first]
+    sums = values[heads] + 0j  # complex blocks, as the constructor stores them
+    for r in range(1, int(rank.max()) + 1):
+        later = rank == r
+        sums[group[later]] += values[order[later]]
+    appearance = np.argsort(heads, kind="stable")
+    keys = codes[heads[appearance]]
+    blocks = dict(zip(zip((keys // n).tolist(), (keys % n).tolist()), sums[appearance]))
+    return BandOperator._raw(space, m, blocks)
+
+
 def _checked_windows(algebra, windows, n):
     """The windows as tuples: one per summand, each as long as its summand,
     listing distinct points of range(n)."""
@@ -176,6 +200,7 @@ class CompressionMap(CpMap):
         m, count = self.domain.fiber_dim, len(self.windows)
         sizes = np.array([len(w) for w in self.windows], dtype=np.intp)
         points = np.array([p for w in self.windows for p in w], dtype=np.intp)
+        self._slot_point = points
         self._slot_window, self._slot_position = _runs(sizes)
         codes = points * count + self._slot_window
         self._owner_slot = np.argsort(codes, kind="stable")
@@ -188,32 +213,39 @@ class CompressionMap(CpMap):
         self._dims = sizes * m
         self._part_start = np.cumsum(self._dims ** 2) - self._dims ** 2
 
+    def _slot_images(self, op):
+        """The images of the blocks of ``op`` in the windows: for each block
+        (x, y) and each window holding both x and y, the window, the slots
+        of x and y there, and the block, which a window with a coefficient
+        scales to ``(c_x @ b) @ c_y^H`` in one stacked product.  Block
+        (x, y) is placed through the owner index, so it is visited once per
+        window holding x."""
+        count, codes = len(self.windows), self._owner_code
+        x, y = np.fromiter(itertools.chain.from_iterable(op.blocks), dtype=np.intp,
+                           count=2 * len(op.blocks)).reshape(-1, 2).T
+        start = np.searchsorted(codes, x * count)
+        block, rank = _runs(np.searchsorted(codes, x * count + count) - start)
+        row_slot = self._owner_slot[start[block] + rank]
+        window = self._slot_window[row_slot]
+        want = y[block] * count + window
+        found = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
+        hit = codes[found] == want
+        block, row_slot, window = block[hit], row_slot[hit], window[hit]
+        col_slot = self._owner_slot[found[hit]]
+        values = np.array(list(op.blocks.values()))[block]
+        scaled = self._scaled[window]
+        coeff = self._slot_coefficient
+        values[scaled] = ((coeff[row_slot[scaled]] @ values[scaled])
+                          @ coeff[col_slot[scaled]].conj().transpose(0, 2, 1))
+        return window, row_slot, col_slot, values
+
     def apply(self, op):
-        """One pass over the blocks: block (x, y) is placed at the slots
-        (a, c) of x and y in every window holding both, found through the
-        owner index, so it is visited once per window holding x.  The blocks
-        of windows with a coefficient become ``(c_x @ b) @ c_y^H`` in one
-        stacked product; all are added into one zero buffer that holds the
-        summand parts."""
-        m, count = self.domain.fiber_dim, len(self.windows)
-        codes, dims = self._owner_code, self._dims
+        """Every block image (:meth:`_slot_images`) added into one zero
+        buffer that holds the summand parts."""
+        m, dims = self.domain.fiber_dim, self._dims
         flat = np.zeros(int((dims ** 2).sum()), dtype=complex)
         if op.blocks:
-            x, y = np.array(list(op.blocks), dtype=np.intp).T
-            start = np.searchsorted(codes, x * count)
-            block, rank = _runs(np.searchsorted(codes, x * count + count) - start)
-            row_slot = self._owner_slot[start[block] + rank]
-            window = self._slot_window[row_slot]
-            want = y[block] * count + window
-            found = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
-            hit = codes[found] == want
-            block, row_slot, window = block[hit], row_slot[hit], window[hit]
-            col_slot = self._owner_slot[found[hit]]
-            values = np.array(list(op.blocks.values()))[block]
-            scaled = self._scaled[window]
-            coeff = self._slot_coefficient
-            values[scaled] = ((coeff[row_slot[scaled]] @ values[scaled])
-                              @ coeff[col_slot[scaled]].conj().transpose(0, 2, 1))
+            window, row_slot, col_slot, values = self._slot_images(op)
             d = dims[window]
             corner = (self._part_start[window] + self._slot_position[row_slot] * m * d
                       + self._slot_position[col_slot] * m)
@@ -223,6 +255,24 @@ class CompressionMap(CpMap):
         parts = [flat[start:start + d * d].reshape(d, d)
                  for start, d in zip(self._part_start.tolist(), dims.tolist())]
         return FdElement(self.codomain, parts)
+
+    def round_trip(self, op):
+        """``phi(psi(op))`` for phi the :class:`InclusionMap` on these
+        windows, with no summand part formed: the block images
+        (:meth:`_slot_images`) in the order phi reads the parts (window by
+        window, slot row by slot row; slots are numbered in window order),
+        the zero ones dropped, and those of one point pair summed in window
+        order (:func:`_window_sum`).  Blocks, block order and bits equal
+        those of ``phi.apply(psi.apply(op))``."""
+        space, m = self.domain.space, self.domain.fiber_dim
+        if not op.blocks:
+            return BandOperator._raw(space, m, {})
+        _, row_slot, col_slot, values = self._slot_images(op)
+        order = np.argsort(row_slot * len(self._slot_window) + col_slot)
+        order = order[values[order].any(axis=(1, 2))]
+        points = self._slot_point
+        return _window_sum(space, m, points[row_slot[order]] * space.n
+                           + points[col_slot[order]], values[order])
 
     def diagonal_certificate(self):
         # apply writes block (x, y) only at slot pair (slot(x), slot(y)) of a
@@ -262,23 +312,10 @@ class InclusionMap(CpMap):
             points = np.array(window, dtype=np.intp)
             codes.append(points[rows] * n + points[cols])
             values.append(part.reshape(s, m, s, m)[rows, :, cols, :])
-        codes = np.concatenate(codes) if codes else np.zeros(0, dtype=np.intp)
-        if not len(codes):
-            return BandOperator._raw(self.codomain.space, self.codomain.fiber_dim, {})
-        values = np.concatenate(values)
-        # equal codes in runs, each run in window order
-        order = np.argsort(codes, kind="stable")
-        first = np.flatnonzero(np.diff(codes[order], prepend=-1))
-        group, rank = _runs(np.diff(first, append=len(order)))
-        heads = order[first]
-        sums = values[heads] + 0j  # complex blocks, as the constructor stores them
-        for r in range(1, int(rank.max()) + 1):
-            later = rank == r
-            sums[group[later]] += values[order[later]]
-        appearance = np.argsort(heads, kind="stable")
-        keys = codes[heads[appearance]]
-        blocks = dict(zip(zip((keys // n).tolist(), (keys % n).tolist()), sums[appearance]))
-        return BandOperator._raw(self.codomain.space, self.codomain.fiber_dim, blocks)
+        if not codes:
+            return BandOperator._raw(self.codomain.space, m, {})
+        return _window_sum(self.codomain.space, m, np.concatenate(codes),
+                           np.concatenate(values))
 
     def order_zero_certificate(self):
         if len({s.color for s in self.domain.summands}) != 1:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IncompatibilityError, InvalidParameterError, SizeLimitError
-from .space import _id_from_json, _id_to_json, _is_list_of, read_json, write_json
+from .space import _id_from_json, _id_to_json, _is_list_of, _read_object, write_json
 
 PRUNE_REL = 1e-14
 CERT_MARGIN = 1e-10
@@ -775,10 +775,6 @@ class NormalizerReport:
 
 # -- JSON interface ------------------------------------------------------
 
-def _block_to_json(b):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in b]
-
-
 def _block_from_json(rows):
     """A block from its rows of [re, im] pairs; anything else raises
     ``InvalidParameterError``."""
@@ -793,20 +789,21 @@ def _block_from_json(rows):
 
 
 def save_operator(op, path):
-    doc = {
-        "fiber": op.fiber_dim,
-        "blocks": [
-            {"x": _id_to_json(op.space.points[x]),
-             "y": _id_to_json(op.space.points[y]),
-             "block": _block_to_json(b)}
-            for (x, y), b in sorted(op.blocks.items())
-        ],
-    }
-    write_json(doc, path)
+    """Write an operator file: the fiber and one record per block, in key
+    order, each block as rows of [re, im] pairs.  The blocks are written
+    from one stacked array, and the id of each point they touch is
+    converted once."""
+    keys = sorted(op.blocks)
+    stack = np.array([op.blocks[key] for key in keys], dtype=complex)
+    rows = np.stack((stack.real, stack.imag), -1).tolist()
+    ids = {p: _id_to_json(op.space.points[p]) for p in set().union(*keys)}
+    write_json({"fiber": op.fiber_dim,
+                "blocks": [{"x": ids[x], "y": ids[y], "block": block}
+                           for (x, y), block in zip(keys, rows)]}, path)
 
 
 def load_operator(path, space):
-    doc = read_json(path)
+    doc = _read_object(path)
     records = doc["blocks"]
     if not _is_list_of(records, dict):
         raise InvalidParameterError(f"{path}: 'blocks' must be a list of block records")

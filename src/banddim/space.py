@@ -233,11 +233,26 @@ def read_json(path):
         return json.load(fh)
 
 
+def _read_object(path):
+    """The document of a file whose top level must be a JSON object, as
+    every space, cover, operator and witness file is; anything else raises
+    ``InvalidParameterError``."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise InvalidParameterError(f"{path}: the file must hold a JSON object")
+    return doc
+
+
 def _id_to_json(p):
     return [_id_to_json(v) for v in p] if isinstance(p, tuple) else p
 
 
 def _id_from_json(p):
+    """A point id read from JSON, a list becoming a tuple; an object, which
+    names no point, raises ``InvalidParameterError``."""
+    if isinstance(p, dict):
+        raise InvalidParameterError(
+            f"a point id must be a number, a string or a list of them, got {p!r}")
     return tuple(_id_from_json(v) for v in p) if isinstance(p, list) else p
 
 
@@ -270,17 +285,21 @@ def load_space(path):
     mode), unless it also carries a generator block whose regenerated space
     has the same points and agrees with the stored matrix: then the exact
     integer representation is returned without validation, since it is a
-    metric by construction.  A ``points`` or ``dist`` of the wrong type
-    raises ``InvalidParameterError``.
+    metric by construction.  A file that is not an object, and a
+    ``points``, ``dist`` or ``generator`` of the wrong type, raise
+    ``InvalidParameterError``.
     """
-    doc = read_json(path)
+    doc = _read_object(path)
     if not isinstance(doc["points"], list):
         raise InvalidParameterError(f"{path}: 'points' must be a list of point ids")
     points = [_id_from_json(p) for p in doc["points"]]
     gen = doc.get("generator")
+    if gen is not None and not isinstance(gen, dict):
+        raise InvalidParameterError(f"{path}: 'generator' must be an object")
     # A block naming another point count cannot match; regenerating it could
     # build a far larger space than the file holds.
-    fits = bool(gen) and math.prod(gen["sides"]) == len(points)
+    fits = (bool(gen) and _is_list_of(gen.get("sides"), numbers.Integral)
+            and math.prod(gen["sides"]) == len(points))
     if "dist" not in doc:
         regen = _regenerate(gen) if fits else None
         if regen is None or regen.points != points:

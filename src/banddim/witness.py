@@ -100,6 +100,18 @@ class DiagDimWitness:
         return [(i, self.phi.restrict_to_color(i)) for i in self.algebra.colors()]
 
 
+def _phi_psi(witness):
+    """The map a -> phi(psi(a)): the compression's window round trip when
+    phi is the inclusion on psi's windows, as in every witness that is
+    built, combined or loaded, and ``phi.apply`` after ``psi.apply`` for
+    any other phi."""
+    phi, psi = witness.phi, witness.psi
+    if (isinstance(phi, InclusionMap) and isinstance(psi, CompressionMap)
+            and phi.windows == psi.windows):
+        return psi.round_trip
+    return lambda a: phi.apply(psi.apply(a))
+
+
 def condition2_errors(witness, test_set=None):
     """Per-element norms ||phi(psi(a)) - a|| over ``test_set``, by default
     the witness's own test set.  Those are measured once (the build keeps
@@ -108,7 +120,8 @@ def condition2_errors(witness, test_set=None):
     and a witness made by ``dataclasses.replace`` measures its own.  The
     test set list is not watched: replace it rather than edit it."""
     if test_set is not None:
-        return [operator_norm(witness.phi.apply(witness.psi.apply(a)) - a) for a in test_set]
+        phi_psi = _phi_psi(witness)
+        return [operator_norm(phi_psi(a) - a) for a in test_set]
     if witness._errors is None:
         witness._errors = tuple(condition2_errors(witness, witness.test_set))
     return list(witness._errors)
@@ -609,9 +622,9 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
         return Nearby(op.to_dense(), 0.0,
                       band_panels(*op.row_profile(), witness.band.matrix_dim))
 
+    phi_psi = _phi_psi(witness)
     scale_dev, scale_upper = max_norm_enclosure(
-        banded(phi_hat.apply(psi_hat.apply(a)) - scale * witness.phi.apply(witness.psi.apply(a)))
-        for a in witness.test_set)
+        banded(phi_hat.apply(psi_hat.apply(a)) - scale * phi_psi(a)) for a in witness.test_set)
     squares = witness.test_set + [a @ a for a in witness.test_set]
     approx_worst, approx_upper = max_norm_enclosure(
         banded(phi_hat.apply(psi_hat.apply(a)) - a) for a in squares)
@@ -817,14 +830,15 @@ def save_witness(witness, dirpath):
 
 
 def load_witness(dirpath):
-    """A bundle of ``save_witness``; a ``witness.json`` key of the wrong type
-    raises ``InvalidParameterError``."""
+    """A bundle of ``save_witness``; a ``witness.json`` that is not an
+    object, or a key or point id of the wrong type in it, raises
+    ``InvalidParameterError``."""
     import os
 
     from .operators import load_operator
-    from .space import _id_from_json, load_space, read_json
+    from .space import _id_from_json, _read_object, load_space
 
-    doc = read_json(os.path.join(dirpath, "witness.json"))
+    doc = _read_object(os.path.join(dirpath, "witness.json"))
     meta = doc.get("meta", {})
     for key, ok, rule in [
             ("space", isinstance(doc["space"], str), "a file name"),

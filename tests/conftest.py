@@ -22,7 +22,7 @@ from banddim.cpmaps import BandAlgebra, FactoredMap, PointBijectionHom
 from banddim.extract import build_translation_system, threshold_setup
 from banddim.fdalg import FiniteDimAlgebra, Summand
 from banddim.operators import CERT_PANEL, BandOperator
-from banddim.space import generate_space
+from banddim.space import _id_to_json, canonical_json, generate_space
 from banddim.witness import build_upper_witness, default_test_set, load_witness, save_witness
 
 DIFF = settings(max_examples=60, deadline=None, derandomize=True)
@@ -88,6 +88,29 @@ def dense_image(phi, elem):
         c = np.array([x * m + a for x in window for a in range(m)])
         flat[(c[:, None] * n + c).reshape(-1)] += part.reshape(-1)
     return out
+
+
+def assert_same_operator(op, reference):
+    """Equal block keys in equal order, and blocks equal bit for bit (so
+    ``np.array_equal``, with NaN where the reference has NaN)."""
+    assert list(op.blocks) == list(reference.blocks)
+    for key, block in reference.blocks.items():
+        assert np.array_equal(op.blocks[key], block, equal_nan=True), key
+        assert op.blocks[key].dtype == block.dtype, key
+        assert op.blocks[key].tobytes() == block.tobytes(), key
+
+
+def operator_file_text(op):
+    """The text of an operator file by the per-entry rule: one record per
+    block in key order, its point ids converted one by one and each entry
+    written as ``[float(re), float(im)]``.  The reference
+    ``operators.save_operator`` is tested against."""
+    points = op.space.points
+    return canonical_json({
+        "fiber": op.fiber_dim,
+        "blocks": [{"x": _id_to_json(points[x]), "y": _id_to_json(points[y]),
+                    "block": [[[float(v.real), float(v.imag)] for v in row] for row in b]}
+                   for (x, y), b in sorted(op.blocks.items())]})
 
 
 def mask_profile(mat):

@@ -467,9 +467,17 @@ def _interval_bundle(tmp_path, fiber=1):
     return bundle
 
 
+# The edit that replaces a file's document by a list holding it.
+IN_LIST = "in-list"
+
+
 def _edit_json(path, edit):
+    """Edit the file's document in place, or put it in a list for IN_LIST."""
     doc = json.loads(path.read_text())
-    edit(doc)
+    if edit == IN_LIST:
+        doc = [doc]
+    else:
+        edit(doc)
     path.write_text(json.dumps(doc))
 
 
@@ -685,14 +693,29 @@ def _set_first(key, value):
     return edit
 
 
+def _set_first_point(points):
+    def edit(doc):
+        points(doc)[0] = {"x": 1}
+    return edit
+
+
+OBJECT_MESSAGE = "the file must hold a JSON object"
+POINT_MESSAGE = "a point id must be a number, a string or a list of them"
+
+
 # Space-file edits of the wrong type, shared by bundles and the commands that
 # read a space file.
 SPACE_EDITS = [
     (lambda doc: doc.update(points=5), "'points' must be a list of point ids"),
     (lambda doc: doc.update(dist="x"), "'dist' must be a matrix of numbers"),
     (lambda doc: doc.update(dist=[[0.0, 1.0], [1.0]]), "'dist' must be a matrix of numbers"),
+    (lambda doc: doc.update(generator=5), "'generator' must be an object"),
+    (lambda doc: doc["generator"].update(sides=5), "no generator block that yields its points"),
+    (IN_LIST, OBJECT_MESSAGE),
+    (_set_first_point(lambda doc: doc["points"]), POINT_MESSAGE),
 ]
-SPACE_EDIT_IDS = ["points-number", "dist-string", "dist-ragged"]
+SPACE_EDIT_IDS = ["points-number", "dist-string", "dist-ragged", "generator-number",
+                  "generator-sides-number", "list", "point-object"]
 
 
 @pytest.mark.parametrize("name, edit, message", [
@@ -709,10 +732,15 @@ SPACE_EDIT_IDS = ["points-number", "dist-string", "dist-ragged"]
     ("witness.json", _set_first("test_set", 5), "'test_set' must be a list of file names"),
     ("witness.json", lambda doc: doc.update(space=5), "'space' must be a file name"),
     ("witness.json", lambda doc: doc.update(meta="x"), "'meta' must be an object"),
+    ("witness.json", _set_first_point(lambda doc: doc["summands"][0]["points"]),
+     POINT_MESSAGE),
+    ("witness.json", IN_LIST, OBJECT_MESSAGE),
+    ("test_000.json", IN_LIST, OBJECT_MESSAGE),
 ] + [("space.json", *case) for case in SPACE_EDITS],
     ids=["block-string", "block-without-imaginary-part", "blocks-string", "summands-string",
          "coefficients-number", "test_set-number", "summand-number", "summand-points-number",
-         "coefficient-number", "test_set-entry-number", "space-number", "meta-string"]
+         "coefficient-number", "test_set-entry-number", "space-number", "meta-string",
+         "summand-point-object", "witness-list", "test-list"]
     + [f"space-{i}" for i in SPACE_EDIT_IDS])
 def test_malformed_bundle_exits_3(tmp_path, capsys, name, edit, message):
     """A bundle file holding a value of the wrong type fails every command
@@ -729,8 +757,11 @@ def test_malformed_bundle_exits_3(tmp_path, capsys, name, edit, message):
      "'families' must be a list of lists of point lists"),
     ("cover.json", lambda doc: doc.update(r="x"), "a scale must be a finite real number"),
     ("cover.json", lambda doc: doc.update(r=None), "a scale must be a finite real number"),
+    ("cover.json", _set_first_point(lambda doc: doc["families"][0][0]), POINT_MESSAGE),
+    ("cover.json", IN_LIST, OBJECT_MESSAGE),
 ] + [("space.json", *case) for case in SPACE_EDITS],
-    ids=["families-set-number", "families-null", "r-string", "r-null"]
+    ids=["families-set-number", "families-null", "r-string", "r-null", "set-point-object",
+         "list"]
     + [f"space-{i}" for i in SPACE_EDIT_IDS])
 def test_malformed_cover_or_space_file_exits_3(tmp_path, capsys, name, edit, message):
     """A cover or space file holding a value of the wrong type fails every

@@ -14,7 +14,8 @@ from banddim.fdalg import FdElement, FiniteDimAlgebra, Summand
 from banddim.operators import BandOperator
 from banddim.space import generate_space
 
-from conftest import DIFF, build_small_witness, dense_image, random_factored_map
+from conftest import (DIFF, assert_same_operator, build_small_witness, dense_image,
+                      random_factored_map)
 
 
 def matrix_algebra(n, fiber=1):
@@ -570,3 +571,37 @@ def test_inclusion_apply_keeps_nan_block():
     assert list(image.blocks) == [(0, 0), (0, 1), (1, 1)]
     assert np.isnan(image.blocks[(0, 1)]).all()
     assert np.array_equal(image.to_dense(), dense_image(phi, x), equal_nan=True)
+
+
+@DIFF
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), m=st.sampled_from([1, 2, 3]),
+       count=st.integers(1, 4), density=st.sampled_from([0.0, 0.3, 1.0]),
+       scaled=st.sampled_from(["none", "some", "all"]), nan=st.booleans())
+@example(seed=0, n=1, m=1, count=1, density=0.0, scaled="all", nan=False)
+@example(seed=1, n=6, m=2, count=3, density=1.0, scaled="some", nan=False)
+@example(seed=2, n=5, m=3, count=4, density=0.3, scaled="all", nan=True)
+def test_round_trip_matches_inclusion_after_compression(seed, n, m, count, density, scaled,
+                                                        nan):
+    """``psi.round_trip(T)`` is ``phi.apply(psi.apply(T))`` for phi the
+    inclusion on psi's windows, in keys, key order and bits, over windows
+    that overlap and list their points out of order, coefficients with
+    missing blocks (whose images vanish), blocks outside every window, the
+    zero operator and a block of NaN, which is kept."""
+    rng = np.random.default_rng(seed)
+    sp = generate_space("interval", length=n)
+    band = BandAlgebra(sp, m)
+    windows = random_windows(rng, n, count)
+    alg = FiniteDimAlgebra([Summand(k % 2, k, len(w)) for k, w in enumerate(windows)], m)
+    coefficients = [
+        None if scaled == "none" or scaled == "some" and rng.random() < 0.5 else
+        BandOperator(sp, m, random_blocks(rng, [(p, p) for p in range(n)
+                                                if rng.random() < 0.8], m))
+        for _ in windows]
+    blocks = random_blocks(
+        rng, [(x, y) for x in range(n) for y in range(n) if rng.random() < density], m)
+    if nan:
+        blocks[(int(rng.integers(n)), int(rng.integers(n)))] = np.full((m, m), np.nan + 0j)
+    op = BandOperator._raw(sp, m, blocks)
+    psi = CompressionMap(band, alg, windows, coefficients)
+    reference = InclusionMap(alg, band, windows).apply(psi.apply(op))
+    assert_same_operator(psi.round_trip(op), reference)

@@ -14,7 +14,7 @@ from banddim.operators import (CERT_PANEL, ENCLOSURE_REL, LANCZOS_SEED, PRUNE_RE
                                spectral_norm)
 from banddim.space import generate_space
 
-from conftest import DIFF, mask_panels, mask_profile
+from conftest import DIFF, mask_panels, mask_profile, operator_file_text
 
 
 @pytest.fixture()
@@ -703,3 +703,44 @@ def test_connected_components_match_reachability(n, edges):
     assert sorted(labels) == list(range(n))
     for x in range(n):
         assert labels[x] == min(np.flatnonzero(reach[x]))
+
+
+def _serialized_operators():
+    """Operators whose files test the stacked writer: signed zeros,
+    subnormals, entries of +-1e308, integer-valued entries (complex, and
+    raw blocks of integer dtype only, which are written as floats), grid
+    point ids and no block at all.  Each keeps every block through the
+    pruning of ``load_operator``."""
+    line, grid = generate_space("interval", length=4), generate_space("grid", sides=[2, 3])
+    big = 1e308
+    return {
+        "signed-zeros": BandOperator._raw(line, 2, {
+            (0, 1): np.array([[-0.0 - 0.0j, 1.0 - 0.0j], [-0.0 + 2.0j, 0.0]]),
+            (1, 0): np.array([[0.5, -0.0j], [-0.0, -1.5]], dtype=complex)}),
+        "subnormals": BandOperator._raw(line, 1, {
+            (2, 2): np.array([[5e-324 - 2.5e-310j]]), (0, 3): np.array([[-1e-320 + 0j]])}),
+        "huge": BandOperator._raw(line, 2, {
+            (3, 3): np.array([[big, -big * 1j], [-big + big * 1j, 1.0]]),
+            (2, 3): np.array([[-big, 0.0], [0.0, big * 1j]])}),
+        "integers": BandOperator._raw(line, 2, {
+            (1, 1): np.array([[1.0, -3.0 + 2.0j], [2.0 ** 53, 0.0]]),
+            (1, 2): np.array([[7.0, -2.0], [0.0, 4.0]], dtype=complex)}),
+        "integer-dtype": BandOperator._raw(line, 2, {(1, 2): np.array([[7, -2], [0, 4]])}),
+        "grid-ids": BandOperator(grid, 1, {((x * 7) % 6, (x * 5) % 6): [[x + 0.25j]]
+                                           for x in range(1, 6)}),
+        "empty": BandOperator.zero(grid, 3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_serialized_operators()))
+def test_save_operator_matches_per_entry_writer(name, tmp_path):
+    """The stacked writer's file equals, byte for byte, the one written entry
+    by entry, and reads back to equal blocks."""
+    op = _serialized_operators()[name]
+    path = tmp_path / "op.json"
+    save_operator(op, path)
+    assert path.read_text(encoding="utf-8") == operator_file_text(op)
+    back = load_operator(path, op.space)
+    assert sorted(back.blocks) == sorted(op.blocks)
+    for key, block in op.blocks.items():
+        assert np.array_equal(back.blocks[key], block), key

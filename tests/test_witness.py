@@ -1,12 +1,16 @@
+import dataclasses
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import banddim.witness as witness_mod
 from banddim.cover import brick_cover, make_cover
-from banddim.cpmaps import order_zero_check
+from banddim.cpmaps import CompressionMap, InclusionMap, order_zero_check
 from banddim.errors import IncompatibilityError, PreconditionError
 from banddim.operators import (CERT_PANEL, BandOperator, Nearby, certified_below,
                                normalizer_check, operator_norm, spectral_norm)
@@ -15,7 +19,8 @@ from banddim.witness import (WindowDefects, build_upper_witness, check_witness,
                              condition2_errors, default_test_set, hat_normalize,
                              load_witness, permanence_combine, save_witness)
 
-from conftest import dense_image, grid_witness, interval_witness, mask_panels, permuted_bundle
+from conftest import (DIFF, assert_same_operator, dense_image, grid_witness, interval_witness,
+                      mask_panels, permuted_bundle)
 
 
 def single_point_witness(fiber=2):
@@ -731,3 +736,95 @@ def test_check_rejects_invalid_tolerance(tol):
 
 def test_check_accepts_zero_tolerance():
     assert check_witness(single_point_witness(), tol=0).passed
+
+
+# -- condition 2 through the window round trip --------------------------------
+
+@functools.lru_cache(maxsize=None)
+def round_trip_witness(family, fiber):
+    """A witness on interval 20, or on an l1 or linf grid whose windows
+    overlap."""
+    if family == "interval":
+        sp = generate_space("interval", length=20)
+        return build_upper_witness(sp, brick_cover(sp, 2, 8), 2, fiber)
+    sp = generate_space("grid", sides=[4, 5] if family == "l1" else [5, 5], metric=family)
+    return build_upper_witness(sp, brick_cover(sp, 3, 12), 1, fiber)
+
+
+def round_trip_elements(w, seed):
+    """The test set, its squares, a random band operator of propagation at
+    most 2, the zero operator, and a raw operator with a block of NaN."""
+    rng = np.random.default_rng(seed)
+    sp, m = w.space, w.fiber_dim
+    near = [(x, y) for x in range(sp.n) for y in range(sp.n) if sp.dist[x, y] <= 2]
+    keys = [near[i] for i in np.flatnonzero(rng.random(len(near)) < 0.5)]
+    blocks = {k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for k in keys}
+    nan = dict(w.test_set[-1].blocks)
+    nan[near[int(rng.integers(len(near)))]] = np.full((m, m), np.nan + 0j)
+    return (w.test_set + [a @ a for a in w.test_set]
+            + [BandOperator(sp, m, blocks), BandOperator.zero(sp, m),
+               BandOperator._raw(sp, m, nan)])
+
+
+def assert_round_trip(psi, phi, a):
+    """psi's round trip gives phi(psi(a)), and condition 2 the same norm:
+    a NaN block has none either way."""
+    image, reference = psi.round_trip(a), phi.apply(psi.apply(a))
+    assert_same_operator(image, reference)
+    if all(np.isfinite(b).all() for b in reference.blocks.values()):
+        assert operator_norm(image - a) == operator_norm(reference - a)
+    else:
+        for op in (image, reference):
+            with pytest.raises(np.linalg.LinAlgError):
+                operator_norm(op - a)
+
+
+@DIFF
+@given(family=st.sampled_from(["interval", "l1", "linf"]), fiber=st.integers(1, 3),
+       coefficients=st.sampled_from(["built", "none", "some"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_round_trip_matches_phi_psi(family, fiber, coefficients, seed):
+    """On intervals and l1 and linf grids, at fibers 1 to 3, with the
+    built coefficients, none, or some windows' dropped, the round trip
+    equals phi(psi(a)) on every kind of element, and a witness with that
+    psi takes it for condition 2."""
+    w = round_trip_witness(family, fiber)
+    rng = np.random.default_rng(seed)
+    coeffs = {"built": w.psi.coefficients, "none": None,
+              "some": [None if rng.random() < 0.5 else c for c in w.psi.coefficients]}
+    psi = CompressionMap(w.band, w.algebra, w.psi.windows, coeffs[coefficients])
+    for a in round_trip_elements(w, seed):
+        assert_round_trip(psi, w.phi, a)
+    w = dataclasses.replace(w, psi=psi)
+    assert witness_mod._phi_psi(w) == psi.round_trip
+
+
+def _combined(kind):
+    def make(tmp_path):
+        w = interval_witness(length=24, r=2, side=8, fiber=2)
+        other = grid_witness(side=5) if kind == "direct_sum" else 2
+        return permanence_combine(kind, w, other)
+    return make
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(_combined("direct_sum"), id="direct_sum"),
+    pytest.param(_combined("tensor_matrix"), id="tensor_matrix"),
+    pytest.param(lambda tmp: permuted_bundle(grid_witness(side=5), tmp), id="loaded-bundle"),
+])
+def test_combined_and_loaded_witnesses_take_the_round_trip(make, tmp_path, monkeypatch):
+    """Witnesses made by ``permanence_combine`` or loaded from a bundle keep
+    phi the inclusion on psi's windows: the round trip equals phi(psi(a)),
+    and condition 2 is measured through it alone, with the reference's
+    values."""
+    w = make(tmp_path)
+    for a in round_trip_elements(w, 0):
+        assert_round_trip(w.psi, w.phi, a)
+    reference = [operator_norm(w.phi.apply(w.psi.apply(a)) - a) for a in w.test_set]
+
+    def refused(self, x):
+        raise AssertionError("condition 2 applied a window map")
+
+    monkeypatch.setattr(CompressionMap, "apply", refused)
+    monkeypatch.setattr(InclusionMap, "apply", refused)
+    assert condition2_errors(w, w.test_set) == reference

@@ -4,8 +4,8 @@ the statistics a speed claim rests on.
 Run from anywhere, naming the two checkouts:
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workload interval300-check --pairs 10 --seconds 35 --seed 1 \\
-        --out BENCH_name.json
+        --workload interval300-check grid6-subcmd --pairs 10 --seconds 35 \\
+        --seed 1 --out BENCH_name.json
 
 Pair i runs ``python3 perfbench/run.py --workload W --seed S+i --seconds T
 --trace 0`` in each checkout, one after the other, with the same seed; the
@@ -14,15 +14,17 @@ the machine over the session falls on both sides alike.  Each checkout runs
 its own ``perfbench/``, which this script only reads.  A run that exits
 non-zero or prints no result line stops the script.
 
-The output holds every run's result line (the last line ``run.py``
-prints), and for each end-to-end metric both sides' medians and quartiles
-(``statistics.quantiles``, inclusive method), the per-pair ratios change /
-parent, and the pairs each side won (lower is better; ties count for
+Each workload named runs all its pairs before the next one starts.  For
+one workload the output is its document; for several, a JSON list of their
+documents in the order named.  A document holds every run's result line
+(the last line ``run.py`` prints), and for each end-to-end metric both
+sides' medians and quartiles (``statistics.quantiles``, inclusive method),
+the per-pair ratios change / parent, and the pairs each side won (lower is better; ties count for
 neither).  ``claim_holds`` applies the rule for a claimed gain: the change
 wins at least nine tenths of the pairs, and its median lies below the
 parent's by more than the parent's interquartile range.  Standard library
 only, and not part of the test suite: ten pairs at 35 s take about 15
-minutes.
+minutes per workload.
 """
 
 from __future__ import annotations
@@ -70,11 +72,35 @@ def summarize(pairs, metric):
     }
 
 
+def run_pairs(sides, workload, args):
+    """The document of one workload's pairs."""
+    pairs = []
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        pair = {"pair": i, "seed": seed, "order": order}
+        for side in order:
+            pair[side] = run_once(sides[side], workload, seed, args.seconds)
+            print(f"{workload} pair {i} seed {seed} {side}: run_s "
+                  f"{pair[side]['metrics']['run_s']['value']:.4f}", file=sys.stderr)
+        pairs.append(pair)
+    return {
+        "workload": workload,
+        "seconds": args.seconds,
+        "command": f"perfbench/run.py --workload {workload} --seed S "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "pairs": pairs,
+        "all_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
+        "summary": {m: summarize(pairs, m) for m in METRICS
+                    if all(m in p[s]["metrics"] for p in pairs for s in ("parent", "change"))},
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
@@ -84,35 +110,17 @@ def main(argv=None):
         parser.error("--pairs must be at least 2 for quartiles")
 
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    pairs = []
-    for i in range(args.pairs):
-        seed = args.seed + i
-        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-        pair = {"pair": i, "seed": seed, "order": order}
-        for side in order:
-            pair[side] = run_once(sides[side], args.workload, seed, args.seconds)
-            print(f"pair {i} seed {seed} {side}: run_s "
-                  f"{pair[side]['metrics']['run_s']['value']:.4f}", file=sys.stderr)
-        pairs.append(pair)
-
-    doc = {
-        "workload": args.workload,
-        "seconds": args.seconds,
-        "command": f"perfbench/run.py --workload {args.workload} --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "pairs": pairs,
-        "all_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
-        "summary": {m: summarize(pairs, m) for m in METRICS
-                    if all(m in p[s]["metrics"] for p in pairs for s in ("parent", "change"))},
-    }
+    docs = [run_pairs(sides, workload, args) for workload in args.workload]
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    for metric, row in doc["summary"].items():
-        print(f"{metric}: parent {row['parent']['median']:.4g} "
-              f"[{row['parent']['q1']:.4g}, {row['parent']['q3']:.4g}], change "
-              f"{row['change']['median']:.4g} [{row['change']['q1']:.4g}, "
-              f"{row['change']['q3']:.4g}], change wins {row['change_wins']} of "
-              f"{len(pairs)}, claim holds: {row['claim_holds']}")
+        fh.write(json.dumps(docs[0] if len(docs) == 1 else docs, indent=1, sort_keys=True)
+                 + "\n")
+    for doc in docs:
+        for metric, row in doc["summary"].items():
+            print(f"{doc['workload']} {metric}: parent {row['parent']['median']:.4g} "
+                  f"[{row['parent']['q1']:.4g}, {row['parent']['q3']:.4g}], change "
+                  f"{row['change']['median']:.4g} [{row['change']['q1']:.4g}, "
+                  f"{row['change']['q3']:.4g}], change wins {row['change_wins']} of "
+                  f"{len(doc['pairs'])}, claim holds: {row['claim_holds']}")
     return 0
 
 
