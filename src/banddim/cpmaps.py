@@ -17,7 +17,6 @@ map; a dense conjugation map is ``DenseCpMap.from_callable``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,8 +25,8 @@ import numpy as np
 from .errors import (FactorizationError, InvalidFunctionError, InvalidParameterError,
                      SizeLimitError)
 from .fdalg import FdElement, FiniteDimAlgebra, Summand
-from .operators import (BandOperator, check_dense_size, check_fiber_dim, fiber_unit,
-                        operator_norm)
+from .operators import (BandOperator, _code_keys, _distinct, _runs, _sum_runs,
+                        check_dense_size, check_fiber_dim, fiber_unit, operator_norm)
 
 
 class BandAlgebra:
@@ -107,34 +106,16 @@ class CpMap:
         return None
 
 
-def _runs(lengths):
-    """For runs of the given lengths laid end to end: the run of each item
-    and its position within the run."""
-    run = np.repeat(np.arange(len(lengths)), lengths)
-    return run, np.arange(len(run)) - (np.cumsum(lengths) - lengths)[run]
-
-
 def _window_sum(space, m, codes, values):
     """The band operator of the fiber blocks ``values`` at the point pairs
     ``codes`` (x n + y), listed window by window: the blocks of one pair are
     summed in list order, the pairs keep their order of first appearance,
-    and the sum is pruned."""
-    if not len(codes):
-        return BandOperator._raw(space, m, {})
-    n = space.n
-    # equal codes in runs, each run in list order
-    order = np.argsort(codes, kind="stable")
-    first = np.flatnonzero(np.diff(codes[order], prepend=-1))
-    group, rank = _runs(np.diff(first, append=len(order)))
-    heads = order[first]
-    sums = values[heads] + 0j  # complex blocks, as the constructor stores them
-    for r in range(1, int(rank.max()) + 1):
-        later = rank == r
-        sums[group[later]] += values[order[later]]
-    appearance = np.argsort(heads, kind="stable")
-    keys = codes[heads[appearance]]
-    blocks = dict(zip(zip((keys // n).tolist(), (keys % n).tolist()), sums[appearance]))
-    return BandOperator._raw(space, m, blocks)
+    and the sum is pruned.  Each sum is taken as 0 plus its blocks, so a
+    -0.0 entry comes out as +0.0 (adding 0j after the sum gives the same
+    bits as adding it to the first block)."""
+    codes, sums = _sum_runs(codes, values)
+    sums += 0j
+    return BandOperator._raw(space, m, _code_keys(codes, space.n), sums)
 
 
 def _checked_windows(algebra, windows, n):
@@ -206,10 +187,19 @@ class CompressionMap(CpMap):
         self._owner_slot = np.argsort(codes, kind="stable")
         self._owner_code = codes[self._owner_slot]
         self._scaled = np.array([c is not None for c in self.coefficients], dtype=bool)
-        zero = np.zeros((m, m), dtype=complex)
-        self._slot_coefficient = np.array(
-            [zero if c is None else c.blocks.get((p, p), zero)
-             for w, c in zip(self.windows, self.coefficients) for p in w]).reshape(-1, m, m)
+        zero = np.zeros((1, m, m), dtype=complex)
+        padded = {}  # per coefficient: its blocks then a zero block, which the
+        # index -1 of a point without a block picks
+        parts = [zero[:0]]
+        for w, c in zip(self.windows, self.coefficients):
+            if c is None:
+                parts.append(zero.repeat(len(w), axis=0))
+                continue
+            if id(c) not in padded:
+                padded[id(c)] = np.concatenate((c.stack, zero)), c._diagonal_index()
+            blocks, at = padded[id(c)]
+            parts.append(blocks[at[list(w)]])
+        self._slot_coefficient = np.concatenate(parts)
         self._dims = sizes * m
         self._part_start = np.cumsum(self._dims ** 2) - self._dims ** 2
 
@@ -221,8 +211,7 @@ class CompressionMap(CpMap):
         (x, y) is placed through the owner index, so it is visited once per
         window holding x."""
         count, codes = len(self.windows), self._owner_code
-        x, y = np.fromiter(itertools.chain.from_iterable(op.blocks), dtype=np.intp,
-                           count=2 * len(op.blocks)).reshape(-1, 2).T
+        x, y = op.keys.T
         start = np.searchsorted(codes, x * count)
         block, rank = _runs(np.searchsorted(codes, x * count + count) - start)
         row_slot = self._owner_slot[start[block] + rank]
@@ -232,7 +221,7 @@ class CompressionMap(CpMap):
         hit = codes[found] == want
         block, row_slot, window = block[hit], row_slot[hit], window[hit]
         col_slot = self._owner_slot[found[hit]]
-        values = np.array(list(op.blocks.values()))[block]
+        values = op.stack[block]
         scaled = self._scaled[window]
         coeff = self._slot_coefficient
         values[scaled] = ((coeff[row_slot[scaled]] @ values[scaled])
@@ -244,7 +233,7 @@ class CompressionMap(CpMap):
         buffer that holds the summand parts."""
         m, dims = self.domain.fiber_dim, self._dims
         flat = np.zeros(int((dims ** 2).sum()), dtype=complex)
-        if op.blocks:
+        if not op.is_zero:
             window, row_slot, col_slot, values = self._slot_images(op)
             d = dims[window]
             corner = (self._part_start[window] + self._slot_position[row_slot] * m * d
@@ -265,8 +254,8 @@ class CompressionMap(CpMap):
         order (:func:`_window_sum`).  Blocks, block order and bits equal
         those of ``phi.apply(psi.apply(op))``."""
         space, m = self.domain.space, self.domain.fiber_dim
-        if not op.blocks:
-            return BandOperator._raw(space, m, {})
+        if op.is_zero:
+            return BandOperator.zero(space, m)
         _, row_slot, col_slot, values = self._slot_images(op)
         order = np.argsort(row_slot * len(self._slot_window) + col_slot)
         order = order[values[order].any(axis=(1, 2))]
@@ -313,7 +302,7 @@ class InclusionMap(CpMap):
             codes.append(points[rows] * n + points[cols])
             values.append(part.reshape(s, m, s, m)[rows, :, cols, :])
         if not codes:
-            return BandOperator._raw(self.codomain.space, m, {})
+            return BandOperator.zero(self.codomain.space, m)
         return _window_sum(self.codomain.space, m, np.concatenate(codes),
                            np.concatenate(values))
 
@@ -790,12 +779,8 @@ class CopReport:
 
 def _scalar_diagonal(op):
     """True when every block is on the diagonal and exactly scalar."""
-    for (x, y), b in op.blocks.items():
-        if x != y:
-            return False
-        if not np.array_equal(b, b[0, 0] * np.eye(op.fiber_dim)):
-            return False
-    return True
+    return op.is_diagonal and np.array_equal(op.stack,
+                                             op.stack[:, :1, :1] * np.eye(op.fiber_dim))
 
 
 def cop_check(fact, tol=1e-9):
@@ -823,7 +808,7 @@ def cop_check(fact, tol=1e-9):
         checked += 1
         if _scalar_diagonal(c):
             continue
-        for y in sorted({p for key in c.blocks for p in key}):
+        for y in _distinct(c.keys).tolist():
             for alpha in range(m):
                 for beta in range(m):
                     gen = BandOperator(fact.codomain.space, m,

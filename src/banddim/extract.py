@@ -35,7 +35,7 @@ from .cover import cover_to_json, make_cover, verify_cover
 from .cpmaps import bump_function, factorize_order_zero, unit_image
 from .errors import (AmbiguousSupportError, CoverGapError, DiagonalViolationError,
                      InvalidWitnessError)
-from .operators import (BandOperator, _pruned, connected_components, group_by,
+from .operators import (BandOperator, _groups, _pruned, component_labels, group_by,
                         operator_norm, spectral_norm)
 from .space import ulf_profile
 
@@ -535,8 +535,10 @@ def _diagonal_columns(pts, color):
     blocks = {key: b for cs in pts.corners if cs.corner.color == color
               for key, b in cs.images.diagonal_blocks()}
     cols = {}
-    for (u, x), b in _pruned(blocks).items():
-        cols.setdefault(x, []).append(b)
+    if blocks:
+        keys, stack = _pruned(np.array(list(blocks)), np.array(list(blocks.values())))
+        for (u, x), b in zip(keys.tolist(), stack):
+            cols.setdefault(x, []).append(b)
     return cols
 
 
@@ -586,10 +588,10 @@ def extract_cover(pts, space, r):
     class_sizes = []
     near = space.within_mask(r)
     for color in colors:
-        pool = per_color[color]
-        chains = np.argwhere(np.triu(near[np.ix_(pool, pool)], 1)).tolist()
-        labels = connected_components(((pool[a], pool[b]) for a, b in chains), pool)
-        fam = [frozenset(c) for c in group_by(pool, labels.get)]
+        pool = np.array(per_color[color], dtype=np.intp)
+        chains = np.argwhere(np.triu(near[np.ix_(pool, pool)], 1))
+        labels = component_labels(chains[:, 0], chains[:, 1], len(pool))
+        fam = [frozenset(pool[group].tolist()) for group in _groups(labels)]
         fam.sort(key=lambda c: sorted(c))
         families.append(fam)
         class_sizes.append(sorted(len(c) for c in fam))

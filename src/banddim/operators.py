@@ -1,24 +1,31 @@
 """Block-sparse band operators on l2(X, C^m).
 
-An operator is stored as a sparse map from point pairs ``(x, y)`` to nonzero
-``m x m`` complex fiber blocks.  The support is the set of stored pairs and
-the propagation is the largest distance over the support, so the sparsity
-pattern carries the metric content.  Blocks whose norm falls below 1e-14 of
-the largest block are pruned after arithmetic to keep support and propagation
-meaningful under floating-point fill-in.
+An operator is stored as one (nnz, 2) integer array of point pairs
+``(x, y)`` and one (nnz, m, m) complex stack of the nonzero fiber blocks at
+them, in one block order that arithmetic keeps.  The support is the set of
+stored pairs and the propagation is the largest distance over the support,
+so the sparsity pattern carries the metric content.  Blocks whose norm falls
+below 1e-14 of the largest block are pruned after arithmetic to keep support
+and propagation meaningful under floating-point fill-in.  The kernels work
+on the two arrays; ``blocks`` gives them as a read-only mapping of pairs to
+blocks.
 
 Operators are immutable values: arithmetic returns new instances.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
+from collections.abc import Mapping
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import IncompatibilityError, InvalidParameterError, SizeLimitError
-from .space import _id_from_json, _id_to_json, _is_list_of, _read_object, write_json
+from .space import (_id_from_json, _id_to_json, _is_int, _is_list_of, _read_object,
+                    write_json)
 
 PRUNE_REL = 1e-14
 CERT_MARGIN = 1e-10
@@ -56,21 +63,28 @@ def fiber_unit(m, alpha, beta):
     return unit
 
 
-def connected_components(edges, nodes=()):
-    """Map every node (of ``nodes`` or an endpoint of the pairs ``edges``) to
-    the smallest node of its connected component."""
-    parent = {x: x for x in nodes}
+def component_labels(a, b, size):
+    """The smallest node of the connected component of each node of
+    range(size), for the undirected edges (a[i], b[i]) of two index arrays.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for a, b in edges:
-        a, b = find(parent.setdefault(a, a)), find(parent.setdefault(b, b))
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    return {x: find(x) for x in parent}
+    Each round hooks the larger label of every edge whose ends disagree
+    under the smaller one, then jumps every node to its root (a node that is
+    its own label), until every edge joins equal labels.  A label only falls
+    and stays inside its node's component, so the smallest node of a
+    component keeps its own label and ends as the label of all of it.
+    """
+    label = np.arange(size)
+    while True:
+        la, lb = label[a], label[b]
+        cross = la != lb
+        if not cross.any():
+            return label
+        np.minimum.at(label, np.maximum(la, lb)[cross], np.minimum(la, lb)[cross])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def group_by(items, label):
@@ -79,6 +93,74 @@ def group_by(items, label):
     for item in items:
         groups.setdefault(label(item), []).append(item)
     return list(groups.values())
+
+
+def _groups(labels):
+    """Index arrays of the positions of equal labels, each in order, the
+    groups in order of first appearance."""
+    if not len(labels):
+        return []
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    groups.sort(key=lambda group: group[0])
+    return groups
+
+
+def _runs(lengths):
+    """For runs of the given lengths laid end to end: the run of each item
+    and its position within the run."""
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    return run, np.arange(len(run)) - (np.cumsum(lengths) - lengths)[run]
+
+
+def _sum_runs(codes, values):
+    """The distinct integer ``codes`` (>= 0) in order of first appearance
+    and, for each, the sum of the blocks ``values`` listed at it, added in
+    list order with the first term as it is: the sums that
+    ``blocks[k] = blocks[k] + b if k in blocks else b`` gathers, taken as
+    one stacked addition per rank (every code's second block, then its
+    third, ...)."""
+    if not len(codes):
+        return codes, values[:0]
+    order = np.argsort(codes, kind="stable")
+    first = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    group, rank = _runs(np.diff(first, append=len(order)))
+    heads = order[first]
+    sums = values[heads]
+    for r in range(1, int(rank.max()) + 1):
+        later = rank == r
+        sums[group[later]] += values[order[later]]
+    appearance = np.argsort(heads)
+    return codes[heads[appearance]], sums[appearance]
+
+
+def _distinct(values):
+    """The sorted distinct entries of an array of integers >= 0.  (numpy's
+    ``unique`` imports ``numpy.ma`` on its first call.)"""
+    flat = np.sort(values, axis=None)
+    return flat[np.diff(flat, prepend=-1) != 0]
+
+
+def _first_places(codes):
+    """The place of the first occurrence of each distinct integer code
+    (>= 0), in order."""
+    order = np.argsort(codes, kind="stable")
+    return np.sort(order[np.diff(codes[order], prepend=-1) != 0])
+
+
+def _codes(keys, n):
+    """The codes x n + y of the keys (x, y)."""
+    return keys[:, 0] * n + keys[:, 1]
+
+
+def _code_keys(codes, n):
+    """The keys (x, y) of the codes x n + y."""
+    return np.stack(np.divmod(codes, n), axis=1)
+
+
+def _fiber_identities(m, count):
+    """``count`` m x m identity blocks as one stack."""
+    return np.repeat(np.eye(m, dtype=complex)[None], count, axis=0)
 
 
 def _same_space(s1, s2):
@@ -94,94 +176,221 @@ def _block_norms(stack):
     return np.hypot(stack.real, stack.imag).max(axis=(-2, -1))
 
 
-def _pruned(blocks):
-    """The blocks whose largest entry modulus exceeds PRUNE_REL times the
-    largest over all blocks, in their order: one max-of-modulus over the
-    stacked blocks.  None are kept when every block is zero, and all of them
-    when the largest modulus is not finite."""
-    if not blocks:
-        return {}
-    norms = _block_norms(np.array(list(blocks.values())))
+def _pruned(keys, stack):
+    """The keys and blocks whose largest entry modulus exceeds PRUNE_REL
+    times the largest over all blocks, in their order.  None are kept when
+    every block is zero, and all of them when the largest modulus is not
+    finite."""
+    if not len(stack):
+        return keys, stack
+    norms = _block_norms(stack)
     biggest = norms.max()
     if not np.isfinite(biggest):
-        return blocks
+        return keys, stack
     keep = norms > PRUNE_REL * biggest
     if keep.all():
-        return blocks
-    return {k: b for (k, b), kept in zip(blocks.items(), keep.tolist()) if kept}
+        return keys, stack
+    return keys[keep], stack[keep]
+
+
+def _point_array(points, n):
+    """The points as an index array, or None when one of them is not a
+    point of range(n): an int or numpy integer, not a bool, in range."""
+    points = list(points)
+    if not all(issubclass(t, numbers.Integral) and not issubclass(t, bool)
+               for t in set(map(type, points))):
+        return None
+    try:
+        arr = np.array(points, dtype=np.intp)
+    except OverflowError:
+        return None
+    return arr if ((arr >= 0) & (arr < n)).all() else None
+
+
+def _is_key(key, n):
+    """True for a pair of points of range(n)."""
+    try:
+        x, y = key
+    except (TypeError, ValueError):
+        return False
+    return all(_is_int(p) and 0 <= p < n for p in (x, y))
+
+
+def _key_array(keys, n):
+    """Block keys as an (nnz, 2) index array; a key that is not a pair of
+    points of range(n) raises ``InvalidParameterError``."""
+    keys = list(keys)
+    try:
+        pairs = set(map(len, keys)) <= {2}
+    except TypeError:
+        pairs = False
+    arr = _point_array(itertools.chain.from_iterable(keys), n) if pairs else None
+    if arr is None:
+        bad = next(key for key in keys if not _is_key(key, n))
+        raise InvalidParameterError(f"block key {bad!r} is not a pair of points of range({n})")
+    return arr.reshape(-1, 2)
+
+
+def _block_stack(blocks, m):
+    """The list ``blocks`` as one (nnz, m, m) complex stack; anything but m x
+    m arrays of numbers raises ``InvalidParameterError``."""
+    if not blocks:
+        return np.zeros((0, m, m), dtype=complex)
+    try:
+        stack = np.array(blocks, dtype=complex)
+    except (TypeError, ValueError):
+        stack = None
+    if stack is None or stack.shape != (len(blocks), m, m):
+        raise InvalidParameterError(f"a fiber block is not a {m} x {m} array of numbers")
+    return stack
+
+
+def _finite(stack):
+    """The stack; an entry that is not finite raises ``InvalidParameterError``."""
+    if not np.isfinite(stack).all():
+        raise InvalidParameterError("a fiber block has an entry that is not finite")
+    return stack
+
+
+class BlockView(Mapping):
+    """The blocks of an operator as a read-only mapping from point pairs
+    (x, y) to read-only views of its m x m blocks, in block order, for
+    readers that look blocks up by pair.  Its index is made on the first
+    lookup; its length and keys come from the key array."""
+
+    __slots__ = ("_keys", "_stack", "_index")
+
+    def __init__(self, keys, stack):
+        self._keys = keys
+        self._stack = stack.view()
+        self._stack.flags.writeable = False
+        self._index = None
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __iter__(self):
+        return map(tuple, self._keys.tolist())
+
+    def __getitem__(self, key):
+        if self._index is None:
+            self._index = {k: i for i, k in enumerate(self)}
+        return self._stack[self._index[key]]
 
 
 class BandOperator:
-    """Finite-propagation operator given by its nonzero fiber blocks."""
+    """Finite-propagation operator given by its nonzero fiber blocks: block
+    i sits at the point pair ``keys[i]`` of the (nnz, 2) index array and is
+    ``stack[i]`` of the (nnz, m, m) complex stack."""
 
-    __slots__ = ("space", "fiber_dim", "blocks", "_diag")
+    __slots__ = ("space", "fiber_dim", "keys", "stack", "_diag", "_view")
 
     def __init__(self, space, fiber_dim, blocks):
-        """Validating constructor: a block key that is not a pair of points of
-        range(n), a block that is not m x m or not finite raise
+        """Validating constructor from a mapping of point pairs to blocks: a
+        key that is not a pair of points of range(n) (ints or numpy
+        integers, not bools), a block that is not m x m or not finite raise
         ``InvalidParameterError``."""
+        m = check_fiber_dim(fiber_dim)
+        keys = _key_array(blocks, space.n)
+        stack = _finite(_block_stack(list(blocks.values()), m))
+        self._assign(space, m, *_pruned(keys, stack))
+
+    def _assign(self, space, fiber_dim, keys, stack):
         self.space = space
-        self.fiber_dim = m = check_fiber_dim(fiber_dim)
+        self.fiber_dim = fiber_dim
+        self.keys = keys
+        self.stack = stack
         self._diag = None
-        n = space.n
-        cleaned = {}
-        for (x, y), b in blocks.items():
-            arr = np.asarray(b, dtype=complex)
-            if arr.shape != (m, m):
-                raise InvalidParameterError("fiber block has wrong shape")
-            key = (int(x), int(y))
-            if not (0 <= key[0] < n and 0 <= key[1] < n):
-                raise InvalidParameterError(
-                    f"block key {key} is not a pair of points of range({n})")
-            cleaned[key] = arr
-        if not np.isfinite(np.array(list(cleaned.values()))).all():
-            raise InvalidParameterError("a fiber block has an entry that is not finite")
-        self.blocks = _pruned(cleaned)
+        self._view = None
 
     @classmethod
-    def _raw(cls, space, fiber_dim, blocks, prune=True):
-        """Internal constructor for blocks already known to be well-shaped."""
+    def _raw(cls, space, fiber_dim, keys, stack, prune=True):
+        """Internal constructor from distinct in-range keys and their m x m
+        blocks, pruned unless ``prune`` is False."""
         op = cls.__new__(cls)
-        op.space = space
-        op.fiber_dim = fiber_dim
-        op._diag = None
-        op.blocks = _pruned(blocks) if prune else blocks
+        op._assign(space, fiber_dim, *(_pruned(keys, stack) if prune else (keys, stack)))
         return op
+
+    @classmethod
+    def _validated(cls, space, fiber_dim, keys, stack):
+        """Internal constructor from distinct keys that checks them and the
+        blocks as the validating constructor does, and prunes."""
+        m = check_fiber_dim(fiber_dim)
+        n = space.n
+        outside = ((keys < 0) | (keys >= n)).any(axis=1)
+        if outside.any():
+            key = tuple(keys[np.argmax(outside)].tolist())
+            raise InvalidParameterError(f"block key {key} is not a pair of points of range({n})")
+        if stack.shape != (len(keys), m, m):
+            raise InvalidParameterError(f"a fiber block is not a {m} x {m} array of numbers")
+        return cls._raw(space, m, keys, _finite(stack))
+
+    @property
+    def blocks(self):
+        """The blocks as a read-only mapping, made on first use (see
+        :class:`BlockView`)."""
+        if self._view is None:
+            self._view = BlockView(self.keys, self.stack)
+        return self._view
 
     @property
     def is_diagonal(self):
         if self._diag is None:
-            self._diag = all(x == y for (x, y) in self.blocks)
+            self._diag = bool((self.keys[:, 0] == self.keys[:, 1]).all())
         return self._diag
+
+    def _diagonal_index(self):
+        """For each point p, the index of block (p, p), or -1."""
+        at = np.full(self.space.n, -1)
+        on = np.flatnonzero(self.keys[:, 0] == self.keys[:, 1])
+        at[self.keys[on, 0]] = on
+        return at
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, space, fiber_dim):
-        return cls(space, fiber_dim, {})
+        m = check_fiber_dim(fiber_dim)
+        return cls._raw(space, m, np.zeros((0, 2), dtype=np.intp),
+                        np.zeros((0, m, m), dtype=complex), prune=False)
 
     @classmethod
     def identity(cls, space, fiber_dim):
-        eye = np.eye(check_fiber_dim(fiber_dim), dtype=complex)
-        return cls(space, fiber_dim, {(x, x): eye for x in range(space.n)})
+        m = check_fiber_dim(fiber_dim)
+        points = np.arange(space.n)
+        return cls._raw(space, m, np.stack((points, points), axis=1),
+                        _fiber_identities(m, space.n), prune=False)
 
     @classmethod
     def diagonal(cls, space, fiber_dim, values):
         """Propagation-zero operator; ``values`` maps point index to block
         (scalar entries are promoted to multiples of the fiber identity)."""
-        blocks = {}
-        for x, v in values.items():
-            v = np.asarray(v, dtype=complex)
-            if v.ndim == 0:
-                v = complex(v) * np.eye(check_fiber_dim(fiber_dim))
-            blocks[(x, x)] = v
-        return cls(space, fiber_dim, blocks)
+        m = check_fiber_dim(fiber_dim)
+        points = _point_array(values, space.n)
+        if points is None:
+            bad = next(p for p in values if not _is_key((p, p), space.n))
+            raise InvalidParameterError(
+                f"block key {(bad, bad)!r} is not a pair of points of range({space.n})")
+        vals = list(values.values())
+        try:
+            scalars = np.array(vals, dtype=complex)
+        except (TypeError, ValueError):
+            scalars = None
+        if scalars is not None and scalars.shape == (len(vals),):
+            stack = scalars[:, None, None] * np.eye(m)
+        else:
+            eye = np.eye(m)
+            stack = _block_stack([v if np.ndim(v) else complex(v) * eye for v in vals], m)
+        return cls._raw(space, m, np.stack((points, points), axis=1), _finite(stack))
 
     @classmethod
     def partial_translation(cls, space, fiber_dim, pairs):
-        """Identity fiber blocks on the given (target, source) pairs."""
-        eye = np.eye(check_fiber_dim(fiber_dim), dtype=complex)
-        return cls(space, fiber_dim, {(x, y): eye for (x, y) in pairs})
+        """Identity fiber blocks on the given (target, source) pairs; a pair
+        listed twice is one block, at its first place."""
+        m = check_fiber_dim(fiber_dim)
+        keys = _key_array(pairs, space.n)
+        keys = keys[_first_places(_codes(keys, space.n))]
+        return cls._raw(space, m, keys, _fiber_identities(m, len(keys)), prune=False)
 
     @classmethod
     def from_dense(cls, space, fiber_dim, mat, tol=0.0):
@@ -191,8 +400,8 @@ class BandOperator:
         n = space.n
         tiles = np.asarray(mat).reshape(n, m, n, m).swapaxes(1, 2)  # tiles[x, y]: block (x, y)
         rows, cols = np.nonzero(_block_norms(tiles) > tol)
-        return cls(space, fiber_dim, {(x, y): tiles[x, y].copy()
-                                      for x, y in zip(rows.tolist(), cols.tolist())})
+        return cls._validated(space, m, np.stack((rows, cols), axis=1),
+                              np.asarray(tiles[rows, cols], dtype=complex))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -202,75 +411,80 @@ class BandOperator:
         if self.fiber_dim != other.fiber_dim or not _same_space(self.space, other.space):
             raise IncompatibilityError("operators live over different spaces or fibers")
 
+    def _plus(self, keys, stack):
+        """This operator plus the blocks ``stack`` at the distinct ``keys``:
+        a shared pair holds this block plus that one, and the other pairs
+        follow this operator's in their order."""
+        n = self.space.n
+        codes, sums = _sum_runs(np.concatenate((_codes(self.keys, n), _codes(keys, n))),
+                                np.concatenate((self.stack, stack)))
+        return BandOperator._raw(self.space, self.fiber_dim, _code_keys(codes, n), sums)
+
     def __add__(self, other):
         self._check_compatible(other)
-        blocks = dict(self.blocks)
-        for k, b in other.blocks.items():
-            blocks[k] = blocks[k] + b if k in blocks else b
-        return BandOperator._raw(self.space, self.fiber_dim, blocks)
+        return self._plus(other.keys, other.stack)
 
     def __sub__(self, other):
+        # a - b is a + (-b) bit for bit, and a block of other alone is -b
         self._check_compatible(other)
-        blocks = dict(self.blocks)
-        for k, b in other.blocks.items():
-            blocks[k] = blocks[k] - b if k in blocks else -b
-        return BandOperator._raw(self.space, self.fiber_dim, blocks)
+        return self._plus(other.keys, -other.stack)
 
     def __rmul__(self, scalar):
-        return BandOperator._raw(self.space, self.fiber_dim,
-                                 {k: scalar * b for k, b in self.blocks.items()})
+        return BandOperator._raw(self.space, self.fiber_dim, self.keys, scalar * self.stack)
 
     def __mul__(self, scalar):
         return self.__rmul__(scalar)
 
     def __matmul__(self, other):
+        """The product in one stacked matrix product: against a diagonal
+        factor each block meets at most one block and keeps its place; else
+        block (x, y) meets every block (y, z) of ``other`` in its order, and
+        the products of one pair (x, z) are summed in that order."""
         self._check_compatible(other)
-        blocks = {}
         if other.is_diagonal:
-            oblocks = other.blocks
-            for (x, y), a in self.blocks.items():
-                b = oblocks.get((y, y))
-                if b is not None:
-                    blocks[(x, y)] = a @ b
+            at = other._diagonal_index()[self.keys[:, 1]]
+            hit = at >= 0
+            keys, stack = self.keys[hit], self.stack[hit] @ other.stack[at[hit]]
         elif self.is_diagonal:
-            sblocks = self.blocks
-            for (y, z), b in other.blocks.items():
-                a = sblocks.get((y, y))
-                if a is not None:
-                    blocks[(y, z)] = a @ b
+            at = self._diagonal_index()[other.keys[:, 0]]
+            hit = at >= 0
+            keys, stack = other.keys[hit], self.stack[at[hit]] @ other.stack[hit]
         else:
-            by_row = {}
-            for (y, z), b in other.blocks.items():
-                by_row.setdefault(y, []).append((z, b))
-            for (x, y), a in self.blocks.items():
-                for z, b in by_row.get(y, ()):
-                    key = (x, z)
-                    prod = a @ b
-                    blocks[key] = blocks[key] + prod if key in blocks else prod
-        return BandOperator._raw(self.space, self.fiber_dim, blocks)
+            n = self.space.n
+            by_row = np.argsort(other.keys[:, 0], kind="stable")
+            rows = other.keys[by_row, 0]
+            start = np.searchsorted(rows, self.keys[:, 1])
+            left, rank = _runs(np.searchsorted(rows, self.keys[:, 1], side="right") - start)
+            right = by_row[start[left] + rank]
+            codes, stack = _sum_runs(self.keys[left, 0] * n + other.keys[right, 1],
+                                     self.stack[left] @ other.stack[right])
+            keys = _code_keys(codes, n)
+        return BandOperator._raw(self.space, self.fiber_dim, keys, stack)
 
     def adjoint(self):
-        return BandOperator._raw(
-            self.space, self.fiber_dim,
-            {(y, x): b.conj().T for (x, y), b in self.blocks.items()}, prune=False)
+        return BandOperator._raw(self.space, self.fiber_dim, self.keys[:, ::-1].copy(),
+                                 self.stack.conj().transpose(0, 2, 1), prune=False)
 
     def compress(self, rows, cols):
         """Keep blocks (x, y) with x in rows and y in cols."""
-        rows, cols = set(rows), set(cols)
-        return BandOperator._raw(
-            self.space, self.fiber_dim,
-            {k: b for k, b in self.blocks.items() if k[0] in rows and k[1] in cols},
-            prune=False)
+        n = self.space.n
+        in_rows, in_cols = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        in_rows[list(rows)] = in_cols[list(cols)] = True
+        keep = in_rows[self.keys[:, 0]] & in_cols[self.keys[:, 1]]
+        return BandOperator._raw(self.space, self.fiber_dim, self.keys[keep],
+                                 self.stack[keep], prune=False)
 
     # -- queries -----------------------------------------------------------
 
     def block(self, x, y):
-        b = self.blocks.get((x, y))
-        return np.zeros((self.fiber_dim, self.fiber_dim), dtype=complex) if b is None else b
+        at = np.flatnonzero((self.keys[:, 0] == x) & (self.keys[:, 1] == y))
+        if not len(at):
+            return np.zeros((self.fiber_dim, self.fiber_dim), dtype=complex)
+        return self.stack[at[0]]
 
     @property
     def is_zero(self):
-        return not self.blocks
+        return not len(self.keys)
 
     def to_dense(self):
         return self.dense_on(range(self.space.n * self.fiber_dim))
@@ -283,9 +497,9 @@ class BandOperator:
         m = self.fiber_dim
         size = self.space.n * m
         first, last = np.full(size, size), np.full(size, -1)
-        if self.blocks:
-            corners = m * np.array(list(self.blocks))  # the first coordinates of each block
-            k, i, j = np.nonzero(np.array(list(self.blocks.values())))
+        if len(self.keys):
+            corners = m * self.keys  # the first coordinates of each block
+            k, i, j = np.nonzero(self.stack)
             np.minimum.at(first, corners[k, 1] + j, corners[k, 0] + i)
             np.maximum.at(last, corners[k, 1] + j, corners[k, 0] + i)
         return first, last
@@ -293,36 +507,37 @@ class BandOperator:
     def active_coords(self):
         """Sorted dense coordinates of the points the operator touches."""
         m = self.fiber_dim
-        pts = sorted({p for key in self.blocks for p in key})
-        return [p * m + a for p in pts for a in range(m)]
+        return (_distinct(self.keys)[:, None] * m + np.arange(m)).ravel().tolist()
 
     def dense_on(self, coords):
         """Dense matrix on the given sorted coordinates, which must hold the
         whole fiber of every touched point."""
         pts = sorted({c // self.fiber_dim for c in coords})
-        return self._dense(pts, pts, self.blocks)
+        return self._dense(pts, pts)
 
-    def _dense(self, rows, cols, keys):
-        """Dense matrix of the blocks ``keys`` on the sorted point lists
-        ``rows`` x ``cols``: the one place a band operator becomes dense."""
+    def _dense(self, rows, cols, which=slice(None)):
+        """Dense matrix of the blocks ``which`` (all by default) on the
+        sorted point lists ``rows`` x ``cols``: the one place a band
+        operator becomes dense."""
         m = self.fiber_dim
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
         check_dense_size(len(rows) * m, len(cols) * m)
-        row_at = {x: i * m for i, x in enumerate(rows)}
-        col_at = row_at if cols is rows else {y: j * m for j, y in enumerate(cols)}
-        out = np.zeros((len(rows) * m, len(cols) * m), dtype=complex)
-        for x, y in keys:
-            i, j = row_at[x], col_at[y]
-            out[i:i + m, j:j + m] = self.blocks[(x, y)]
-        return out
+        keys = self.keys[which]
+        out = np.zeros((len(rows), m, len(cols), m), dtype=complex)
+        out[np.searchsorted(rows, keys[:, 0]), :, np.searchsorted(cols, keys[:, 1]), :] = \
+            self.stack[which]
+        return out.reshape(len(rows) * m, len(cols) * m)
 
     def _eigh_components(self):
         """Sorted points and eigendecomposition of each connected component
-        of the block support of a Hermitian operator."""
+        of the block support of a Hermitian operator, the components in the
+        order their first blocks come."""
+        keys = self.keys
+        labels = component_labels(keys[:, 0], keys[:, 1], self.space.n)[keys[:, 0]]
         comps = []
-        labels = connected_components(self.blocks)
-        for keys in group_by(self.blocks, lambda key: labels[key[0]]):
-            pts = sorted({p for key in keys for p in key})
-            comps.append((pts, *np.linalg.eigh(self._dense(pts, pts, keys))))
+        for group in _groups(labels):
+            pts = _distinct(keys[group])
+            comps.append((pts, *np.linalg.eigh(self._dense(pts, pts, group))))
         return comps
 
     def norm(self):
@@ -347,31 +562,33 @@ class BandOperator:
         m = self.fiber_dim
         comps = self._eigh_components()
         values = np.asarray(f(np.concatenate([w for _, w, _ in comps] + [np.zeros(1)])))
-        blocks = {}
+        keys, stacks = [np.zeros((0, 2), dtype=np.intp)], [np.zeros((0, m, m), dtype=complex)]
         start = 0
         for pts, w, v in comps:
             mat = (v * values[start:start + len(w)]) @ v.conj().T
             start += len(w)
-            for i, x in enumerate(pts):
-                for j, y in enumerate(pts):
-                    blocks[(x, y)] = mat[i * m:(i + 1) * m, j * m:(j + 1) * m]
+            p = len(pts)
+            keys.append(np.stack((pts.repeat(p), np.tile(pts, p)), axis=1))
+            stacks.append(mat.reshape(p, m, p, m).swapaxes(1, 2).reshape(-1, m, m))
         if values[-1] != 0.0:
-            eye = complex(values[-1]) * np.eye(m)
-            for x in range(self.space.n):
-                blocks.setdefault((x, x), eye)
-        return BandOperator._raw(self.space, m, blocks)
+            touched = np.zeros(self.space.n, dtype=bool)
+            touched[self.keys] = True
+            untouched = np.flatnonzero(~touched)
+            keys.append(np.stack((untouched, untouched), axis=1))
+            stacks.append(np.repeat((complex(values[-1]) * np.eye(m))[None], len(untouched),
+                                    axis=0))
+        return BandOperator._raw(self.space, m, np.concatenate(keys), np.concatenate(stacks))
 
     def __repr__(self):
-        return f"BandOperator(n={self.space.n}, m={self.fiber_dim}, nnz={len(self.blocks)})"
+        return f"BandOperator(n={self.space.n}, m={self.fiber_dim}, nnz={len(self.keys)})"
 
 
 def prop_support(op):
     """Support pairs and propagation (max distance over the support)."""
-    support = frozenset(op.blocks.keys())
+    support = frozenset(map(tuple, op.keys.tolist()))
     if not support:
         return support, 0.0
-    prop = max(float(op.space.dist[x, y]) for (x, y) in support)
-    return support, prop
+    return support, float(op.space.dist[op.keys[:, 0], op.keys[:, 1]].max())
 
 
 def spectral_norm(mat):
@@ -681,17 +898,23 @@ def operator_norm(op):
 
     After permuting rows and columns the operator is block diagonal over the
     connected components of its bipartite block support (row x and column y
-    are the nodes x and ~y), so the norm is the largest component norm;
-    equal-shape components take one stacked SVD.  A component of one block
-    is that block, with no dense copy.  An entry that is not finite raises
+    are the nodes x and n + y), so the norm is the largest component norm.
+    The components of one block are that block, and all of them take one
+    stacked SVD; the larger ones become dense, and those of equal shape
+    share one stacked SVD.  An entry that is not finite raises
     ``LinAlgError``, as in :func:`spectral_norm`.
     """
-    labels = connected_components((x, ~y) for x, y in op.blocks)
-    mats = [op.blocks[keys[0]] if len(keys) == 1 else
-            op._dense(sorted({x for x, _ in keys}), sorted({y for _, y in keys}), keys)
-            for keys in group_by(op.blocks, lambda key: labels[key[0]])]
-    return max((float(spectral_norm(np.stack(same, dtype=complex)).max())
-                for same in group_by(mats, np.shape)), default=0.0)
+    keys, n = op.keys, op.space.n
+    if not len(keys):
+        return 0.0
+    labels = component_labels(keys[:, 0], n + keys[:, 1], 2 * n)[keys[:, 0]]
+    single = np.bincount(labels)[labels] == 1
+    stacks = [np.asarray(op.stack[single], dtype=complex)] if single.any() else []
+    multi = np.flatnonzero(~single)
+    mats = [op._dense(_distinct(keys[group, 0]), _distinct(keys[group, 1]), group)
+            for group in (multi[g] for g in _groups(labels[multi]))]
+    stacks += [np.stack(same) for same in group_by(mats, np.shape)]
+    return max(float(spectral_norm(stack).max()) for stack in stacks)
 
 
 class DiagonalReport:
@@ -716,10 +939,9 @@ def diagonal_membership(op, tol):
     """
     if tol < 0:
         raise InvalidParameterError("tolerance must be nonnegative")
-    mass = 0.0
-    for (x, y), b in op.blocks.items():
-        if x != y:
-            mass = max(mass, spectral_norm(b))
+    off = op.keys[:, 0] != op.keys[:, 1]
+    mass = float(spectral_norm(np.asarray(op.stack[off], dtype=complex)).max()) \
+        if off.any() else 0.0
     if mass == 0.0:
         return DiagonalReport(True, 0.0)
     scale = max(1.0, operator_norm(op))
@@ -793,23 +1015,60 @@ def save_operator(op, path):
     order, each block as rows of [re, im] pairs.  The blocks are written
     from one stacked array, and the id of each point they touch is
     converted once."""
-    keys = sorted(op.blocks)
-    stack = np.array([op.blocks[key] for key in keys], dtype=complex)
+    order = np.lexsort((op.keys[:, 1], op.keys[:, 0]))
+    keys, stack = op.keys[order].tolist(), np.asarray(op.stack[order], dtype=complex)
     rows = np.stack((stack.real, stack.imag), -1).tolist()
-    ids = {p: _id_to_json(op.space.points[p]) for p in set().union(*keys)}
+    points = op.space.points
+    ids = {p: _id_to_json(points[p]) for p in _distinct(op.keys).tolist()}
     write_json({"fiber": op.fiber_dim,
                 "blocks": [{"x": ids[x], "y": ids[y], "block": block}
                            for (x, y), block in zip(keys, rows)]}, path)
 
 
+def _stack_from_json(rows, m):
+    """The blocks of the records, each given as rows of [re, im] pairs, as
+    one (nnz, m, m) complex stack: read as one array of numbers when they
+    are, else block by block; anything else raises
+    ``InvalidParameterError``."""
+    try:
+        pairs = np.array(rows)
+    except (TypeError, ValueError):
+        pairs = None
+    if pairs is not None and pairs.dtype.kind in "biuf" and pairs.shape[1:] == (m, m, 2):
+        return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+    return _block_stack([_block_from_json(block) for block in rows], m)
+
+
 def load_operator(path, space):
+    """The operator of a file of :func:`save_operator` over ``space``.  A
+    missing key, a point id that names no point of the space, two records
+    at one point pair and a block that is not rows of [re, im] pairs raise
+    ``InvalidParameterError`` naming the file."""
     doc = _read_object(path)
+    for key in ("fiber", "blocks"):
+        if key not in doc:
+            raise InvalidParameterError(f"{path}: an operator file needs the key {key!r}")
     records = doc["blocks"]
     if not _is_list_of(records, dict):
         raise InvalidParameterError(f"{path}: 'blocks' must be a list of block records")
-    blocks = {}
-    for rec in records:
-        x = space.index(_id_from_json(rec["x"]))
-        y = space.index(_id_from_json(rec["y"]))
-        blocks[(x, y)] = _block_from_json(rec["block"])
-    return BandOperator(space, doc["fiber"], blocks)
+    try:
+        xs, ys, rows = ([rec[key] for rec in records] for key in ("x", "y", "block"))
+    except KeyError:
+        i, key = next((i, key) for i, rec in enumerate(records)
+                      for key in ("x", "y", "block") if key not in rec)
+        raise InvalidParameterError(f"{path}: block record {i} has no key {key!r}") from None
+    try:
+        points = np.array([space.index(_id_from_json(p)) for p in xs + ys], dtype=np.intp)
+    except KeyError as exc:
+        raise InvalidParameterError(
+            f"{path}: the point id {exc.args[0]!r} names no point of the space") from None
+    keys = points.reshape(2, -1).T.copy()
+    codes = _codes(keys, space.n)
+    repeated = np.ones(len(codes), dtype=bool)
+    repeated[_first_places(codes)] = False
+    if repeated.any():
+        i = int(np.argmax(repeated))
+        raise InvalidParameterError(
+            f"{path}: block record {i} repeats the point pair ({xs[i]!r}, {ys[i]!r})")
+    m = check_fiber_dim(doc["fiber"])
+    return BandOperator._validated(space, m, keys, _stack_from_json(rows, m))

@@ -21,7 +21,7 @@ from banddim.cover import brick_cover
 from banddim.cpmaps import BandAlgebra, FactoredMap, PointBijectionHom
 from banddim.extract import build_translation_system, threshold_setup
 from banddim.fdalg import FiniteDimAlgebra, Summand
-from banddim.operators import CERT_PANEL, BandOperator
+from banddim.operators import CERT_PANEL, PRUNE_REL, BandOperator, spectral_norm
 from banddim.space import _id_to_json, canonical_json, generate_space
 from banddim.witness import build_upper_witness, default_test_set, load_witness, save_witness
 
@@ -88,6 +88,15 @@ def dense_image(phi, elem):
         c = np.array([x * m + a for x in window for a in range(m)])
         flat[(c[:, None] * n + c).reshape(-1)] += part.reshape(-1)
     return out
+
+
+def raw_operator(space, m, blocks, prune=True):
+    """``BandOperator._raw`` of a dict of blocks: its keys and blocks, in
+    dict order, as the key array and the block stack (of the blocks' own
+    dtype)."""
+    keys = np.array(list(blocks), dtype=np.intp).reshape(-1, 2)
+    stack = np.array(list(blocks.values())) if blocks else np.zeros((0, m, m), dtype=complex)
+    return BandOperator._raw(space, m, keys, stack, prune=prune)
 
 
 def assert_same_operator(op, reference):
@@ -232,3 +241,170 @@ WINDOW_ORDER_WITNESSES = {
         interval_witness(length=40, r=2, side=10, fiber=2), tmp),
     "permuted-grid": lambda tmp: permuted_bundle(grid_witness(side=5), tmp),
 }
+
+
+# ---------------------------------------------------------------------------
+# The dict implementation of band operators
+# ---------------------------------------------------------------------------
+# Band operators used to be stored as a dict from point pairs to blocks, and
+# every kernel walked it block by block.  The functions below are those
+# kernels on plain dicts, kept as the reference that the array kernels are
+# tested against: equal keys in equal order and equal bits.
+
+
+def ref_pruned(blocks):
+    """The prune rule: keep the blocks whose largest entry modulus (libm's
+    hypot) exceeds PRUNE_REL times the largest; all of them when that is not
+    finite."""
+    if not blocks:
+        return {}
+    stack = np.array(list(blocks.values()))
+    norms = np.hypot(stack.real, stack.imag).max(axis=(-2, -1))
+    biggest = norms.max()
+    if not np.isfinite(biggest):
+        return blocks
+    keep = norms > PRUNE_REL * biggest
+    if keep.all():
+        return blocks
+    return {k: b for (k, b), kept in zip(blocks.items(), keep.tolist()) if kept}
+
+
+def ref_construct(n, m, blocks):
+    """The validating constructor's blocks, for keys that are pairs of ints
+    of range(n) and finite m x m blocks."""
+    cleaned = {}
+    for (x, y), b in blocks.items():
+        arr = np.asarray(b, dtype=complex)
+        assert arr.shape == (m, m) and 0 <= x < n and 0 <= y < n
+        cleaned[(int(x), int(y))] = arr
+    assert np.isfinite(np.array(list(cleaned.values()))).all()
+    return ref_pruned(cleaned)
+
+
+def ref_identity(n, m):
+    eye = np.eye(m, dtype=complex)
+    return ref_construct(n, m, {(x, x): eye for x in range(n)})
+
+
+def ref_diagonal(n, m, values):
+    blocks = {}
+    for x, v in values.items():
+        v = np.asarray(v, dtype=complex)
+        if v.ndim == 0:
+            v = complex(v) * np.eye(m)
+        blocks[(x, x)] = v
+    return ref_construct(n, m, blocks)
+
+
+def ref_partial_translation(n, m, pairs):
+    eye = np.eye(m, dtype=complex)
+    return ref_construct(n, m, {(x, y): eye for (x, y) in pairs})
+
+
+def ref_add(a, b):
+    blocks = dict(a)
+    for k, v in b.items():
+        blocks[k] = blocks[k] + v if k in blocks else v
+    return ref_pruned(blocks)
+
+
+def ref_sub(a, b):
+    blocks = dict(a)
+    for k, v in b.items():
+        blocks[k] = blocks[k] - v if k in blocks else -v
+    return ref_pruned(blocks)
+
+
+def ref_rmul(scalar, a):
+    return ref_pruned({k: scalar * v for k, v in a.items()})
+
+
+def ref_adjoint(a):
+    return {(y, x): v.conj().T for (x, y), v in a.items()}
+
+
+def ref_matmul(a, b):
+    """The product, with its two diagonal fast paths and the general one."""
+    blocks = {}
+    if all(x == y for (x, y) in b):
+        for (x, y), u in a.items():
+            v = b.get((y, y))
+            if v is not None:
+                blocks[(x, y)] = u @ v
+    elif all(x == y for (x, y) in a):
+        for (y, z), v in b.items():
+            u = a.get((y, y))
+            if u is not None:
+                blocks[(y, z)] = u @ v
+    else:
+        by_row = {}
+        for (y, z), v in b.items():
+            by_row.setdefault(y, []).append((z, v))
+        for (x, y), u in a.items():
+            for z, v in by_row.get(y, ()):
+                key = (x, z)
+                prod = u @ v
+                blocks[key] = blocks[key] + prod if key in blocks else prod
+    return ref_pruned(blocks)
+
+
+def ref_components(edges, nodes=()):
+    """Union-find: every node mapped to the smallest node of its component."""
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b in edges:
+        a, b = find(parent.setdefault(a, a)), find(parent.setdefault(b, b))
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return {x: find(x) for x in parent}
+
+
+def ref_operator_norm(blocks, m):
+    """The largest component norm over the bipartite block support, each
+    component dense (one block: that block), equal shapes in one stacked
+    SVD."""
+    labels = ref_components((x, ~y) for x, y in blocks)
+    groups = {}
+    for key in blocks:
+        groups.setdefault(labels[key[0]], []).append(key)
+    mats = []
+    for keys in groups.values():
+        if len(keys) == 1:
+            mats.append(blocks[keys[0]])
+            continue
+        rows = {x: i * m for i, x in enumerate(sorted({x for x, _ in keys}))}
+        cols = {y: j * m for j, y in enumerate(sorted({y for _, y in keys}))}
+        out = np.zeros((len(rows) * m, len(cols) * m), dtype=complex)
+        for x, y in keys:
+            out[rows[x]:rows[x] + m, cols[y]:cols[y] + m] = blocks[(x, y)]
+        mats.append(out)
+    shapes = {}
+    for mat in mats:
+        shapes.setdefault(mat.shape, []).append(mat)
+    return max((float(spectral_norm(np.stack(same, dtype=complex)).max())
+                for same in shapes.values()), default=0.0)
+
+
+def ref_window_sum(n, codes, values):
+    """The blocks at codes x n + y summed per pair in list order from 0, the
+    pairs in order of first appearance, pruned."""
+    blocks = {}
+    for code, value in zip(codes.tolist(), values):
+        key = divmod(code, n)
+        blocks[key] = blocks.get(key, 0) + value
+    return ref_pruned(blocks)
+
+
+def assert_blocks_equal(op, reference):
+    """The operator's keys and blocks equal the reference dict's: equal keys
+    in equal order and equal bits."""
+    assert list(op.blocks) == list(reference)
+    for key, block in reference.items():
+        got = op.blocks[key]
+        assert got.dtype == block.dtype, key
+        assert got.tobytes() == block.tobytes(), key

@@ -693,6 +693,11 @@ def _set_first(key, value):
     return edit
 
 
+def _first_record(edit):
+    """An edit of the first block record of ``test_000.json``."""
+    return "test_000.json", lambda doc: edit(doc["blocks"][0])
+
+
 def _set_first_point(points):
     def edit(doc):
         points(doc)[0] = {"x": 1}
@@ -722,6 +727,18 @@ SPACE_EDIT_IDS = ["points-number", "dist-string", "dist-ragged", "generator-numb
     (*_set_first_test_block("x"), "operator block must be a list of rows"),
     (*_set_first_test_block([[[1.0]]]), "operator block must be a list of rows"),
     ("test_000.json", lambda doc: doc.update(blocks="x"), "'blocks' must be a list"),
+    ("test_000.json", lambda doc: doc["blocks"].append(dict(doc["blocks"][0])),
+     "test_000.json: block record 24 repeats the point pair (0, 0)"),
+    ("test_000.json", lambda doc: doc.pop("blocks"),
+     "test_000.json: an operator file needs the key 'blocks'"),
+    ("test_000.json", lambda doc: doc.pop("fiber"),
+     "test_000.json: an operator file needs the key 'fiber'"),
+    (*_first_record(lambda rec: rec.pop("x")), "test_000.json: block record 0 has no key 'x'"),
+    (*_first_record(lambda rec: rec.pop("y")), "test_000.json: block record 0 has no key 'y'"),
+    (*_first_record(lambda rec: rec.pop("block")),
+     "test_000.json: block record 0 has no key 'block'"),
+    (*_first_record(lambda rec: rec.update(y=999)),
+     "test_000.json: the point id 999 names no point of the space"),
     ("witness.json", lambda doc: doc.update(summands="x"), "'summands' must be a list"),
     ("witness.json", lambda doc: doc.update(coefficients=5), "'coefficients' must be a list"),
     ("witness.json", lambda doc: doc.update(test_set=3), "'test_set' must be a list"),
@@ -737,14 +754,19 @@ SPACE_EDIT_IDS = ["points-number", "dist-string", "dist-ragged", "generator-numb
     ("witness.json", IN_LIST, OBJECT_MESSAGE),
     ("test_000.json", IN_LIST, OBJECT_MESSAGE),
 ] + [("space.json", *case) for case in SPACE_EDITS],
-    ids=["block-string", "block-without-imaginary-part", "blocks-string", "summands-string",
+    ids=["block-string", "block-without-imaginary-part", "blocks-string", "record-repeated",
+         "blocks-missing", "fiber-missing", "x-missing", "y-missing", "block-missing",
+         "point-unknown", "summands-string",
          "coefficients-number", "test_set-number", "summand-number", "summand-points-number",
          "coefficient-number", "test_set-entry-number", "space-number", "meta-string",
          "summand-point-object", "witness-list", "test-list"]
     + [f"space-{i}" for i in SPACE_EDIT_IDS])
 def test_malformed_bundle_exits_3(tmp_path, capsys, name, edit, message):
     """A bundle file holding a value of the wrong type fails every command
-    with exit 3; each used to end in a traceback."""
+    with exit 3; each used to end in a traceback.  An operator file that
+    repeats a point pair, lacks a key or names no point of the space exits
+    3 naming the file: the repeat used to pass with the later block, and
+    the others exited 3 with only the bare key or point id."""
     bundle = _interval_bundle(tmp_path)
     _edit_json(bundle / name, edit)
     _assert_commands_exit_3(bundle, capsys, message)

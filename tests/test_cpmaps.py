@@ -15,7 +15,7 @@ from banddim.operators import BandOperator
 from banddim.space import generate_space
 
 from conftest import (DIFF, assert_same_operator, build_small_witness, dense_image,
-                      random_factored_map)
+                      random_factored_map, raw_operator)
 
 
 def matrix_algebra(n, fiber=1):
@@ -601,7 +601,7 @@ def test_round_trip_matches_inclusion_after_compression(seed, n, m, count, densi
         rng, [(x, y) for x in range(n) for y in range(n) if rng.random() < density], m)
     if nan:
         blocks[(int(rng.integers(n)), int(rng.integers(n)))] = np.full((m, m), np.nan + 0j)
-    op = BandOperator._raw(sp, m, blocks)
+    op = raw_operator(sp, m, blocks)
     psi = CompressionMap(band, alg, windows, coefficients)
     reference = InclusionMap(alg, band, windows).apply(psi.apply(op))
     assert_same_operator(psi.round_trip(op), reference)

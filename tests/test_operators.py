@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from banddim.errors import IncompatibilityError, InvalidParameterError
 from banddim.operators import (CERT_PANEL, ENCLOSURE_REL, LANCZOS_SEED, PRUNE_REL,
                                BandOperator, Nearby, _pruned, band_panels, certified_below,
-                               connected_components, diagonal_membership, load_operator,
+                               component_labels, diagonal_membership, load_operator,
                                max_norm_enclosure, max_spectral_norm, norm_enclosure,
                                normalizer_check, operator_norm, prop_support, save_operator,
                                spectral_norm)
 from banddim.space import generate_space
 
-from conftest import DIFF, mask_panels, mask_profile, operator_file_text
+from conftest import DIFF, mask_panels, mask_profile, operator_file_text, raw_operator
 
 
 @pytest.fixture()
@@ -193,9 +193,12 @@ def test_pruned_matches_scalar_rule(seed, m, kinds):
         turn = rng.choice([1.0, 1j, -1.0, (0.6 + 0.8j)])
         block[rng.integers(m), rng.integers(m)] = value * turn
         blocks[(i, i + 1)] = block
-    got, want = _pruned(blocks), scalar_pruned(blocks)
-    assert list(got) == list(want)
-    assert all(got[k] is want[k] for k in got)
+    keys = np.array(list(blocks), dtype=np.intp).reshape(-1, 2)
+    stack = np.array(list(blocks.values())).reshape(-1, m, m)
+    got_keys, got_stack = _pruned(keys, stack)
+    want = scalar_pruned(blocks)
+    assert list(map(tuple, got_keys.tolist())) == list(want)
+    assert all(np.array_equal(b, want[k]) for k, b in zip(want, got_stack))
 
 
 def test_pruned_keeps_every_block_when_not_finite(interval8):
@@ -203,10 +206,10 @@ def test_pruned_keeps_every_block_when_not_finite(interval8):
     arithmetic keeps every block; it used to empty the operator (inf) or
     drop blocks in an order-dependent way (NaN)."""
     for bad in (np.inf, -np.inf, np.nan, complex(np.nan, 1.0)):
-        blocks = {(0, 0): np.array([[bad]], dtype=complex),
-                  (1, 1): np.array([[1.0]], dtype=complex),
-                  (2, 2): np.array([[0.0]], dtype=complex)}
-        assert list(_pruned(blocks)) == list(blocks)
+        keys = np.array([(0, 0), (1, 1), (2, 2)])
+        stack = np.array([[[bad]], [[1.0]], [[0.0]]], dtype=complex)
+        got_keys, got_stack = _pruned(keys, stack)
+        assert got_keys is keys and got_stack is stack
     op = BandOperator.partial_translation(interval8, 2, [(1, 0), (2, 1)])
     with np.errstate(invalid="ignore"):  # inf * 0 off the fiber diagonal
         assert set((np.inf * op).blocks) == set(op.blocks)
@@ -220,12 +223,17 @@ def test_pruned_keeps_every_block_when_not_finite(interval8):
     ({(0, 0): 1.0, (1, 1): np.nan}, "not finite"),
     ({(0, 0): 1.0, (1, 2): complex(0.0, np.inf)}, "not finite"),
     ({(0, 0): -np.inf}, "not finite"),
+    ({(1.7, 0): 1.0}, "not a pair of points of range(4)"),
+    ({(True, 0): 1.0}, "not a pair of points of range(4)"),
+    ({("2", 0): 1.0}, "not a pair of points of range(4)"),
 ], ids=["row-negative", "column-negative", "row-past-end", "column-past-end", "nan",
-        "inf-imaginary", "inf-alone"])
+        "inf-imaginary", "inf-alone", "row-float", "row-bool", "row-string"])
 def test_constructor_rejects_bad_blocks(blocks, message):
     """The validating constructor refuses a key outside range(n), which an
-    array lookup would wrap to point n - 1, and a block that is not finite,
-    which it used to drop (NaN) or let empty the operator (inf)."""
+    array lookup would wrap to point n - 1, a key whose points are not ints
+    or numpy integers (it used to store (1.7, 0) and (True, 0) as (1, 0) and
+    ("2", 0) as (2, 0)), and a block that is not finite, which it used to
+    drop (NaN) or let empty the operator (inf)."""
     sp = generate_space("interval", length=4)
     with pytest.raises(InvalidParameterError, match=re.escape(message)):
         BandOperator(sp, 1, {k: np.array([[v]]) for k, v in blocks.items()})
@@ -422,7 +430,7 @@ def test_row_profile_matches_dense_mask(seed, n, m, count, spread, zeros):
         if rng.random() < 0.3:
             block[:, int(rng.integers(m))] = complex(-0.0, -0.0)
         blocks[(x, y)] = 0.0 * block if zeros else block
-    op = BandOperator._raw(generate_space("interval", length=n), m, blocks, prune=False)
+    op = raw_operator(generate_space("interval", length=n), m, blocks, prune=False)
     mat = op.to_dense()
     first, last = op.row_profile()
     want_first, want_last = mask_profile(mat)
@@ -676,7 +684,7 @@ def test_operator_norm_mixed_components_match_dense(seed, n, m, singles, density
         key = support[int(rng.integers(len(support)))]
         blocks[key][int(rng.integers(m)), int(rng.integers(m))] = bad
         with pytest.raises(np.linalg.LinAlgError):
-            operator_norm(BandOperator._raw(sp, m, blocks, prune=False))
+            operator_norm(raw_operator(sp, m, blocks, prune=False))
         return
     T = BandOperator(sp, m, blocks)
     got = operator_norm(T)
@@ -691,16 +699,16 @@ def test_operator_norm_mixed_components_match_dense(seed, n, m, singles, density
 @DIFF
 @given(n=st.integers(1, 16), edges=st.lists(st.tuples(st.integers(0, 15),
                                                       st.integers(0, 15)), max_size=24))
-def test_connected_components_match_reachability(n, edges):
+def test_component_labels_match_reachability(n, edges):
     """Labels against the transitive closure of the adjacency matrix."""
     edges = [(a % n, b % n) for a, b in edges]
-    labels = connected_components(edges, range(n))
+    a, b = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    labels = component_labels(a, b, n).tolist()
     reach = np.eye(n, dtype=bool)
     for a, b in edges:
         reach[a, b] = reach[b, a] = True
     for _ in range(n):
         reach = (reach.astype(int) @ reach.astype(int)) > 0
-    assert sorted(labels) == list(range(n))
     for x in range(n):
         assert labels[x] == min(np.flatnonzero(reach[x]))
 
@@ -714,18 +722,18 @@ def _serialized_operators():
     line, grid = generate_space("interval", length=4), generate_space("grid", sides=[2, 3])
     big = 1e308
     return {
-        "signed-zeros": BandOperator._raw(line, 2, {
+        "signed-zeros": raw_operator(line, 2, {
             (0, 1): np.array([[-0.0 - 0.0j, 1.0 - 0.0j], [-0.0 + 2.0j, 0.0]]),
             (1, 0): np.array([[0.5, -0.0j], [-0.0, -1.5]], dtype=complex)}),
-        "subnormals": BandOperator._raw(line, 1, {
+        "subnormals": raw_operator(line, 1, {
             (2, 2): np.array([[5e-324 - 2.5e-310j]]), (0, 3): np.array([[-1e-320 + 0j]])}),
-        "huge": BandOperator._raw(line, 2, {
+        "huge": raw_operator(line, 2, {
             (3, 3): np.array([[big, -big * 1j], [-big + big * 1j, 1.0]]),
             (2, 3): np.array([[-big, 0.0], [0.0, big * 1j]])}),
-        "integers": BandOperator._raw(line, 2, {
+        "integers": raw_operator(line, 2, {
             (1, 1): np.array([[1.0, -3.0 + 2.0j], [2.0 ** 53, 0.0]]),
             (1, 2): np.array([[7.0, -2.0], [0.0, 4.0]], dtype=complex)}),
-        "integer-dtype": BandOperator._raw(line, 2, {(1, 2): np.array([[7, -2], [0, 4]])}),
+        "integer-dtype": raw_operator(line, 2, {(1, 2): np.array([[7, -2], [0, 4]])}),
         "grid-ids": BandOperator(grid, 1, {((x * 7) % 6, (x * 5) % 6): [[x + 0.25j]]
                                            for x in range(1, 6)}),
         "empty": BandOperator.zero(grid, 3),

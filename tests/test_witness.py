@@ -20,7 +20,7 @@ from banddim.witness import (WindowDefects, build_upper_witness, check_witness,
                              load_witness, permanence_combine, save_witness)
 
 from conftest import (DIFF, assert_same_operator, dense_image, grid_witness, interval_witness,
-                      mask_panels, permuted_bundle)
+                      mask_panels, permuted_bundle, raw_operator)
 
 
 def single_point_witness(fiber=2):
@@ -763,7 +763,7 @@ def round_trip_elements(w, seed):
     nan[near[int(rng.integers(len(near)))]] = np.full((m, m), np.nan + 0j)
     return (w.test_set + [a @ a for a in w.test_set]
             + [BandOperator(sp, m, blocks), BandOperator.zero(sp, m),
-               BandOperator._raw(sp, m, nan)])
+               raw_operator(sp, m, nan)])
 
 
 def assert_round_trip(psi, phi, a):
