@@ -199,6 +199,8 @@ def _validate_config(cfg):
     for key in ("r", "fiber", "out_dir"):
         if key not in cfg:
             raise UsageError(f"config key {key!r} is required")
+    if not isinstance(cfg["out_dir"], str):
+        raise UsageError(f"config key 'out_dir' must be a path, got {cfg['out_dir']!r}")
     cover = cfg.get("cover", "auto-brick")
     if not (cover == "auto-brick" or isinstance(cover, dict) and len(cover) == 1
             and ("brick_side" in cover or isinstance(cover.get("file"), str))):

@@ -24,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameterError, SizeLimitError
-from .space import (_id_from_json, _id_to_json, _is_list_of, _read_object, check_positive,
-                    check_scale, write_json)
+from .space import (_fields, _id_to_json, _is_list_of, _point_indices, _read_object,
+                    check_int, check_positive, check_scale, write_json)
 
 
 @dataclass
@@ -262,8 +262,7 @@ def min_colors_search(space, r, R, max_colors, mode="exact"):
     colorings exhaustively and is capped at 64 points; greedy mode first-fits
     points in order and returns an upper bound.
     """
-    if max_colors < 1:
-        raise InvalidParameterError("max_colors must be >= 1")
+    check_int(max_colors, "max_colors", 1)
     order = list(range(space.n))
     near, wide = space.within_mask(r), space.within_mask(R)
     if mode == "greedy":
@@ -309,13 +308,12 @@ def save_cover(cover, space, path):
 
 
 def load_cover(path, space):
-    """A cover file's cover of ``space``; a file that is not an object, and
-    a ``families``, point id or ``r`` of the wrong type, raise
+    """A cover file's cover of ``space``; a file that is not an object, a
+    missing key, a point id that names no point of the space, and a
+    ``families``, point id or ``r`` of the wrong type raise
     ``InvalidParameterError``."""
-    doc = _read_object(path)
-    families = doc["families"]
+    families, r = _fields(_read_object(path), ("families", "r"), path)
     if not (_is_list_of(families, list) and all(_is_list_of(fam, list) for fam in families)):
         raise InvalidParameterError(f"{path}: 'families' must be a list of lists of point lists")
-    families = [[frozenset(space.index(_id_from_json(p)) for p in s) for s in fam]
-                for fam in families]
-    return make_cover(space, families, check_scale(doc["r"]))
+    families = [[frozenset(_point_indices(space, s, path)) for s in fam] for fam in families]
+    return make_cover(space, families, check_scale(r))

@@ -27,6 +27,7 @@ from .errors import (FactorizationError, InvalidFunctionError, InvalidParameterE
 from .fdalg import FdElement, FiniteDimAlgebra, Summand
 from .operators import (BandOperator, _code_keys, _distinct, _runs, _sum_runs,
                         check_dense_size, check_fiber_dim, fiber_unit, operator_norm)
+from .space import check_int
 
 
 class BandAlgebra:
@@ -47,9 +48,6 @@ class BandAlgebra:
     def identity(self):
         return BandOperator.identity(self.space, self.fiber_dim)
 
-    def zero(self):
-        return BandOperator.zero(self.space, self.fiber_dim)
-
     def random_hermitian(self, rng):
         d = self.matrix_dim
         check_dense_size(d)
@@ -65,16 +63,6 @@ class BandAlgebra:
     def corners(self):
         """(matrix dim, coordinate-unit factory) of the single matrix corner."""
         return [(self.matrix_dim, self.unit)]
-
-    def from_dense(self, mat):
-        return BandOperator.from_dense(self.space, self.fiber_dim, mat, tol=1e-14)
-
-    def pack(self, x):
-        return x.to_dense().reshape(-1)
-
-    def unpack(self, vec):
-        d = self.matrix_dim
-        return BandOperator.from_dense(self.space, self.fiber_dim, vec.reshape(d, d))
 
     def __repr__(self):
         return f"BandAlgebra(n={self.space.n}, m={self.fiber_dim})"
@@ -591,10 +579,9 @@ def order_zero_check(phi, trials=200, seed=0, tol=1e-9):
     is sampled on pairs of positives with disjoint spectral supports.  The
     sampling mode is a falsifier, not a prover, and is labeled as such.
     """
+    check_int(trials, "trials", 1)
     if _structural_order_zero(phi):
         return OrderZeroReport(True, 0.0, "structural")
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     worst = 0.0
     done = 0

@@ -16,7 +16,8 @@ from functools import partial
 import numpy as np
 
 from .errors import IncompatibilityError, InvalidParameterError
-from .operators import check_dense_size, max_spectral_norm, spectral_norm
+from .operators import check_dense_size, check_fiber_dim, max_spectral_norm, spectral_norm
+from .space import check_int
 
 
 @dataclass(frozen=True)
@@ -31,9 +32,9 @@ class FiniteDimAlgebra:
 
     def __init__(self, summands, fiber_dim):
         self.summands = list(summands)
-        self.fiber_dim = int(fiber_dim)
-        if self.fiber_dim < 1 or any(s.size < 1 for s in self.summands):
-            raise InvalidParameterError("summand sizes and fiber_dim must be >= 1")
+        self.fiber_dim = check_fiber_dim(fiber_dim)
+        for s in self.summands:
+            check_int(s.size, "a summand size", 1)
 
     @property
     def block_dims(self):
@@ -54,12 +55,6 @@ class FiniteDimAlgebra:
                 and [s.size for s in self.summands] == [s.size for s in other.summands])
 
     # -- element constructors ------------------------------------------
-
-    def element(self, parts):
-        return FdElement(self, parts)
-
-    def zero(self):
-        return FdElement(self, [np.zeros((d, d), dtype=complex) for d in self.block_dims])
 
     def identity(self):
         return FdElement(self, [np.eye(d, dtype=complex) for d in self.block_dims])
@@ -90,11 +85,6 @@ class FiniteDimAlgebra:
         parts = [np.zeros((d, d), dtype=complex) for d in self.block_dims]
         parts[k][i, j] = 1.0
         return FdElement(self, parts)
-
-    def from_dense(self, mat):
-        if len(self.summands) != 1:
-            raise InvalidParameterError("dense form needs a single-summand algebra")
-        return FdElement(self, [mat])
 
     def pack(self, x):
         return np.concatenate([p.reshape(-1) for p in x.parts])

@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IncompatibilityError, InvalidParameterError, SizeLimitError
-from .space import (_id_from_json, _id_to_json, _is_int, _is_list_of, _read_object,
-                    write_json)
+from .space import (_fields, _id_to_json, _is_int, _is_list_of, _point_indices,
+                    _read_object, check_int, check_real, write_json)
 
 PRUNE_REL = 1e-14
 CERT_MARGIN = 1e-10
@@ -50,10 +50,7 @@ def check_dense_size(rows, cols=None):
 
 def check_fiber_dim(fiber_dim):
     """The fiber dimension as an int; anything but an integer >= 1 raises."""
-    if not (type(fiber_dim) is int or isinstance(fiber_dim, np.integer)) or fiber_dim < 1:
-        raise InvalidParameterError(
-            f"fiber dimension must be an integer >= 1, got {fiber_dim!r}")
-    return int(fiber_dim)
+    return check_int(fiber_dim, "fiber dimension", 1)
 
 
 def fiber_unit(m, alpha, beta):
@@ -937,8 +934,7 @@ def diagonal_membership(op, tol):
     Passes when the largest off-diagonal block norm is at most
     ``tol * max(1, ||T||)``, so the zero operator passes at any tolerance.
     """
-    if tol < 0:
-        raise InvalidParameterError("tolerance must be nonnegative")
+    check_real(tol, "tolerance", 0)
     off = op.keys[:, 0] != op.keys[:, 1]
     mass = float(spectral_norm(np.asarray(op.stack[off], dtype=complex)).max()) \
         if off.any() else 0.0
@@ -1044,24 +1040,15 @@ def load_operator(path, space):
     missing key, a point id that names no point of the space, two records
     at one point pair and a block that is not rows of [re, im] pairs raise
     ``InvalidParameterError`` naming the file."""
-    doc = _read_object(path)
-    for key in ("fiber", "blocks"):
-        if key not in doc:
-            raise InvalidParameterError(f"{path}: an operator file needs the key {key!r}")
-    records = doc["blocks"]
+    fiber, records = _fields(_read_object(path), ("fiber", "blocks"), path)
     if not _is_list_of(records, dict):
         raise InvalidParameterError(f"{path}: 'blocks' must be a list of block records")
     try:
         xs, ys, rows = ([rec[key] for rec in records] for key in ("x", "y", "block"))
-    except KeyError:
-        i, key = next((i, key) for i, rec in enumerate(records)
-                      for key in ("x", "y", "block") if key not in rec)
-        raise InvalidParameterError(f"{path}: block record {i} has no key {key!r}") from None
-    try:
-        points = np.array([space.index(_id_from_json(p)) for p in xs + ys], dtype=np.intp)
-    except KeyError as exc:
-        raise InvalidParameterError(
-            f"{path}: the point id {exc.args[0]!r} names no point of the space") from None
+    except KeyError:  # raised again, naming the first record without the key
+        for i, rec in enumerate(records):
+            _fields(rec, ("x", "y", "block"), path, f"block record {i}")
+    points = np.array(_point_indices(space, xs + ys, path), dtype=np.intp)
     keys = points.reshape(2, -1).T.copy()
     codes = _codes(keys, space.n)
     repeated = np.ones(len(codes), dtype=bool)
@@ -1070,5 +1057,5 @@ def load_operator(path, space):
         i = int(np.argmax(repeated))
         raise InvalidParameterError(
             f"{path}: block record {i} repeats the point pair ({xs[i]!r}, {ys[i]!r})")
-    m = check_fiber_dim(doc["fiber"])
+    m = check_fiber_dim(fiber)
     return BandOperator._validated(space, m, keys, _stack_from_json(rows, m))

@@ -26,19 +26,37 @@ from .errors import InvalidParameterError
 FLOAT_TOL = 1e-12
 
 
-def check_scale(radius):
-    """The radius, when it is a finite real number >= 0 (bool rejected);
-    anything else raises ``InvalidParameterError``."""
-    if isinstance(radius, bool) or not (isinstance(radius, numbers.Real)
-                                        and 0 <= radius < math.inf):
-        raise InvalidParameterError(
-            f"a scale must be a finite real number >= 0, got {radius!r}")
-    return radius
-
-
 def _is_int(value):
     """True for an integer that is not a bool (numpy integers included)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_int(value, name, low):
+    """``value`` as an int, when it is an integer >= ``low`` that is not a
+    bool (numpy integers included; no float, however whole); anything else
+    raises ``InvalidParameterError`` naming ``name``."""
+    if not (_is_int(value) and value >= low):
+        raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def check_real(value, name, low=None):
+    """``value``, when it is a finite real number that is not a bool
+    (``Fraction`` and numpy numbers included) and, given ``low``, is at
+    least ``low``; anything else raises ``InvalidParameterError`` naming
+    ``name``."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Real) and -math.inf < value < math.inf
+            and (low is None or value >= low)):
+        bound = "" if low is None else f" >= {low}"
+        raise InvalidParameterError(
+            f"{name} must be a finite real number{bound}, got {value!r}")
+    return value
+
+
+def check_scale(radius):
+    """The radius, when it is a finite real number >= 0 by ``check_real``."""
+    return check_real(radius, "a scale", 0)
 
 
 def _is_list_of(value, *types):
@@ -166,10 +184,7 @@ def generate_space(family, *, length=None, sides=None, metric="linf", spacing=1)
     if family == "interval":
         if length is None:
             raise InvalidParameterError("interval requires a length")
-        if not (_is_int(length) and length >= 1):
-            raise InvalidParameterError(
-                f"interval length must be an integer >= 1, got {length!r}")
-        n = int(length)
+        n = check_int(length, "interval length", 1)
         points = list(range(n))
         idx = np.arange(n)
         dist_int = np.abs(idx[:, None] - idx[None, :])
@@ -177,10 +192,10 @@ def generate_space(family, *, length=None, sides=None, metric="linf", spacing=1)
     elif family == "grid":
         if not sides:
             raise InvalidParameterError("grid requires side lengths")
-        if not (isinstance(sides, (list, tuple)) and all(_is_int(s) and s >= 1 for s in sides)):
+        if not isinstance(sides, (list, tuple)):
             raise InvalidParameterError(
                 f"grid sides must be a list of integers >= 1, got {sides!r}")
-        sides = tuple(int(s) for s in sides)
+        sides = tuple(check_int(s, "a grid side", 1) for s in sides)
         if metric not in ("l1", "linf"):
             raise InvalidParameterError(f"unknown metric {metric!r}")
         points = [tuple(p) for p in itertools.product(*(range(s) for s in sides))]
@@ -243,6 +258,27 @@ def _read_object(path):
     return doc
 
 
+def _fields(doc, keys, path, owner="the file"):
+    """The values of ``keys`` in ``doc``, an object read from ``path``; a
+    missing key raises ``InvalidParameterError`` naming the file and the
+    key."""
+    for key in keys:
+        if key not in doc:
+            raise InvalidParameterError(f"{path}: {owner} has no key {key!r}")
+    return [doc[key] for key in keys]
+
+
+def _point_indices(space, ids, path):
+    """The indices in ``space`` of the point ids of a list read from
+    ``path``; an id that names no point raises ``InvalidParameterError``
+    naming the file and the id."""
+    try:
+        return [space.index(_id_from_json(p)) for p in ids]
+    except KeyError as exc:
+        raise InvalidParameterError(
+            f"{path}: the point id {exc.args[0]!r} names no point of the space") from None
+
+
 def _id_to_json(p):
     return [_id_to_json(v) for v in p] if isinstance(p, tuple) else p
 
@@ -269,11 +305,12 @@ def save_space(space, path):
     write_json(doc, path)
 
 
-def _regenerate(gen):
-    if gen["family"] == "interval":
-        return generate_space("interval", length=gen["sides"][0], spacing=gen["spacing"])
-    return generate_space("grid", sides=gen["sides"], metric=gen["metric"],
-                          spacing=gen["spacing"])
+def _regenerate(gen, path):
+    family, sides, spacing = _fields(gen, ("family", "sides", "spacing"), path, "the generator")
+    if family == "interval":
+        return generate_space("interval", length=sides[0], spacing=spacing)
+    metric, = _fields(gen, ("metric",), path, "the generator")
+    return generate_space("grid", sides=sides, metric=metric, spacing=spacing)
 
 
 def load_space(path):
@@ -290,9 +327,10 @@ def load_space(path):
     ``InvalidParameterError``.
     """
     doc = _read_object(path)
-    if not isinstance(doc["points"], list):
+    points, = _fields(doc, ("points",), path)
+    if not isinstance(points, list):
         raise InvalidParameterError(f"{path}: 'points' must be a list of point ids")
-    points = [_id_from_json(p) for p in doc["points"]]
+    points = [_id_from_json(p) for p in points]
     gen = doc.get("generator")
     if gen is not None and not isinstance(gen, dict):
         raise InvalidParameterError(f"{path}: 'generator' must be an object")
@@ -301,7 +339,7 @@ def load_space(path):
     fits = (bool(gen) and _is_list_of(gen.get("sides"), numbers.Integral)
             and math.prod(gen["sides"]) == len(points))
     if "dist" not in doc:
-        regen = _regenerate(gen) if fits else None
+        regen = _regenerate(gen, path) if fits else None
         if regen is None or regen.points != points:
             raise InvalidParameterError(
                 "space file has no distance matrix and no generator block that "
@@ -312,7 +350,7 @@ def load_space(path):
     except (TypeError, ValueError):
         raise InvalidParameterError(f"{path}: 'dist' must be a matrix of numbers") from None
     if fits:
-        regen = _regenerate(gen)
+        regen = _regenerate(gen, path)
         if regen.points == points and regen.dist.shape == dist.shape and \
                 np.allclose(regen.dist, dist, atol=FLOAT_TOL, rtol=0.0):
             return regen

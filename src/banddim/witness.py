@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -47,7 +46,7 @@ from .errors import (CoverGapError, IncompatibilityError, InvalidParameterError,
 from .fdalg import FiniteDimAlgebra, Summand
 from .operators import (BandOperator, Nearby, band_panels, fiber_unit, max_norm_enclosure,
                         operator_norm)
-from .space import FiniteMetricSpace, _is_int, _is_list_of
+from .space import FiniteMetricSpace, _is_int, _is_list_of, check_int, check_real
 
 
 @dataclass
@@ -76,18 +75,13 @@ class DiagDimWitness:
         object.__setattr__(self, name, value)
 
     def __post_init__(self):
-        if not _is_int(self.d) or self.d < 0:
-            raise InvalidParameterError(
-                f"witness dimension d must be an integer >= 0, got {self.d!r}")
+        check_int(self.d, "witness dimension d", 0)
         outside = [s.color for s in self.algebra.summands
                    if not (_is_int(s.color) and 0 <= s.color <= self.d)]
         if outside:
             raise InvalidParameterError(
                 f"summand colors {outside} lie outside range(d + 1) = range({self.d + 1})")
-        eps = self.epsilon
-        if isinstance(eps, bool) or not (isinstance(eps, numbers.Real) and math.isfinite(eps)):
-            raise InvalidParameterError(
-                f"witness epsilon must be a finite real number, got {eps!r}")
+        check_real(self.epsilon, "witness epsilon")
 
     @property
     def space(self):
@@ -155,9 +149,7 @@ def build_upper_witness(space, cover, r, fiber_dim, test_set=None, epsilon=None)
     A declared ``epsilon`` is held to the rule of ``DiagDimWitness``; None
     derives it from the measured error.
     """
-    if int(r) != r or r < 1:
-        raise InvalidParameterError("the enlargement scale r must be a positive integer")
-    r = int(r)
+    r = check_int(r, "the enlargement scale r", 1)
     report = verify_cover(cover, space, 3 * r)
     if not report.covers:
         raise PreconditionError("cover does not cover the space")
@@ -368,12 +360,10 @@ def check_witness(witness, tol=1e-9):
     """Evaluate the six witness conditions; condition 2 is reported as a
     measured error against the declared epsilon, never thresholded silently.
 
-    ``tol`` must be a finite number >= 0; anything else raises
-    ``InvalidParameterError``.
+    ``tol`` must be a finite real number >= 0 (bool rejected); anything
+    else raises ``InvalidParameterError``.
     """
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
-        raise InvalidParameterError(
-            f"check tolerance must be a finite number >= 0, got {tol!r}")
+    check_real(tol, "check tolerance", 0)
     verdicts = []
 
     norm1 = witness.psi.apply(witness.band.identity()).norm()
@@ -587,11 +577,8 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
     ``samples`` must be an integer >= 1 and ``seed`` an integer >= 0;
     anything else raises ``InvalidParameterError``.
     """
-    if not _is_int(samples) or samples < 1:
-        raise InvalidParameterError(
-            f"hat samples must be an integer >= 1, got {samples!r}")
-    if not _is_int(seed) or seed < 0:
-        raise InvalidParameterError(f"hat seed must be an integer >= 0, got {seed!r}")
+    check_int(samples, "hat samples", 1)
+    check_int(seed, "hat seed", 0)
     eps = witness.epsilon
     psi1 = witness.psi.apply(witness.band.identity())
     if psi1.norm() > 1.0 + tol:
@@ -762,9 +749,7 @@ def permanence_combine(kind, w1, other):
             meta={"r": max(r1, r2), "combined": "direct_sum"})
 
     if kind == "tensor_matrix":
-        n = int(other)
-        if n < 1:
-            raise InvalidParameterError("matrix amplification needs n >= 1")
+        n = check_int(other, "matrix amplification n", 1)
         m = w1.fiber_dim * n
         band = BandAlgebra(w1.space, m)
         algebra = FiniteDimAlgebra(list(w1.algebra.summands), m)
@@ -837,45 +822,47 @@ def save_witness(witness, dirpath):
 
 def load_witness(dirpath):
     """A bundle of ``save_witness``; a ``witness.json`` that is not an
-    object, or a key or point id of the wrong type in it, raises
+    object, a missing key, a point id that names no point of the space, or
+    a key or point id of the wrong type in it, raises
     ``InvalidParameterError``."""
     import os
 
     from .operators import load_operator
-    from .space import _id_from_json, _read_object, load_space
+    from .space import _fields, _point_indices, _read_object, load_space
 
-    doc = _read_object(os.path.join(dirpath, "witness.json"))
+    path = os.path.join(dirpath, "witness.json")
+    doc = _read_object(path)
+    space_ref, fiber, d, epsilon, records, coeff_refs, test_refs = _fields(
+        doc, ("space", "fiber", "d", "epsilon", "summands", "coefficients", "test_set"), path)
     meta = doc.get("meta", {})
     for key, ok, rule in [
-            ("space", isinstance(doc["space"], str), "a file name"),
-            ("summands", _is_list_of(doc["summands"], dict) and all(
-                isinstance(rec.get("points"), list) for rec in doc["summands"]),
+            ("space", isinstance(space_ref, str), "a file name"),
+            ("summands", _is_list_of(records, dict) and all(
+                isinstance(rec.get("points"), list) for rec in records),
              "a list of records with a 'points' list"),
-            ("coefficients", _is_list_of(doc["coefficients"], str, type(None)),
+            ("coefficients", _is_list_of(coeff_refs, str, type(None)),
              "a list of file names or nulls"),
-            ("test_set", _is_list_of(doc["test_set"], str), "a list of file names"),
+            ("test_set", _is_list_of(test_refs, str), "a list of file names"),
             ("meta", isinstance(meta, dict), "an object")]:
         if not ok:
             raise InvalidParameterError(f"witness bundle key {key!r} must be {rule}")
-    space = load_space(os.path.join(dirpath, doc["space"]))
-    fiber = doc["fiber"]
+    space = load_space(os.path.join(dirpath, space_ref))
     band = BandAlgebra(space, fiber)
 
     summands, windows = [], []
-    for rec in doc["summands"]:
-        pts = tuple(space.index(_id_from_json(p)) for p in rec["points"])
-        label = tuple(rec["label"]) if isinstance(rec["label"], list) else rec["label"]
-        summands.append(Summand(rec["color"], label, len(pts)))
+    for i, rec in enumerate(records):
+        color, label = _fields(rec, ("color", "label"), path, f"summand {i}")
+        pts = tuple(_point_indices(space, rec["points"], path))
+        summands.append(Summand(color, tuple(label) if isinstance(label, list) else label,
+                                len(pts)))
         windows.append(pts)
     algebra = FiniteDimAlgebra(summands, fiber)
 
     loaded = {ref: load_operator(os.path.join(dirpath, ref), space)
-              for ref in dict.fromkeys(doc["coefficients"]) if ref is not None}
-    coeffs = [None if ref is None else loaded[ref] for ref in doc["coefficients"]]
+              for ref in dict.fromkeys(coeff_refs) if ref is not None}
+    coeffs = [None if ref is None else loaded[ref] for ref in coeff_refs]
     psi = CompressionMap(band, algebra, windows, coeffs)
     phi = InclusionMap(algebra, band, windows)
-    test_set = [load_operator(os.path.join(dirpath, ref), space)
-                for ref in doc["test_set"]]
-    return DiagDimWitness(d=doc["d"], algebra=algebra, band=band, psi=psi, phi=phi,
-                          test_set=test_set, epsilon=doc["epsilon"],
-                          meta=dict(meta))
+    test_set = [load_operator(os.path.join(dirpath, ref), space) for ref in test_refs]
+    return DiagDimWitness(d=d, algebra=algebra, band=band, psi=psi, phi=phi,
+                          test_set=test_set, epsilon=epsilon, meta=dict(meta))

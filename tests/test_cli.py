@@ -9,6 +9,7 @@ import pytest
 
 import banddim.cli
 from banddim.cli import main
+from banddim.space import read_json
 
 
 def write_config(tmp_path, **overrides):
@@ -59,7 +60,7 @@ def test_full_pipeline_run(tmp_path, capsys):
                  "hat_report.json", "extraction_report.json",
                  "extracted_cover.json", "report.json"):
         assert os.path.isfile(os.path.join(out, name)), name
-    report = json.load(open(os.path.join(out, "report.json")))
+    report = read_json(os.path.join(out, "report.json"))
     conditions = report["artifacts"]["check"]["conditions"]
     assert len(conditions) == 6
     assert all(row["verdict"] for row in conditions)
@@ -72,7 +73,7 @@ def test_single_point_run(tmp_path):
                              stages=["space", "cover", "witness", "check",
                                      "hat", "extract", "report"])
     assert main(["run", "--config", str(path)]) == 0
-    report = json.load(open(os.path.join(cfg["out_dir"], "report.json")))
+    report = read_json(os.path.join(cfg["out_dir"], "report.json"))
     assert report["artifacts"]["extract"]["S"] == 1
 
 
@@ -96,8 +97,8 @@ def test_reports_are_deterministic(tmp_path):
     assert main(["run", "--config", str(p1)]) == 0
     p2, c2 = write_config(tmp_path, out_dir=str(tmp_path / "b"))
     assert main(["run", "--config", str(p2)]) == 0
-    a = open(os.path.join(c1["out_dir"], "report.json"), "rb").read()
-    b = open(os.path.join(c2["out_dir"], "report.json"), "rb").read()
+    a = pathlib.Path(c1["out_dir"], "report.json").read_bytes()
+    b = pathlib.Path(c2["out_dir"], "report.json").read_bytes()
     assert a == b
 
 
@@ -110,7 +111,7 @@ def test_subcommand_pipeline(tmp_path):
                  "--brick-side", "10", "--out", str(cov)]) == 0
     assert main(["cover", "check", "--space", str(sp), "--cover", str(cov),
                  "--r", "6", "--out", str(tmp_path / "cc.json")]) == 0
-    assert json.load(open(tmp_path / "cc.json"))["passed"]
+    assert read_json(tmp_path / "cc.json")["passed"]
     wdir = tmp_path / "w"
     assert main(["witness", "build", "--space", str(sp), "--cover", str(cov),
                  "--r", "2", "--fiber", "1", "--test-scale", "1",
@@ -120,7 +121,7 @@ def test_subcommand_pipeline(tmp_path):
     assert main(["extract", "--witness", str(wdir),
                  "--out", str(tmp_path / "ext.json"),
                  "--cover-out", str(tmp_path / "ec.json")]) == 0
-    assert json.load(open(tmp_path / "ext.json"))["bound_ok"]
+    assert read_json(tmp_path / "ext.json")["bound_ok"]
     assert main(["report", "--inputs", str(tmp_path / "check.json"),
                  str(tmp_path / "ext.json"),
                  "--out", str(tmp_path / "summary.json")]) == 0
@@ -132,7 +133,7 @@ def test_sweep_subcommand(tmp_path):
                  "--out", str(sp)]) == 0
     assert main(["sweep", "--space", str(sp), "--r", "2", "4", "--fiber", "1",
                  "--test-scale", "1", "--out", str(tmp_path / "sweep.json")]) == 0
-    doc = json.load(open(tmp_path / "sweep.json"))
+    doc = read_json(tmp_path / "sweep.json")
     assert doc["non_increasing"]
     assert [row["r"] for row in doc["rows"]] == [2, 4]
 
@@ -145,7 +146,7 @@ def test_sweep_subcommand_grid(tmp_path):
                  "--metric", "linf", "--out", str(sp)]) == 0
     assert main(["sweep", "--space", str(sp), "--r", "1", "--fiber", "1",
                  "--out", str(tmp_path / "sweep.json")]) == 0
-    doc = json.load(open(tmp_path / "sweep.json"))
+    doc = read_json(tmp_path / "sweep.json")
     assert [(row["r"], row["brick_side"]) for row in doc["rows"]] == [(1, 12)]
 
 
@@ -288,11 +289,11 @@ def test_hat_falsifier_on_readme_witness(tmp_path):
                              cover={"brick_side": 30}, r=5, fiber=2, epsilon=0.1,
                              stages=["space", "cover", "witness", "check", "hat"])
     assert main(["run", "--config", str(path)]) == 0
-    check = json.load(open(os.path.join(cfg["out_dir"], "check_report.json")))
+    check = read_json(os.path.join(cfg["out_dir"], "check_report.json"))
     assert check["epsilon"] == 0.1
     assert all(row["verdict"] for row in check["conditions"])
     assert 0.08 < check["conditions"][1]["worst"] < 0.1
-    hat = json.load(open(os.path.join(cfg["out_dir"], "hat_report.json")))
+    hat = read_json(os.path.join(cfg["out_dir"], "hat_report.json"))
     assert hat["passed"] is False
     assert hat["approximation_worst"] > hat["approximation_bound"]
     assert hat["multiplicativity_worst"] > hat["multiplicativity_bound"]
@@ -432,18 +433,22 @@ def test_bad_space_spec_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "space.json").exists()
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", True])
 def test_invalid_check_tolerance_exits_3(tmp_path, capsys, tol):
+    """A check tolerance that is not a finite real number >= 0 exits 3; a
+    bool in the config used to run as 1.0 (``--tol`` parses a float, so it
+    cannot pass one)."""
     path, cfg = write_config(tmp_path, stages=["space", "cover", "witness"])
     assert main(["run", "--config", str(path)]) == 0
     out = pathlib.Path(cfg["out_dir"])
-    assert main(["witness", "check", "--witness", str(out / "witness"),
-                 f"--tol={tol}", "--out", str(out / "check.json")]) == 3
-    assert not (out / "check.json").exists()
-    assert "tolerance" in capsys.readouterr().err
+    if tol is not True:
+        assert main(["witness", "check", "--witness", str(out / "witness"),
+                     f"--tol={tol}", "--out", str(out / "check.json")]) == 3
+        assert not (out / "check.json").exists()
+        assert "tolerance" in capsys.readouterr().err
 
     path, cfg = write_config(tmp_path, stages=["space", "cover", "witness", "check"],
-                             tolerances={"check": float(tol)})
+                             tolerances={"check": tol if tol is True else float(tol)})
     assert main(["run", "--config", str(path)]) == 3
     assert not (out / "check_report.json").exists()
     assert "stage 'check' failed" in capsys.readouterr().err
@@ -666,18 +671,22 @@ def test_non_finite_sizes_exit_3(tmp_path, capsys, command, value):
 
 @pytest.mark.parametrize("key, value", [
     ("stages", None), ("tolerances", "x"), ("tolerances", None), ("test_ops", 3),
-], ids=["stages-null", "tolerances-string", "tolerances-null", "test_ops-number"])
-def test_run_rejects_malformed_structure(tmp_path, capsys, key, value):
-    """A stage list, tolerances object or operator list of the wrong type is
-    a usage error before any stage writes; each used to end in a
-    traceback."""
-    path, cfg = write_config(tmp_path, **{key: value})
-    out = pathlib.Path(cfg["out_dir"])
+    ("out_dir", 5),
+], ids=["stages-null", "tolerances-string", "tolerances-null", "test_ops-number",
+        "out_dir-number"])
+def test_run_rejects_malformed_structure(tmp_path, capsys, monkeypatch, key, value):
+    """A stage list, tolerances object, operator list or output directory of
+    the wrong type is a usage error before any stage writes; each used to
+    end in a traceback."""
+    path, _ = write_config(tmp_path, **{key: value})
+    out = tmp_path / "out"  # the output directory of every valid config here
     out.mkdir()
+    monkeypatch.chdir(tmp_path)
     capsys.readouterr()
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and key in err and "Traceback" not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
     assert list(out.iterdir()) == []
 
 
@@ -730,9 +739,9 @@ SPACE_EDIT_IDS = ["points-number", "dist-string", "dist-ragged", "generator-numb
     ("test_000.json", lambda doc: doc["blocks"].append(dict(doc["blocks"][0])),
      "test_000.json: block record 24 repeats the point pair (0, 0)"),
     ("test_000.json", lambda doc: doc.pop("blocks"),
-     "test_000.json: an operator file needs the key 'blocks'"),
+     "test_000.json: the file has no key 'blocks'"),
     ("test_000.json", lambda doc: doc.pop("fiber"),
-     "test_000.json: an operator file needs the key 'fiber'"),
+     "test_000.json: the file has no key 'fiber'"),
     (*_first_record(lambda rec: rec.pop("x")), "test_000.json: block record 0 has no key 'x'"),
     (*_first_record(lambda rec: rec.pop("y")), "test_000.json: block record 0 has no key 'y'"),
     (*_first_record(lambda rec: rec.pop("block")),
@@ -803,11 +812,52 @@ def test_malformed_cover_or_space_file_exits_3(tmp_path, capsys, name, edit, mes
         _assert_exit_3(argv + ["--out", str(out)], capsys, message, out)
 
 
+def _point_999(points):
+    """An edit that sets the first point id of ``points(doc)`` to 999, which
+    names no point of the interval."""
+    def edit(doc):
+        points(doc)[0] = 999
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("witness1/witness.json", _point_999(lambda doc: doc["summands"][0]["points"]),
+     "the point id 999 names no point of the space"),
+    ("witness1/witness.json", lambda doc: doc["summands"][0].pop("label"),
+     "summand 0 has no key 'label'"),
+    ("witness1/witness.json", lambda doc: doc.pop("d"), "the file has no key 'd'"),
+    ("cover.json", _point_999(lambda doc: doc["families"][0][0]),
+     "the point id 999 names no point of the space"),
+    ("cover.json", lambda doc: doc.pop("r"), "the file has no key 'r'"),
+    ("space.json", lambda doc: doc.pop("points"), "the file has no key 'points'"),
+    ("space.json", lambda doc: doc["generator"].pop("spacing"),
+     "the generator has no key 'spacing'"),
+], ids=["summand-point-unknown", "summand-label-missing", "d-missing",
+        "cover-point-unknown", "cover-r-missing", "space-points-missing",
+        "space-generator-spacing-missing"])
+def test_loaders_name_file_and_key(tmp_path, capsys, name, edit, message):
+    """A space, cover or witness file that lacks a key or names a point not
+    in the space exits 3 naming the file and the key or point id; each used
+    to print only the bare key or id."""
+    bundle = _interval_bundle(tmp_path)
+    _edit_json(tmp_path / name, edit)
+    message = f"{tmp_path / name}: {message}"
+    if name.startswith("witness1/"):
+        _assert_commands_exit_3(bundle, capsys, message)
+        return
+    sp, cov = str(tmp_path / "space.json"), str(tmp_path / "cover.json")
+    for i, argv in enumerate([
+            ["cover", "check", "--space", sp, "--cover", cov, "--r", "6"],
+            ["witness", "build", "--space", sp, "--cover", cov, "--r", "2", "--fiber", "1"]]):
+        out = tmp_path / f"out{i}"
+        _assert_exit_3(argv + ["--out", str(out)], capsys, message, out)
+
+
 @pytest.mark.parametrize("space, message", [
     ({"family": "interval", "length": "x"}, "interval length must be an integer >= 1"),
     ({"family": "interval", "length": True}, "interval length must be an integer >= 1"),
-    ({"family": "grid", "sides": ["x", 3]}, "grid sides must be a list of integers >= 1"),
-    ({"family": "grid", "sides": [2.5, 3]}, "grid sides must be a list of integers >= 1"),
+    ({"family": "grid", "sides": ["x", 3]}, "a grid side must be an integer >= 1, got 'x'"),
+    ({"family": "grid", "sides": [2.5, 3]}, "a grid side must be an integer >= 1, got 2.5"),
     ({"family": "grid", "sides": 5}, "grid sides must be a list of integers >= 1"),
 ], ids=["length-string", "length-bool", "sides-string", "sides-fraction", "sides-number"])
 def test_run_rejects_non_integer_space_sizes(tmp_path, capsys, space, message):
