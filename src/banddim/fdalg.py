@@ -208,3 +208,99 @@ class FdElement:
 
     def __repr__(self):
         return f"FdElement({self.algebra!r})"
+
+
+class SlotFactor:
+    """A dense part read once for its products with dense factors:
+    ``factor @ y`` is ``part @ y`` and ``y @ factor`` is ``y @ part``.
+
+    The part's rows fall into slot rows of ``height`` rows (default ``m``)
+    and its columns into slots of ``m``.  When no slot row holds two nonzero
+    blocks, the factor keeps the column slot and the block of each nonzero
+    slot row; ``part @ y`` is then one gather of y's slot rows and one
+    stacked product with the blocks, and ``y @ part``, when no two slot rows
+    share their column slot, one gather of y's columns and one stacked
+    product.  Compressions of the identity and of partial translations give
+    such parts.  Where each row and column of every block holds at most one
+    nonzero, and that one is real (a real multiple of the identity, say),
+    the stacked product is a real scaling of the gathered entries: every
+    entry of the result is the one nonzero term of the dense sum, so it
+    equals the dense ``@`` bit for bit, but for the sign of a zero, which
+    the BLAS kernel decides and nothing downstream reads.  Any other part, and ``y @ part``
+    with a shared column slot, keeps the dense ``@``.  A stacked product has
+    inner dimension at most m, so it rounds no worse than the dense one.
+    """
+
+    # ndarray @ factor defers to __rmatmul__
+    __array_ufunc__ = None
+    __slots__ = ("part", "blocks", "rows", "cols", "distinct", "scaling")
+
+    def __init__(self, part, m, height=None):
+        height = m if height is None else height
+        self.part = part
+        self.blocks = self.scaling = None
+        view = part.reshape(part.shape[0] // height, height, part.shape[1] // m, m)
+        held = view.any(axis=(1, 3))
+        if held.sum(axis=1).max(initial=0) > 1:
+            return
+        self.rows = np.flatnonzero(held.any(axis=1))
+        self.cols = np.nonzero(held[self.rows])[1]
+        self.blocks = view[self.rows, :, self.cols, :]
+        self.distinct = held.sum(axis=0).max(initial=0) <= 1
+        nonzero = self.blocks != 0
+        if (nonzero.sum(axis=2).max(initial=0) <= 1 and nonzero.sum(axis=1).max(initial=0) <= 1
+                and not self.blocks.imag.any()):
+            t, a, b = np.nonzero(self.blocks)
+            dst, src = self.rows[t] * height + a, self.cols[t] * m + b
+            full = np.arange(part.shape[0])
+            if (part.shape[0] == part.shape[1] and np.array_equal(dst, full)
+                    and np.array_equal(src, full)):
+                dst = src = None  # a whole diagonal: a scaling with no gather
+            self.scaling = (dst, src, self.blocks.real[t, a, b])
+
+    def __matmul__(self, y):
+        if self.blocks is None:
+            return self.part @ y
+        if self.scaling is not None:
+            dst, src, coef = self.scaling
+            if dst is None:
+                return coef[:, None] * y
+            out = np.zeros((self.part.shape[0], y.shape[1]), dtype=complex)
+            out[dst] = coef[:, None] * y[src]
+            return out
+        height, m = self.blocks.shape[1:]
+        out = np.zeros((self.part.shape[0] // height, height, y.shape[1]), dtype=complex)
+        out[self.rows] = self.blocks @ y.reshape(-1, m, y.shape[1])[self.cols]
+        return out.reshape(self.part.shape[0], -1)
+
+    def __rmatmul__(self, y):
+        if self.blocks is None or not self.distinct:
+            return y @ self.part
+        if self.scaling is not None:
+            dst, src, coef = self.scaling
+            if dst is None:
+                return y * coef
+            out = np.zeros((y.shape[0], self.part.shape[1]), dtype=complex)
+            out[:, src] = y[:, dst] * coef
+            return out
+        height, m = self.blocks.shape[1:]
+        gathered = y.reshape(y.shape[0], -1, height)[:, self.rows].transpose(1, 0, 2)
+        out = np.zeros((y.shape[0], self.part.shape[1] // m, m), dtype=complex)
+        out[:, self.cols] = (gathered @ self.blocks).transpose(1, 0, 2)
+        return out.reshape(y.shape[0], -1)
+
+
+def slot_factors(x):
+    """The parts of ``x`` as :class:`SlotFactor`, each read once."""
+    return [SlotFactor(p, x.algebra.fiber_dim) for p in x.parts]
+
+
+def slot_norm(x, factors):
+    """``x.norm()`` for an element whose parts ``factors`` read: when no
+    part holds two nonzero blocks in one slot row or one slot column, one
+    stacked norm of the m x m blocks, the largest spectral norm of a block
+    being that of its part; any other element keeps ``x.norm()``."""
+    if all(f.blocks is not None and f.distinct for f in factors):
+        blocks = np.concatenate([f.blocks for f in factors])
+        return float(spectral_norm(blocks).max(initial=0.0))
+    return x.norm()

@@ -54,9 +54,10 @@ def check_real(value, name, low=None):
     return value
 
 
-def check_scale(radius):
-    """The radius, when it is a finite real number >= 0 by ``check_real``."""
-    return check_real(radius, "a scale", 0)
+def check_scale(radius, name="a scale"):
+    """The radius, when it is a finite real number >= 0 by ``check_real``,
+    whose message names ``name``."""
+    return check_real(radius, name, 0)
 
 
 def _is_list_of(value, *types):
@@ -307,6 +308,9 @@ def save_space(space, path):
 
 def _regenerate(gen, path):
     family, sides, spacing = _fields(gen, ("family", "sides", "spacing"), path, "the generator")
+    if family not in ("interval", "grid"):
+        raise InvalidParameterError(
+            f"{path}: the generator family must be 'interval' or 'grid', got {family!r}")
     if family == "interval":
         return generate_space("interval", length=sides[0], spacing=spacing)
     metric, = _fields(gen, ("metric",), path, "the generator")
@@ -322,9 +326,10 @@ def load_space(path):
     mode), unless it also carries a generator block whose regenerated space
     has the same points and agrees with the stored matrix: then the exact
     integer representation is returned without validation, since it is a
-    metric by construction.  A file that is not an object, and a
-    ``points``, ``dist`` or ``generator`` of the wrong type, raise
-    ``InvalidParameterError``.
+    metric by construction.  A file that is not an object, a ``points``,
+    ``dist`` or ``generator`` of the wrong type, and a generator ``family``
+    other than ``interval`` or ``grid``, raise ``InvalidParameterError``
+    naming the file.
     """
     doc = _read_object(path)
     points, = _fields(doc, ("points",), path)
@@ -342,7 +347,7 @@ def load_space(path):
         regen = _regenerate(gen, path) if fits else None
         if regen is None or regen.points != points:
             raise InvalidParameterError(
-                "space file has no distance matrix and no generator block that "
+                f"{path}: the file has no distance matrix and no generator block that "
                 "yields its points")
         return regen
     try:

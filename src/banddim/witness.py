@@ -43,7 +43,7 @@ from .cpmaps import (BandAlgebra, CompressionMap, InclusionMap, SandwichedMap,
                      factorize_order_zero, order_zero_check, unit_image)
 from .errors import (CoverGapError, IncompatibilityError, InvalidParameterError,
                      InvalidWitnessError, PreconditionError)
-from .fdalg import FiniteDimAlgebra, Summand
+from .fdalg import FdElement, FiniteDimAlgebra, SlotFactor, Summand, slot_factors, slot_norm
 from .operators import (BandOperator, Nearby, band_panels, fiber_unit, max_norm_enclosure,
                         operator_norm)
 from .space import FiniteMetricSpace, _is_int, _is_list_of, check_int, check_real
@@ -359,6 +359,8 @@ def _check_condition6(witness, tol):
 def check_witness(witness, tol=1e-9):
     """Evaluate the six witness conditions; condition 2 is reported as a
     measured error against the declared epsilon, never thresholded silently.
+    Condition 1 reads ||psi(1)|| by ``slot_norm``: one stacked norm of the
+    slot blocks when psi(1) is slot-diagonal, as a compression's is.
 
     ``tol`` must be a finite real number >= 0 (bool rejected); anything
     else raises ``InvalidParameterError``.
@@ -366,7 +368,8 @@ def check_witness(witness, tol=1e-9):
     check_real(tol, "check tolerance", 0)
     verdicts = []
 
-    norm1 = witness.psi.apply(witness.band.identity()).norm()
+    psi1 = witness.psi.apply(witness.band.identity())
+    norm1 = slot_norm(psi1, slot_factors(psi1))
     verdicts.append(ConditionVerdict(1, norm1 <= 1.0 + tol, max(0.0, norm1 - 1.0),
                                      "computed", "1_A"))
 
@@ -442,12 +445,23 @@ class WindowDefects:
     the flat positions of its entries in the N x N matrix, row by row; the
     windows list distinct points, so no position repeats within a block.
 
+    Every product with P_k, P_k X_k or A_k[:, O] goes through a
+    :class:`~banddim.fdalg.SlotFactor`, whose slot structure is read once:
+    p's once per hat, each left factor's once per test element.  A part
+    with at most one nonzero m x m block in each slot row (p, the
+    compressions of partial translations, and the rows of A_k) is
+    multiplied as one gather and one stacked m x m product, a real scaling
+    equal to the dense product bit for bit (a zero's sign aside) where each
+    block is a real multiple of the identity; any other part keeps the
+    dense product.
+
     ``defect`` returns the sum and an a-priori bound ``gap`` on its spectral
     distance from the dense defect ``phi_hat(x y) - phi_hat(x) phi_hat(y)``
     of N x N matrices.  Both equal the same sum in exact arithmetic.  Every
     entry of either is a floating-point sum of products of at most six
     window factors (P X P P Y P), formed by at most five matrix products of
-    inner dimension at most N and at most c^2 + 3 real scalings, scatter
+    inner dimension at most N (a stacked product has inner dimension m, a
+    scaling 1) and at most c^2 + 3 real scalings, scatter
     additions and subtractions, c being the largest number of windows that
     hold one coordinate.  A complex product of inner dimension n satisfies
     ``|fl(AB) - AB| <= sqrt(2) gamma_{n+2} |A||B| <= gamma_{2n+4} |A||B|``
@@ -473,8 +487,9 @@ class WindowDefects:
         coords = [np.array([x * m + a for x in w for a in range(m)]) for w in phi.windows]
         self.n = n
         self.scale = scale
-        self.p = p.parts
-        self.p_fro2 = np.array([np.linalg.norm(part) ** 2 for part in self.p])
+        self.m = m
+        self.p = slot_factors(p)
+        self.p_fro2 = np.array([np.linalg.norm(part) ** 2 for part in p.parts])
         self.coords = coords
         self.index = [(c[:, None] * n + c).reshape(-1) for c in coords]
         owners = {}
@@ -524,8 +539,10 @@ class WindowDefects:
             hit = np.flatnonzero(ak.any(axis=1))
             at, cols = self.coords[k][hit], self.coords[l]
             holds(at, cols)
-            pairs.append((ak[hit], (at[:, None] * self.n + cols).reshape(-1)))
-        return (px, pairs, np.array([np.linalg.norm(xk) for xk in x.parts]),
+            pairs.append((SlotFactor(ak[hit], self.m, 1),
+                          (at[:, None] * self.n + cols).reshape(-1)))
+        return ([SlotFactor(pxk, self.m) for pxk in px], pairs,
+                np.array([np.linalg.norm(xk) for xk in x.parts]),
                 band_panels(first, last, self.n))
 
     def right(self, y):
@@ -574,6 +591,13 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
     too.  No dense product of hat images is formed.  The verdict ``passed``
     is decided on the upper ends.
 
+    The slot structure of psi(1) is read once (``slot_factors``): its norm
+    is one stacked norm of its slot blocks when each part is a partial slot
+    permutation (``slot_norm``), and each sample ``psi(1) y psi(1)`` is two
+    slot products: two real scalings, bit for bit the dense products (a
+    zero's sign aside), where psi(1) has real scalar blocks, as a
+    compression of the identity does.
+
     ``samples`` must be an integer >= 1 and ``seed`` an integer >= 0;
     anything else raises ``InvalidParameterError``.
     """
@@ -581,7 +605,8 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
     check_int(seed, "hat seed", 0)
     eps = witness.epsilon
     psi1 = witness.psi.apply(witness.band.identity())
-    if psi1.norm() > 1.0 + tol:
+    unit = slot_factors(psi1)
+    if slot_norm(psi1, unit) > 1.0 + tol:
         raise PreconditionError("condition 1 fails: psi is not contractive")
     errs = condition2_errors(witness)
     if errs and max(errs) >= eps:
@@ -632,7 +657,7 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
         rng = np.random.default_rng(seed)
         for _ in range(samples):
             y = witness.algebra.random_hermitian(rng)
-            b = psi1 @ y @ psi1
+            b = FdElement(witness.algebra, [u @ yk @ u for u, yk in zip(unit, y.parts)])
             nb = b.norm()
             if nb < 1e-12:
                 continue
@@ -822,13 +847,13 @@ def save_witness(witness, dirpath):
 
 def load_witness(dirpath):
     """A bundle of ``save_witness``; a ``witness.json`` that is not an
-    object, a missing key, a point id that names no point of the space, or
-    a key or point id of the wrong type in it, raises
-    ``InvalidParameterError``."""
+    object, a missing key, a point id that names no point of the space, a
+    key or point id of the wrong type in it, or a ``meta.r`` that is not a
+    scale (``check_scale``), raises ``InvalidParameterError``."""
     import os
 
     from .operators import load_operator
-    from .space import _fields, _point_indices, _read_object, load_space
+    from .space import _fields, _point_indices, _read_object, check_scale, load_space
 
     path = os.path.join(dirpath, "witness.json")
     doc = _read_object(path)
@@ -846,6 +871,8 @@ def load_witness(dirpath):
             ("meta", isinstance(meta, dict), "an object")]:
         if not ok:
             raise InvalidParameterError(f"witness bundle key {key!r} must be {rule}")
+    if "r" in meta:
+        check_scale(meta["r"], f"{path}: the key 'meta.r'")
     space = load_space(os.path.join(dirpath, space_ref))
     band = BandAlgebra(space, fiber)
 

@@ -21,9 +21,11 @@ from banddim.cover import brick_cover
 from banddim.cpmaps import BandAlgebra, FactoredMap, PointBijectionHom
 from banddim.extract import build_translation_system, threshold_setup
 from banddim.fdalg import FiniteDimAlgebra, Summand
-from banddim.operators import CERT_PANEL, PRUNE_REL, BandOperator, spectral_norm
+from banddim.operators import (CERT_PANEL, PRUNE_REL, BandOperator, Nearby, band_panels,
+                                spectral_norm)
 from banddim.space import _id_to_json, canonical_json, generate_space
-from banddim.witness import build_upper_witness, default_test_set, load_witness, save_witness
+from banddim.witness import (WindowDefects, build_upper_witness, default_test_set,
+                             load_witness, save_witness)
 
 DIFF = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -408,3 +410,86 @@ def assert_blocks_equal(op, reference):
         got = op.blocks[key]
         assert got.dtype == block.dtype, key
         assert got.tobytes() == block.tobytes(), key
+
+
+class DenseFactor:
+    """A part whose products are the dense ``@``: the reference of
+    ``fdalg.SlotFactor``.  It reads no slot structure, so ``slot_norm``
+    takes ``FdElement.norm`` for an element of such parts."""
+
+    __array_ufunc__ = None
+    blocks = None
+
+    def __init__(self, part):
+        self.part = part
+
+    def __matmul__(self, y):
+        return self.part @ y
+
+    def __rmatmul__(self, y):
+        return y @ self.part
+
+
+class DenseWindowDefects(WindowDefects):
+    """``WindowDefects`` with the dense window products it formed before
+    slot factors: ``left``, ``right`` and ``defect`` multiply the raw parts
+    with ``@``, as the hat did, and keep the same sums, orders, flat
+    positions and panels."""
+
+    def __init__(self, phi, p, scale):
+        super().__init__(phi, p, scale)
+        self.p = p.parts
+
+    def left(self, x):
+        px = [pk @ xk for pk, xk in zip(self.p, x.parts)]
+        a = [self.scale * (pxk @ pk) for pxk, pk in zip(px, self.p)]
+        first = np.full(self.n, self.n)
+        last = np.full(self.n, -1)
+
+        def holds(rows, cols):
+            if len(rows):
+                first[cols] = np.minimum(first[cols], rows.min())
+                last[cols] = np.maximum(last[cols], rows.max())
+
+        for c, pxk in zip(self.coords, px):
+            holds(c[pxk.any(axis=1)], c)
+        pairs = []
+        for k, l, rows, _ in self.pairs:
+            ak = a[k][:, rows]
+            hit = np.flatnonzero(ak.any(axis=1))
+            at, cols = self.coords[k][hit], self.coords[l]
+            holds(at, cols)
+            pairs.append((ak[hit], (at[:, None] * self.n + cols).reshape(-1)))
+        return (px, pairs, np.array([np.linalg.norm(xk) for xk in x.parts]),
+                band_panels(first, last, self.n))
+
+    def right(self, y):
+        yp = [yk @ pk for yk, pk in zip(y.parts, self.p)]
+        b = [self.scale * (pk @ ypk) for ypk, pk in zip(yp, self.p)]
+        return ([self.scale * (ypk - pk @ bk) for ypk, pk, bk in zip(yp, self.p, b)],
+                [-b[l][cols, :] for _, l, _, cols in self.pairs],
+                np.array([np.linalg.norm(yk) for yk in y.parts]))
+
+    def defect(self, left, right):
+        diag_x, pair_x, x_fro, panels = left
+        diag_y, pair_y, y_fro = right
+        out = np.zeros((self.n, self.n), dtype=complex)
+        flat = out.reshape(-1)
+        for idx, lk, rk in zip(self.index, diag_x, diag_y):
+            flat[idx] += (lk @ rk).reshape(-1)
+        for (lk, idx), rk in zip(pair_x, pair_y):
+            flat[idx] += (lk @ rk).reshape(-1)
+        s1 = self.scale * float(np.sum(self.p_fro2 * x_fro * y_fro))
+        s2 = self.scale ** 2 * float(self.p_fro2 @ x_fro) * float(self.p_fro2 @ y_fro)
+        return Nearby(out, 2.0 * self.gamma * (s1 + s2), panels)
+
+
+def dense_hat(monkeypatch):
+    """Make ``witness.hat_normalize`` take the dense products: psi(1)'s
+    norm by ``FdElement.norm``, each sample's psi(1) y psi(1) by ``@``,
+    and the multiplicativity defects by :class:`DenseWindowDefects`."""
+    import banddim.witness as witness_mod
+
+    monkeypatch.setattr(witness_mod, "slot_factors",
+                        lambda x: [DenseFactor(p) for p in x.parts])
+    monkeypatch.setattr(witness_mod, "WindowDefects", DenseWindowDefects)

@@ -832,13 +832,23 @@ def _point_999(points):
     ("space.json", lambda doc: doc.pop("points"), "the file has no key 'points'"),
     ("space.json", lambda doc: doc["generator"].pop("spacing"),
      "the generator has no key 'spacing'"),
+    ("witness1/witness.json", lambda doc: doc.update(meta={"r": "x"}),
+     "the key 'meta.r' must be a finite real number >= 0, got 'x'"),
+    ("space.json", lambda doc: doc.pop("generator"),
+     "the file has no distance matrix and no generator block that yields its points"),
+    ("space.json", lambda doc: doc["generator"].update(family="torus"),
+     "the generator family must be 'interval' or 'grid', got 'torus'"),
 ], ids=["summand-point-unknown", "summand-label-missing", "d-missing",
         "cover-point-unknown", "cover-r-missing", "space-points-missing",
-        "space-generator-spacing-missing"])
+        "space-generator-spacing-missing", "meta-r-string", "space-no-generator",
+        "space-generator-family-unknown"])
 def test_loaders_name_file_and_key(tmp_path, capsys, name, edit, message):
-    """A space, cover or witness file that lacks a key or names a point not
-    in the space exits 3 naming the file and the key or point id; each used
-    to print only the bare key or id."""
+    """A space, cover or witness file that lacks a key, names a point not
+    in the space or holds a value its loader refuses exits 3 naming the
+    file and the key, point id or value; each used to print only the bare
+    key or id, a message without the file (a space with neither distances
+    nor a generator), to read a ``"torus"`` generator as a grid, or to take
+    a bundle's ``meta.r`` unchecked until extraction."""
     bundle = _interval_bundle(tmp_path)
     _edit_json(tmp_path / name, edit)
     message = f"{tmp_path / name}: {message}"
