@@ -210,97 +210,75 @@ class FdElement:
         return f"FdElement({self.algebra!r})"
 
 
-class SlotFactor:
+class MonomialFactor:
     """A dense part read once for its products with dense factors:
     ``factor @ y`` is ``part @ y`` and ``y @ factor`` is ``y @ part``.
 
-    The part's rows fall into slot rows of ``height`` rows (default ``m``)
-    and its columns into slots of ``m``.  When no slot row holds two nonzero
-    blocks, the factor keeps the column slot and the block of each nonzero
-    slot row; ``part @ y`` is then one gather of y's slot rows and one
-    stacked product with the blocks, and ``y @ part``, when no two slot rows
-    share their column slot, one gather of y's columns and one stacked
-    product.  Compressions of the identity and of partial translations give
-    such parts.  Where each row and column of every block holds at most one
-    nonzero, and that one is real (a real multiple of the identity, say),
-    the stacked product is a real scaling of the gathered entries: every
-    entry of the result is the one nonzero term of the dense sum, so it
-    equals the dense ``@`` bit for bit, but for the sign of a zero, which
-    the BLAS kernel decides and nothing downstream reads.  Any other part, and ``y @ part``
-    with a shared column slot, keeps the dense ``@``.  A stacked product has
-    inner dimension at most m, so it rounds no worse than the dense one.
+    When each row and each column of the part holds at most one nonzero and
+    every nonzero is real, as in the compressions of the identity and of
+    partial translations (a real scalar or real permutation m x m block in
+    at most one slot of each slot row and slot column), the factor keeps the
+    places and values of the nonzeros in ``scaling``, and each product is
+    one gather of y's rows or columns and one real scaling: every entry of
+    the result is the one nonzero term of the dense sum, so it equals the
+    dense ``@`` bit for bit, but for the sign of a zero, which the BLAS
+    kernel decides and nothing downstream reads.  A whole real diagonal is a
+    scaling with no gather.  Any other part keeps the dense ``@``.
     """
 
     # ndarray @ factor defers to __rmatmul__
     __array_ufunc__ = None
-    __slots__ = ("part", "blocks", "rows", "cols", "distinct", "scaling")
+    __slots__ = ("part", "scaling")
 
-    def __init__(self, part, m, height=None):
-        height = m if height is None else height
+    def __init__(self, part):
         self.part = part
-        self.blocks = self.scaling = None
-        view = part.reshape(part.shape[0] // height, height, part.shape[1] // m, m)
-        held = view.any(axis=(1, 3))
-        if held.sum(axis=1).max(initial=0) > 1:
+        self.scaling = None
+        dst, src = np.nonzero(part)
+        coef = part[dst, src]
+        if coef.imag.any() or max(np.bincount(dst, minlength=1).max(),
+                                  np.bincount(src, minlength=1).max()) > 1:
             return
-        self.rows = np.flatnonzero(held.any(axis=1))
-        self.cols = np.nonzero(held[self.rows])[1]
-        self.blocks = view[self.rows, :, self.cols, :]
-        self.distinct = held.sum(axis=0).max(initial=0) <= 1
-        nonzero = self.blocks != 0
-        if (nonzero.sum(axis=2).max(initial=0) <= 1 and nonzero.sum(axis=1).max(initial=0) <= 1
-                and not self.blocks.imag.any()):
-            t, a, b = np.nonzero(self.blocks)
-            dst, src = self.rows[t] * height + a, self.cols[t] * m + b
-            full = np.arange(part.shape[0])
-            if (part.shape[0] == part.shape[1] and np.array_equal(dst, full)
-                    and np.array_equal(src, full)):
-                dst = src = None  # a whole diagonal: a scaling with no gather
-            self.scaling = (dst, src, self.blocks.real[t, a, b])
+        if part.shape[0] == part.shape[1] == len(dst) and np.array_equal(dst, src):
+            dst = src = None
+        self.scaling = (dst, src, coef)
 
     def __matmul__(self, y):
-        if self.blocks is None:
+        if self.scaling is None:
             return self.part @ y
-        if self.scaling is not None:
-            dst, src, coef = self.scaling
-            if dst is None:
-                return coef[:, None] * y
-            out = np.zeros((self.part.shape[0], y.shape[1]), dtype=complex)
-            out[dst] = coef[:, None] * y[src]
-            return out
-        height, m = self.blocks.shape[1:]
-        out = np.zeros((self.part.shape[0] // height, height, y.shape[1]), dtype=complex)
-        out[self.rows] = self.blocks @ y.reshape(-1, m, y.shape[1])[self.cols]
-        return out.reshape(self.part.shape[0], -1)
+        dst, src, coef = self.scaling
+        if dst is None:
+            return coef[:, None] * y
+        out = np.zeros((self.part.shape[0], y.shape[1]), dtype=np.result_type(self.part, y))
+        out[dst] = coef[:, None] * y[src]
+        return out
 
     def __rmatmul__(self, y):
-        if self.blocks is None or not self.distinct:
+        if self.scaling is None:
             return y @ self.part
-        if self.scaling is not None:
-            dst, src, coef = self.scaling
-            if dst is None:
-                return y * coef
-            out = np.zeros((y.shape[0], self.part.shape[1]), dtype=complex)
-            out[:, src] = y[:, dst] * coef
-            return out
-        height, m = self.blocks.shape[1:]
-        gathered = y.reshape(y.shape[0], -1, height)[:, self.rows].transpose(1, 0, 2)
-        out = np.zeros((y.shape[0], self.part.shape[1] // m, m), dtype=complex)
-        out[:, self.cols] = (gathered @ self.blocks).transpose(1, 0, 2)
-        return out.reshape(y.shape[0], -1)
+        dst, src, coef = self.scaling
+        if dst is None:
+            return y * coef
+        out = np.zeros((y.shape[0], self.part.shape[1]), dtype=np.result_type(self.part, y))
+        out[:, src] = y[:, dst] * coef
+        return out
 
 
-def slot_factors(x):
-    """The parts of ``x`` as :class:`SlotFactor`, each read once."""
-    return [SlotFactor(p, x.algebra.fiber_dim) for p in x.parts]
+def monomial_factors(x):
+    """The parts of ``x`` as :class:`MonomialFactor`, each read once."""
+    return [MonomialFactor(p) for p in x.parts]
 
 
-def slot_norm(x, factors):
-    """``x.norm()`` for an element whose parts ``factors`` read: when no
-    part holds two nonzero blocks in one slot row or one slot column, one
-    stacked norm of the m x m blocks, the largest spectral norm of a block
-    being that of its part; any other element keeps ``x.norm()``."""
-    if all(f.blocks is not None and f.distinct for f in factors):
-        blocks = np.concatenate([f.blocks for f in factors])
-        return float(spectral_norm(blocks).max(initial=0.0))
+def monomial_norm(x, factors):
+    """``x.norm()`` for an element whose parts ``factors`` read.  When every
+    part took the real scaling, its singular values are the absolute values
+    of its nonzeros, so the norm is the largest of them, with no SVD; a
+    diagonal part, as psi(1) is for a compression (a Hermitian positive
+    monomial matrix is diagonal), gets the very value of LAPACK's SVD, which
+    returns a diagonal's absolute values untouched.  Any other element, and
+    one with an entry that is not finite, keeps ``x.norm()``."""
+    if all(f.scaling is not None for f in factors):
+        value = max((float(np.abs(f.scaling[2]).max(initial=0.0)) for f in factors),
+                    default=0.0)
+        if np.isfinite(value):
+            return value
     return x.norm()

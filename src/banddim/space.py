@@ -54,10 +54,9 @@ def check_real(value, name, low=None):
     return value
 
 
-def check_scale(radius, name="a scale"):
-    """The radius, when it is a finite real number >= 0 by ``check_real``,
-    whose message names ``name``."""
-    return check_real(radius, name, 0)
+def check_scale(radius):
+    """The radius, when it is a finite real number >= 0 by ``check_real``."""
+    return check_real(radius, "a scale", 0)
 
 
 def _is_list_of(value, *types):

@@ -43,7 +43,8 @@ from .cpmaps import (BandAlgebra, CompressionMap, InclusionMap, SandwichedMap,
                      factorize_order_zero, order_zero_check, unit_image)
 from .errors import (CoverGapError, IncompatibilityError, InvalidParameterError,
                      InvalidWitnessError, PreconditionError)
-from .fdalg import FdElement, FiniteDimAlgebra, SlotFactor, Summand, slot_factors, slot_norm
+from .fdalg import (FdElement, FiniteDimAlgebra, MonomialFactor, Summand, monomial_factors,
+                    monomial_norm)
 from .operators import (BandOperator, Nearby, band_panels, fiber_unit, max_norm_enclosure,
                         operator_norm)
 from .space import FiniteMetricSpace, _is_int, _is_list_of, check_int, check_real
@@ -359,8 +360,9 @@ def _check_condition6(witness, tol):
 def check_witness(witness, tol=1e-9):
     """Evaluate the six witness conditions; condition 2 is reported as a
     measured error against the declared epsilon, never thresholded silently.
-    Condition 1 reads ||psi(1)|| by ``slot_norm``: one stacked norm of the
-    slot blocks when psi(1) is slot-diagonal, as a compression's is.
+    Condition 1 reads ||psi(1)|| by ``monomial_norm``: the largest absolute
+    value of its entries when psi(1) is a real diagonal, as a compression's
+    is, the very value of ``FdElement.norm``.
 
     ``tol`` must be a finite real number >= 0 (bool rejected); anything
     else raises ``InvalidParameterError``.
@@ -369,7 +371,7 @@ def check_witness(witness, tol=1e-9):
     verdicts = []
 
     psi1 = witness.psi.apply(witness.band.identity())
-    norm1 = slot_norm(psi1, slot_factors(psi1))
+    norm1 = monomial_norm(psi1, monomial_factors(psi1))
     verdicts.append(ConditionVerdict(1, norm1 <= 1.0 + tol, max(0.0, norm1 - 1.0),
                                      "computed", "1_A"))
 
@@ -446,22 +448,20 @@ class WindowDefects:
     windows list distinct points, so no position repeats within a block.
 
     Every product with P_k, P_k X_k or A_k[:, O] goes through a
-    :class:`~banddim.fdalg.SlotFactor`, whose slot structure is read once:
-    p's once per hat, each left factor's once per test element.  A part
-    with at most one nonzero m x m block in each slot row (p, the
-    compressions of partial translations, and the rows of A_k) is
-    multiplied as one gather and one stacked m x m product, a real scaling
-    equal to the dense product bit for bit (a zero's sign aside) where each
-    block is a real multiple of the identity; any other part keeps the
-    dense product.
+    :class:`~banddim.fdalg.MonomialFactor`, read once: p's once per hat,
+    each left factor's once per test element.  A part with at most one
+    nonzero in each row and column, all real (p, the compressions of
+    partial translations by it, and the rows of A_k), is multiplied as one
+    gather and one real scaling, equal to the dense product bit for bit (a
+    zero's sign aside); any other part keeps the dense product.
 
     ``defect`` returns the sum and an a-priori bound ``gap`` on its spectral
     distance from the dense defect ``phi_hat(x y) - phi_hat(x) phi_hat(y)``
     of N x N matrices.  Both equal the same sum in exact arithmetic.  Every
     entry of either is a floating-point sum of products of at most six
     window factors (P X P P Y P), formed by at most five matrix products of
-    inner dimension at most N (a stacked product has inner dimension m, a
-    scaling 1) and at most c^2 + 3 real scalings, scatter
+    inner dimension at most N (a gather and scaling has inner dimension 1)
+    and at most c^2 + 3 real scalings, scatter
     additions and subtractions, c being the largest number of windows that
     hold one coordinate.  A complex product of inner dimension n satisfies
     ``|fl(AB) - AB| <= sqrt(2) gamma_{n+2} |A||B| <= gamma_{2n+4} |A||B|``
@@ -487,8 +487,7 @@ class WindowDefects:
         coords = [np.array([x * m + a for x in w for a in range(m)]) for w in phi.windows]
         self.n = n
         self.scale = scale
-        self.m = m
-        self.p = slot_factors(p)
+        self.p = monomial_factors(p)
         self.p_fro2 = np.array([np.linalg.norm(part) ** 2 for part in p.parts])
         self.coords = coords
         self.index = [(c[:, None] * n + c).reshape(-1) for c in coords]
@@ -539,9 +538,9 @@ class WindowDefects:
             hit = np.flatnonzero(ak.any(axis=1))
             at, cols = self.coords[k][hit], self.coords[l]
             holds(at, cols)
-            pairs.append((SlotFactor(ak[hit], self.m, 1),
+            pairs.append((MonomialFactor(ak[hit]),
                           (at[:, None] * self.n + cols).reshape(-1)))
-        return ([SlotFactor(pxk, self.m) for pxk in px], pairs,
+        return ([MonomialFactor(pxk) for pxk in px], pairs,
                 np.array([np.linalg.norm(xk) for xk in x.parts]),
                 band_panels(first, last, self.n))
 
@@ -591,12 +590,11 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
     too.  No dense product of hat images is formed.  The verdict ``passed``
     is decided on the upper ends.
 
-    The slot structure of psi(1) is read once (``slot_factors``): its norm
-    is one stacked norm of its slot blocks when each part is a partial slot
-    permutation (``slot_norm``), and each sample ``psi(1) y psi(1)`` is two
-    slot products: two real scalings, bit for bit the dense products (a
-    zero's sign aside), where psi(1) has real scalar blocks, as a
-    compression of the identity does.
+    psi(1) is read once (``monomial_factors``).  Where it is a real
+    diagonal, as a compression of the identity is, its norm is the largest
+    absolute value of its entries (``monomial_norm``), the very value of
+    ``FdElement.norm``, and each sample ``psi(1) y psi(1)`` is two real
+    scalings, bit for bit the dense products (a zero's sign aside).
 
     ``samples`` must be an integer >= 1 and ``seed`` an integer >= 0;
     anything else raises ``InvalidParameterError``.
@@ -605,8 +603,8 @@ def hat_normalize(witness, samples=50, seed=0, tol=1e-9):
     check_int(seed, "hat seed", 0)
     eps = witness.epsilon
     psi1 = witness.psi.apply(witness.band.identity())
-    unit = slot_factors(psi1)
-    if slot_norm(psi1, unit) > 1.0 + tol:
+    unit = monomial_factors(psi1)
+    if monomial_norm(psi1, unit) > 1.0 + tol:
         raise PreconditionError("condition 1 fails: psi is not contractive")
     errs = condition2_errors(witness)
     if errs and max(errs) >= eps:
@@ -849,11 +847,11 @@ def load_witness(dirpath):
     """A bundle of ``save_witness``; a ``witness.json`` that is not an
     object, a missing key, a point id that names no point of the space, a
     key or point id of the wrong type in it, or a ``meta.r`` that is not a
-    scale (``check_scale``), raises ``InvalidParameterError``."""
+    finite real number >= 0, raises ``InvalidParameterError``."""
     import os
 
     from .operators import load_operator
-    from .space import _fields, _point_indices, _read_object, check_scale, load_space
+    from .space import _fields, _point_indices, _read_object, load_space
 
     path = os.path.join(dirpath, "witness.json")
     doc = _read_object(path)
@@ -872,7 +870,7 @@ def load_witness(dirpath):
         if not ok:
             raise InvalidParameterError(f"witness bundle key {key!r} must be {rule}")
     if "r" in meta:
-        check_scale(meta["r"], f"{path}: the key 'meta.r'")
+        check_real(meta["r"], f"{path}: the key 'meta.r'", 0)
     space = load_space(os.path.join(dirpath, space_ref))
     band = BandAlgebra(space, fiber)
 

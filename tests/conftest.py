@@ -414,11 +414,12 @@ def assert_blocks_equal(op, reference):
 
 class DenseFactor:
     """A part whose products are the dense ``@``: the reference of
-    ``fdalg.SlotFactor``.  It reads no slot structure, so ``slot_norm``
-    takes ``FdElement.norm`` for an element of such parts."""
+    ``fdalg.MonomialFactor``.  It never takes the scaling, so
+    ``monomial_norm`` takes ``FdElement.norm`` for an element of such
+    parts."""
 
     __array_ufunc__ = None
-    blocks = None
+    scaling = None
 
     def __init__(self, part):
         self.part = part
@@ -432,7 +433,7 @@ class DenseFactor:
 
 class DenseWindowDefects(WindowDefects):
     """``WindowDefects`` with the dense window products it formed before
-    slot factors: ``left``, ``right`` and ``defect`` multiply the raw parts
+    monomial factors: ``left``, ``right`` and ``defect`` multiply the raw parts
     with ``@``, as the hat did, and keep the same sums, orders, flat
     positions and panels."""
 
@@ -490,6 +491,6 @@ def dense_hat(monkeypatch):
     and the multiplicativity defects by :class:`DenseWindowDefects`."""
     import banddim.witness as witness_mod
 
-    monkeypatch.setattr(witness_mod, "slot_factors",
+    monkeypatch.setattr(witness_mod, "monomial_factors",
                         lambda x: [DenseFactor(p) for p in x.parts])
     monkeypatch.setattr(witness_mod, "WindowDefects", DenseWindowDefects)

@@ -1,14 +1,15 @@
-"""Differential tests: ``fdalg.SlotFactor`` products against the dense ``@``.
+"""Differential tests: ``fdalg.MonomialFactor`` products against the dense ``@``.
 
-A slot factor multiplies a part in which no slot row holds two nonzero
-m x m blocks as one gather and one stacked product with the blocks.  Real
-multiples of the identity and real fiber permutations as blocks (the parts
-compressions of the identity and of partial translations give) must give
-the dense product bit for bit (a zero's sign aside), through a real
-scaling; complex and mixing blocks must lie within the rounding bound of
-``WindowDefects``' gap, and a part with two blocks in one slot row must
-take the dense path.  The hat's report must equal, byte for byte, that of
-the dense window products kept in ``conftest``.
+A monomial factor multiplies a part with at most one nonzero in each row
+and column, all real, as one gather and one real scaling, and any other
+part with the dense ``@``.  Parts made of real multiples of the identity
+and real fiber permutations as m x m blocks, at most one in each slot row
+and slot column (the parts compressions of the identity and of partial
+translations give), must take the scaling; every product must equal the
+dense one bit for bit (a zero's sign aside).  ``monomial_norm`` must give
+``FdElement.norm`` bit for bit on real diagonal elements, and the hat's
+report must equal, byte for byte, that of the dense window products kept
+in ``conftest``.
 """
 
 import json
@@ -18,7 +19,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import banddim.witness as witness_mod
-from banddim.fdalg import FdElement, FiniteDimAlgebra, SlotFactor, Summand, slot_norm
+from banddim.fdalg import FdElement, FiniteDimAlgebra, MonomialFactor, Summand, monomial_norm
 from banddim.witness import WindowDefects, hat_normalize
 
 from conftest import DIFF, DenseWindowDefects, dense_hat, grid_witness, interval_witness
@@ -29,11 +30,6 @@ EXACT = ("scalar", "permutation")
 # a partial slot permutation; a column slot drawn per row, which two rows
 # may share; a part with two blocks in one slot row
 LAYOUTS = ["permutation", "any", "two-in-a-row"]
-U = np.finfo(float).eps / 2
-
-
-def gamma(k):
-    return k * U / (1.0 - k * U)
 
 
 def draw_block(rng, height, m, kind):
@@ -64,18 +60,16 @@ def draw_part(rng, rows, cols, height, m, kind, layout, empty):
     return part
 
 
-def assert_matches(got, a, b, exact):
-    """``got`` is ``a @ b``: bit for bit (a zero's sign aside) when
-    ``exact``, else entrywise within 2 gamma_{2n+4} |a||b| of the dense
-    product (each of the two lies within gamma_{2n+4} |a||b| of the exact
-    one, n the inner dimension)."""
-    want = a @ b
+def is_real_monomial(part):
+    held = part != 0
+    return (not part.imag.any() and held.sum(axis=0).max(initial=0) <= 1
+            and held.sum(axis=1).max(initial=0) <= 1)
+
+
+def assert_equal_product(got, want):
+    """Bit for bit, a zero's sign aside (``array_equal`` has 0.0 == -0.0)."""
     assert got.shape == want.shape and got.dtype == want.dtype
-    if exact:
-        assert np.array_equal(got, want)
-    else:
-        bound = 2 * gamma(2 * a.shape[1] + 4) * (np.abs(a) @ np.abs(b))
-        assert np.all(np.abs(got - want) <= bound)
+    assert np.array_equal(got, want)
 
 
 @DIFF
@@ -93,71 +87,82 @@ def assert_matches(got, a, b, exact):
          layout="any", empty=0.3)
 @example(seed=4, m=1, slots=6, width=1, row_height=False, kind="scalar",
          layout="two-in-a-row", empty=0.0)
-def test_slot_products_match_dense(seed, m, slots, width, row_height, kind, layout, empty):
-    """Both products of a square part, and the left product of a part of
-    one-row slot rows (as the rows of A_k[:, O] in ``WindowDefects``),
-    against the dense ``@``."""
+def test_monomial_products_match_dense(seed, m, slots, width, row_height, kind, layout,
+                                       empty):
+    """Both products of a square part, and of a part of one-row slot rows
+    (as the rows of A_k[:, O] in ``WindowDefects``), against the dense
+    ``@``: the scaling exactly for the real monomial parts, the dense path
+    for every other one (complex or mixing blocks, two blocks in a slot
+    row or a slot column), and the same bits either way."""
     rng = np.random.default_rng(seed)
     height = 1 if row_height else m
     rows = slots * m if row_height else slots
     part = draw_part(rng, rows, slots, height, m, kind, layout, empty)
-    factor = SlotFactor(part, m, height)
+    factor = MonomialFactor(part)
+    assert (factor.scaling is not None) == (kind in EXACT and is_real_monomial(part))
+    if layout == "two-in-a-row" or kind not in EXACT:
+        assert factor.scaling is None
+    elif layout == "permutation":
+        assert factor.scaling is not None
     y = rng.standard_normal((slots * m, width)) + 1j * rng.standard_normal((slots * m, width))
     z = (rng.standard_normal((width, rows * height))
          + 1j * rng.standard_normal((width, rows * height)))
-    # zero entries, whose products with a negative block entry are -0.0,
-    # to which the dense sum may or may not add +0.0
+    # zero entries, whose products with a negative entry of the part are
+    # -0.0, to which the dense sum may or may not add +0.0
     y[rng.random(y.shape) < 0.2] = 0
     z[rng.random(z.shape) < 0.2] = 0
-    if layout == "two-in-a-row":
-        assert factor.blocks is None
-        assert_matches(factor @ y, part, y, True)
-        assert_matches(z @ factor, z, part, True)
-        return
-    assert factor.blocks is not None
-    if layout == "permutation":
-        assert factor.distinct
-    exact = kind in EXACT
-    assert (factor.scaling is not None) == exact
-    assert_matches(factor @ y, part, y, exact)
-    # a shared column slot sends y @ part to the dense product
-    assert_matches(z @ factor, z, part, exact or not factor.distinct)
+    assert_equal_product(factor @ y, part @ y)
+    assert_equal_product(z @ factor, z @ part)
 
 
 @DIFF
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.sampled_from([1, 2, 3]),
-       sizes=st.lists(st.integers(1, 5), min_size=1, max_size=3),
-       kind=st.sampled_from(BLOCKS), layout=st.sampled_from(LAYOUTS),
+       sizes=st.lists(st.integers(1, 50), min_size=1, max_size=3),
+       kind=st.sampled_from(["diagonal", "permutation", "mixing"]),
        empty=st.sampled_from([0.0, 0.3]))
-def test_slot_norm_matches_element_norm(seed, m, sizes, kind, layout, empty):
-    """``slot_norm`` reads the norm of an element whose parts are partial
-    slot permutations off the stacked slot blocks, to the last few bits of
-    ``FdElement.norm``, and takes ``FdElement.norm`` itself for any other
-    element."""
+@example(seed=0, m=3, sizes=[50, 7], kind="diagonal", empty=0.3)
+@example(seed=1, m=2, sizes=[1], kind="diagonal", empty=1.0)
+def test_monomial_norm_matches_element_norm(seed, m, sizes, kind, empty):
+    """``monomial_norm`` gives ``FdElement.norm`` bit for bit on a real
+    diagonal element (psi(1)'s kind, up to 150 x 150 parts, past LAPACK's
+    blocked reduction), the exact largest absolute entry on a real monomial
+    one, and ``FdElement.norm`` itself on any other."""
     rng = np.random.default_rng(seed)
     algebra = FiniteDimAlgebra([Summand(0, k, s) for k, s in enumerate(sizes)], m)
-    x = FdElement(algebra, [draw_part(rng, s, s, m, m, kind, layout, empty) for s in sizes])
-    factors = [SlotFactor(p, m) for p in x.parts]
-    got = slot_norm(x, factors)
-    if all(f.blocks is not None and f.distinct for f in factors):
-        assert abs(got - x.norm()) <= 1e-14 * max(1.0, x.norm())
+    parts = []
+    for s in sizes:
+        d = s * m
+        values = rng.standard_normal(d) * (rng.random(d) >= empty)
+        if kind == "diagonal":
+            parts.append(np.diag(values).astype(complex))
+        else:
+            parts.append(draw_part(rng, s, s, m, m, "scalar" if kind == "permutation"
+                                   else kind, "permutation", empty))
+    x = FdElement(algebra, parts)
+    got = monomial_norm(x, [MonomialFactor(p) for p in x.parts])
+    if kind == "diagonal":
+        assert got == x.norm()
+    elif kind == "permutation":
+        assert got == max(np.abs(p).max() for p in parts)
+        assert abs(got - x.norm()) <= 1e-14 * max(1.0, got)
     else:
-        assert layout != "permutation" and got == x.norm()
+        assert got == x.norm()
 
 
-def test_slot_factor_of_an_empty_part():
-    """A zero part has no slot rows: both products are zero."""
-    factor = SlotFactor(np.zeros((4, 4), dtype=complex), 2)
+def test_monomial_factor_of_an_empty_part():
+    """A zero part takes the scaling with no nonzeros: both products are
+    zero."""
+    factor = MonomialFactor(np.zeros((4, 4), dtype=complex))
     y = np.ones((4, 3), dtype=complex)
-    assert len(factor.rows) == 0 and factor.distinct
+    assert factor.scaling is not None and len(factor.scaling[2]) == 0
     assert np.array_equal(factor @ y, np.zeros((4, 3))) and np.array_equal(y.T @ factor,
                                                                             np.zeros((3, 4)))
 
 
 def test_hat_report_equals_dense_window_products(monkeypatch):
-    """On small built witnesses with overlapping windows, the hat with slot
-    factors writes the report of the dense window products byte for byte,
-    and its factors of p took the real scaling."""
+    """On small built witnesses with overlapping windows, the hat with
+    monomial factors writes the report of the dense window products byte
+    for byte, and its factors of p took the real scaling."""
     for w in (interval_witness(length=40, r=2, side=10, fiber=2), grid_witness()):
         pair = hat_normalize(w, samples=6, seed=1)
         factors = WindowDefects(w.phi, pair.p, pair.scale).p
