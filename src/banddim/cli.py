@@ -1,12 +1,13 @@
 """Batch command-line entry point.
 
 Subcommands generate spaces and covers, build and check witnesses, run the
-extraction pipeline, and consolidate reports.  Every artifact is written by
-``space.write_json`` (sorted keys, no spaces, a trailing newline) and holds
-no timestamps, so identical configurations (and seeds) produce
-byte-identical outputs.  Exit codes: 0 on success, 2 on usage or
-configuration errors, 3 on stage failures.  Failed verdicts inside reports
-are data, not errors.
+extraction pipeline, and consolidate reports.  Every artifact has the
+bytes ``space.write_json`` gives its document (sorted keys, no spaces, a
+trailing newline; an operator file is joined from the same fragments by
+``operators.save_operator``) and holds no timestamps, so identical
+configurations (and seeds) produce byte-identical outputs.  Exit codes: 0
+on success, 2 on usage or configuration errors, 3 on stage failures.
+Failed verdicts inside reports are data, not errors.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ def _provenance(config):
 
 def _gen_space(spec):
     family = spec.get("family", "interval")
-    key = {"interval": "length", "grid": "sides"}.get(family)
+    if family not in ("interval", "grid"):  # compared, not hashed: a list may come
+        raise UsageError(f"unknown space family {family!r}; expected 'interval' or 'grid'")
+    key = "length" if family == "interval" else "sides"
     if key not in spec:
-        raise UsageError(f"a {family} space needs the key {key!r}" if key else
-                         f"unknown space family {family!r}; expected 'interval' or 'grid'")
+        raise UsageError(f"a {family} space needs the key {key!r}")
     if family == "interval":
         return generate_space("interval", length=spec["length"],
                               spacing=spec.get("spacing", 1))
@@ -187,12 +189,19 @@ def _cmd_report(args):
 
 CONFIG_KEYS = {"space", "cover", "r", "fiber", "epsilon", "test_scale",
                "test_ops", "stages", "out_dir", "seed", "tolerances"}
+# The keys of a generator spec of each space family.
+GENERATOR_KEYS = {"interval": {"family", "length", "spacing"},
+                  "grid": {"family", "sides", "metric", "spacing"}}
+
+
+def _reject_unknown(doc, allowed, owner):
+    unknown = set(doc) - allowed
+    if unknown:
+        raise UsageError(f"unknown {owner} keys: {sorted(unknown)}")
 
 
 def _validate_config(cfg):
-    unknown = set(cfg) - CONFIG_KEYS
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    _reject_unknown(cfg, CONFIG_KEYS, "config")
     stages = cfg.get("stages", STAGES)
     if not isinstance(stages, list) or stages != STAGES[:len(stages)]:
         raise UsageError(f"stages must be a prefix of {STAGES}, got {stages!r}")
@@ -210,9 +219,16 @@ def _validate_config(cfg):
     if not (isinstance(space, dict) and isinstance(space.get("file", ""), str)):
         raise UsageError("config key 'space' must be {\"file\": path} or a generator "
                          f"spec object, got {space!r}")
-    if not isinstance(cfg.get("tolerances", {}), dict):
+    family = space.get("family", "interval")
+    if "file" in space:
+        _reject_unknown(space, {"file"}, "config 'space'")
+    elif family in ("interval", "grid"):  # any other family fails the space stage
+        _reject_unknown(space, GENERATOR_KEYS[family], f"config 'space' ({family})")
+    tolerances = cfg.get("tolerances", {})
+    if not isinstance(tolerances, dict):
         raise UsageError("config key 'tolerances' must be an object {\"check\": tol}, "
-                         f"got {cfg['tolerances']!r}")
+                         f"got {tolerances!r}")
+    _reject_unknown(tolerances, {"check"}, "config 'tolerances'")
     test_ops = cfg.get("test_ops", [])
     if not _is_list_of(test_ops, str):
         raise UsageError(f"config key 'test_ops' must be a list of paths, got {test_ops!r}")

@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IncompatibilityError, InvalidParameterError, SizeLimitError
-from .space import (_fields, _id_to_json, _is_int, _is_list_of, _point_indices,
-                    _read_object, check_int, check_real, write_json)
+from .space import (_fields, _is_int, _is_list_of, _point_indices,
+                    _read_object, canonical_json, check_int, check_real, write_text)
 
 PRUNE_REL = 1e-14
 CERT_MARGIN = 1e-10
@@ -156,8 +156,12 @@ def _code_keys(codes, n):
 
 
 def _fiber_identities(m, count):
-    """``count`` m x m identity blocks as one stack."""
-    return np.repeat(np.eye(m, dtype=complex)[None], count, axis=0)
+    """``count`` m x m identity blocks as one stack; ``check_dense_size``
+    first, so a fiber too large for memory raises ``SizeLimitError``."""
+    check_dense_size(count * m, m)
+    stack = np.zeros((count, m, m), dtype=complex)
+    stack.reshape(count, m * m)[:, ::m + 1] = 1  # the diagonal of each block
+    return stack
 
 
 def _same_space(s1, s2):
@@ -1007,18 +1011,50 @@ def _block_from_json(rows):
 
 
 def save_operator(op, path):
-    """Write an operator file: the fiber and one record per block, in key
-    order, each block as rows of [re, im] pairs.  The blocks are written
-    from one stacked array, and the id of each point they touch is
-    converted once."""
+    """Write an operator file: the text ``write_json`` gives the document
+    ``{"fiber": m, "blocks": [{"x": x, "y": y, "block": rows}, ...]}``,
+    one record per block in key order, each block as rows of [re, im]
+    pairs.  The text is joined from fragments, each the ``canonical_json``
+    of its part: each distinct block is encoded once (blocks are told apart
+    by their bytes, so -0.0 and 0.0 stay apart), and so is each point id."""
+    m = op.fiber_dim
     order = np.lexsort((op.keys[:, 1], op.keys[:, 0]))
-    keys, stack = op.keys[order].tolist(), np.asarray(op.stack[order], dtype=complex)
-    rows = np.stack((stack.real, stack.imag), -1).tolist()
+    stack = np.ascontiguousarray(op.stack[order], dtype=complex)
+    raws = [block.tobytes() for block in stack]
+    distinct = dict.fromkeys(raws)  # in order of first appearance
+    blocks = np.frombuffer(b"".join(distinct), dtype=complex).reshape(-1, m, m)
+    rows = np.stack((blocks.real, blocks.imag), -1).tolist()
+    texts = dict(zip(distinct, _block_fragments(rows)))
     points = op.space.points
-    ids = {p: _id_to_json(points[p]) for p in _distinct(op.keys).tolist()}
-    write_json({"fiber": op.fiber_dim,
-                "blocks": [{"x": ids[x], "y": ids[y], "block": block}
-                           for (x, y), block in zip(keys, rows)]}, path)
+    ids = {p: _id_fragment(points[p]) for p in _distinct(op.keys).tolist()}
+    records = ",".join(f'{{"block":{texts[raw]},"x":{ids[x]},"y":{ids[y]}}}'
+                       for raw, (x, y) in zip(raws, op.keys[order].tolist()))
+    write_text(f'{{"blocks":[{records}],"fiber":{_fragment(m)}}}\n', path)
+
+
+def _fragment(value):
+    """The text ``canonical_json`` gives ``value`` inside a document."""
+    return canonical_json(value)[:-1]
+
+
+def _block_fragments(blocks):
+    """The fragment of each block of a list, each block given as rows of
+    [re, im] pairs, cut from one ``canonical_json`` of the list: a number
+    holds no bracket, so "]]],[[[" occurs only where one block ends and the
+    next begins."""
+    if not blocks:
+        return []
+    return _fragment(blocks)[1:-1].replace("]]],[[[", "]]]\n[[[").split("\n")
+
+
+def _id_fragment(p):
+    """The fragment of a point id: an int's decimal string, a tuple's the
+    list of its entries' fragments, anything else's ``canonical_json``."""
+    if type(p) is int:
+        return str(p)
+    if type(p) is tuple:
+        return "[" + ",".join(map(_id_fragment, p)) + "]"
+    return _fragment(p)
 
 
 def _stack_from_json(rows, m):

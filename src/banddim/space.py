@@ -239,8 +239,13 @@ def canonical_json(doc):
 
 
 def write_json(doc, path):
+    write_text(canonical_json(doc), path)
+
+
+def write_text(text, path):
+    """Write ``text`` to ``path`` as UTF-8: the one place files are written."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc))
+        fh.write(text)
 
 
 def read_json(path):

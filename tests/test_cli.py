@@ -417,8 +417,21 @@ def test_bad_fiber_is_stage_failure(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_fiber_too_large_for_memory_exits_3(tmp_path, capsys):
+    """A fiber whose identity blocks would not fit in memory fails the
+    witness stage with ``SizeLimitError`` before anything of it is written;
+    it used to end in a MemoryError traceback."""
+    path, cfg = write_config(tmp_path, space={"family": "interval", "length": 12},
+                             fiber=1000000)
+    out = pathlib.Path(cfg["out_dir"])
+    _assert_exit_3(["run", "--config", str(path)], capsys, "stage 'witness' failed: a dense",
+                   out / "witness", out / "check_report.json")
+    assert sorted(p.name for p in out.iterdir()) == ["cover.json", "space.json"]
+
+
 def test_bad_space_spec_is_usage_error(tmp_path, capsys):
     for spec, key in (({"family": "torus", "length": 5}, "'torus'"),
+                      ({"family": ["grid"], "sides": [3]}, "['grid']"),
                       ({"family": "interval"}, "'length'"),
                       ({"family": "grid", "metric": "l1"}, "'sides'")):
         path, _ = write_config(tmp_path, space=spec)
@@ -671,13 +684,19 @@ def test_non_finite_sizes_exit_3(tmp_path, capsys, command, value):
 
 @pytest.mark.parametrize("key, value", [
     ("stages", None), ("tolerances", "x"), ("tolerances", None), ("test_ops", 3),
-    ("out_dir", 5),
+    ("out_dir", 5), ("space", {"family": "interval", "length": 40, "metric": "l2"}),
+    ("space", {"family": "interval", "length": 40, "colour": 3}),
+    ("space", {"family": "grid", "sides": [4, 4], "length": 40}),
+    ("space", {"file": "space.json", "family": "interval"}), ("tolerances", {"foo": 1}),
 ], ids=["stages-null", "tolerances-string", "tolerances-null", "test_ops-number",
-        "out_dir-number"])
+        "out_dir-number", "interval-metric", "space-unknown-key", "grid-length",
+        "file-and-family", "tolerances-unknown-key"])
 def test_run_rejects_malformed_structure(tmp_path, capsys, monkeypatch, key, value):
     """A stage list, tolerances object, operator list or output directory of
     the wrong type is a usage error before any stage writes; each used to
-    end in a traceback."""
+    end in a traceback.  So is a key that a space spec of its kind, or the
+    tolerances object, does not read, by the rule for top-level keys; each
+    used to be ignored."""
     path, _ = write_config(tmp_path, **{key: value})
     out = tmp_path / "out"  # the output directory of every valid config here
     out.mkdir()

@@ -12,7 +12,7 @@ from banddim.operators import (CERT_PANEL, ENCLOSURE_REL, LANCZOS_SEED, PRUNE_RE
                                max_norm_enclosure, max_spectral_norm, norm_enclosure,
                                normalizer_check, operator_norm, prop_support, save_operator,
                                spectral_norm)
-from banddim.space import generate_space
+from banddim.space import FiniteMetricSpace, generate_space
 
 from conftest import DIFF, mask_panels, mask_profile, operator_file_text, raw_operator
 
@@ -714,14 +714,23 @@ def test_component_labels_match_reachability(n, edges):
 
 
 def _serialized_operators():
-    """Operators whose files test the stacked writer: signed zeros,
+    """Operators whose files test the fragment writer: signed zeros,
     subnormals, entries of +-1e308, integer-valued entries (complex, and
     raw blocks of integer dtype only, which are written as floats), grid
-    point ids and no block at all.  Each keeps every block through the
-    pruning of ``load_operator``."""
+    point ids, ids of a space file (strings, floats and nested lists), one
+    block at every key, every block distinct, and no block at all.  Each
+    keeps every block through the pruning of ``load_operator``."""
     line, grid = generate_space("interval", length=4), generate_space("grid", sides=[2, 3])
+    ids = [("a", 1), 2.5, 'x"\u00e9', (0, (1, -2)), -7, ()]
+    named = FiniteMetricSpace(ids, [[abs(i - j) for j in range(6)] for i in range(6)])
     big = 1e308
+    rng = np.random.default_rng(7)
     return {
+        "one-block-everywhere": BandOperator(grid, 2, {
+            (x, y): [[0.5, -0.0], [1j, 2.0]] for x in range(6) for y in range(6)}),
+        "all-distinct": BandOperator(line, 3, {
+            (x, y): rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            for x in range(4) for y in range(4)}),
         "signed-zeros": raw_operator(line, 2, {
             (0, 1): np.array([[-0.0 - 0.0j, 1.0 - 0.0j], [-0.0 + 2.0j, 0.0]]),
             (1, 0): np.array([[0.5, -0.0j], [-0.0, -1.5]], dtype=complex)}),
@@ -737,13 +746,15 @@ def _serialized_operators():
         "grid-ids": BandOperator(grid, 1, {((x * 7) % 6, (x * 5) % 6): [[x + 0.25j]]
                                            for x in range(1, 6)}),
         "empty": BandOperator.zero(grid, 3),
+        "space-file-ids": BandOperator(named, 1, {(x, (x + 1) % 6): [[x - 0.5j]]
+                                                  for x in range(6)}),
     }
 
 
 @pytest.mark.parametrize("name", sorted(_serialized_operators()))
 def test_save_operator_matches_per_entry_writer(name, tmp_path):
-    """The stacked writer's file equals, byte for byte, the one written entry
-    by entry, and reads back to equal blocks."""
+    """The fragment writer's file equals, byte for byte, the one written
+    entry by entry, and reads back to equal blocks."""
     op = _serialized_operators()[name]
     path = tmp_path / "op.json"
     save_operator(op, path)
@@ -752,3 +763,44 @@ def test_save_operator_matches_per_entry_writer(name, tmp_path):
     assert sorted(back.blocks) == sorted(op.blocks)
     for key, block in op.blocks.items():
         assert np.array_equal(back.blocks[key], block), key
+
+
+def _zero_signs_flipped(block):
+    """The block with the sign of each zero real or imaginary part flipped."""
+    re, im = block.real.copy(), block.imag.copy()
+    re[re == 0] *= -1
+    im[im == 0] *= -1
+    flipped = np.empty_like(block)
+    flipped.real, flipped.imag = re, im
+    return flipped
+
+
+POOL_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 5e-324, 1e308])
+
+
+@DIFF
+@example(grid=False, m=2, data=None)  # the empty operator: no block at all
+@given(grid=st.booleans(), m=st.integers(1, 3), data=st.data())
+def test_save_operator_shares_blocks(tmp_path_factory, grid, m, data):
+    """Operators drawn from a small pool of blocks, in which blocks that
+    differ only in the signs of their zeros sit side by side, are written
+    with the bytes of the per-entry rule, on interval and grid point ids: a
+    block met at many keys is encoded once, and -0.0 stays apart from 0.0."""
+    space = (generate_space("grid", sides=[2, 3]) if grid
+             else generate_space("interval", length=6))
+    blocks = {}
+    if data is not None:
+        pairs = st.tuples(POOL_ENTRIES, POOL_ENTRIES).map(lambda p: complex(*p))
+        pool = data.draw(st.lists(st.lists(pairs, min_size=m * m, max_size=m * m),
+                                  min_size=1, max_size=3))
+        pool = [np.array(entries).reshape(m, m) for entries in pool]
+        pool += [_zero_signs_flipped(block) for block in pool]
+        keys = data.draw(st.lists(st.tuples(st.integers(0, space.n - 1),
+                                            st.integers(0, space.n - 1)),
+                                  unique=True, max_size=space.n ** 2))
+        for key in keys:
+            blocks[key] = pool[data.draw(st.integers(0, len(pool) - 1))]
+    op = raw_operator(space, m, blocks, prune=False)
+    path = tmp_path_factory.mktemp("shared") / "op.json"
+    save_operator(op, path)
+    assert path.read_text(encoding="utf-8") == operator_file_text(op)

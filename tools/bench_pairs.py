@@ -22,9 +22,19 @@ sides' medians and quartiles (``statistics.quantiles``, inclusive method),
 the per-pair ratios change / parent, and the pairs each side won (lower is better; ties count for
 neither).  ``claim_holds`` applies the rule for a claimed gain: the change
 wins at least nine tenths of the pairs, and its median lies below the
-parent's by more than the parent's interquartile range.  Standard library
-only, and not part of the test suite: ten pairs at 35 s take about 15
-minutes per workload.
+parent's by more than the parent's interquartile range.
+
+The end-to-end metrics and their bounds are read from the change's
+``BENCHMARK.json``, which this script only reads.  ``verdict`` applies
+the no-regression rule to each, with the allowance ``bound`` times the
+parent's median: ``worse`` when the change's median is worse than the
+parent's by more than the allowance; else ``unresolved`` when either
+side's interquartile range is wider than the allowance, unless every
+change run beats every parent run; else ``no worse``.  ``failed`` holds
+the failed and attempted stages of each side, with the verdict ``worse``
+when the change fails a larger share of them.  Standard library only,
+and not part of the test suite: ten pairs at 35 s take about 15 minutes
+per workload.
 """
 
 from __future__ import annotations
@@ -35,9 +45,6 @@ import os
 import statistics
 import subprocess
 import sys
-
-METRICS = ("run_s", "cpu_s", "setup_s", "peak_rss_mb", "artifact_mb")
-
 
 def run_once(checkout, workload, seed, seconds):
     """The result line of one benchmark run in ``checkout``."""
@@ -57,7 +64,19 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs, metric):
+def verdict(parent, change, bound):
+    """The no-regression verdict of a lower-is-better metric on two sides'
+    runs."""
+    before, after = spread(parent), spread(change)
+    allowance = bound * before["median"]
+    if after["median"] - before["median"] > allowance:
+        return "worse"
+    if max(before["iqr"], after["iqr"]) > allowance and not max(change) < min(parent):
+        return "unresolved"
+    return "no worse"
+
+
+def summarize(pairs, metric, bound):
     parent = [p["parent"]["metrics"][metric]["value"] for p in pairs]
     change = [p["change"]["metrics"][metric]["value"] for p in pairs]
     before, after = spread(parent), spread(change)
@@ -69,11 +88,22 @@ def summarize(pairs, metric):
         "parent_wins": sum(p < c for p, c in zip(parent, change)),
         "claim_holds": (sum(c < p for p, c in zip(parent, change)) >= 0.9 * len(pairs)
                         and before["median"] - after["median"] > before["iqr"]),
+        "bound": bound,
+        "verdict": verdict(parent, change, bound),
     }
 
 
-def run_pairs(sides, workload, args):
-    """The document of one workload's pairs."""
+def failed_stages(pairs):
+    """The failed and attempted stages of each side, and the verdict."""
+    counts = {side: {key: sum(p[side][key] for p in pairs) for key in ("failed", "attempted")}
+              for side in ("parent", "change")}
+    share = {side: c["failed"] / c["attempted"] for side, c in counts.items()}
+    return dict(counts, verdict="worse" if share["change"] > share["parent"] else "no worse")
+
+
+def run_pairs(sides, workload, bounds, args):
+    """The document of one workload's pairs, with the end-to-end metrics
+    and bounds ``bounds``."""
     pairs = []
     for i in range(args.pairs):
         seed = args.seed + i
@@ -91,8 +121,9 @@ def run_pairs(sides, workload, args):
                    f"--seconds {args.seconds:g} --trace 0",
         "pairs": pairs,
         "all_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
-        "summary": {m: summarize(pairs, m) for m in METRICS
+        "summary": {m: summarize(pairs, m, bound) for m, bound in bounds.items()
                     if all(m in p[s]["metrics"] for p in pairs for s in ("parent", "change"))},
+        "failed": failed_stages(pairs),
     }
 
 
@@ -110,7 +141,12 @@ def main(argv=None):
         parser.error("--pairs must be at least 2 for quartiles")
 
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    docs = [run_pairs(sides, workload, args) for workload in args.workload]
+    with open(os.path.join(sides["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+    if any(m["better"] != "lower" for m in end_to_end):
+        parser.error("the verdict reads only end-to-end metrics where lower is better")
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
+    docs = [run_pairs(sides, workload, bounds, args) for workload in args.workload]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(docs[0] if len(docs) == 1 else docs, indent=1, sort_keys=True)
                  + "\n")
@@ -120,7 +156,12 @@ def main(argv=None):
                   f"[{row['parent']['q1']:.4g}, {row['parent']['q3']:.4g}], change "
                   f"{row['change']['median']:.4g} [{row['change']['q1']:.4g}, "
                   f"{row['change']['q3']:.4g}], change wins {row['change_wins']} of "
-                  f"{len(doc['pairs'])}, claim holds: {row['claim_holds']}")
+                  f"{len(doc['pairs'])}, claim holds: {row['claim_holds']}, "
+                  f"{row['verdict']} (bound {row['bound']:g})")
+        failed = doc["failed"]
+        print(f"{doc['workload']} failed stages: parent {failed['parent']['failed']} of "
+              f"{failed['parent']['attempted']}, change {failed['change']['failed']} of "
+              f"{failed['change']['attempted']}, {failed['verdict']}")
     return 0
 
 
