@@ -13,6 +13,7 @@ Failed verdicts inside reports are data, not errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -21,7 +22,7 @@ import sys
 
 from . import __version__
 from .cover import brick_cover, load_cover, save_cover, verify_cover, witness_brick
-from .errors import BandDimError, UsageError
+from .errors import BandDimError, InvalidParameterError, UsageError
 from .extract import build_translation_system, extract_cover, threshold_setup
 from .extract import matrix_unit_identities  # only for perfbench tracing
 from .space import (_is_list_of, canonical_json, generate_space, load_space, read_json,
@@ -235,6 +236,17 @@ def _validate_config(cfg):
     return stages
 
 
+@contextlib.contextmanager
+def _config_file(key):
+    """A missing file that the config key names, reported as
+    ``InvalidParameterError`` naming the key; the stage that reads the file
+    names itself."""
+    try:
+        yield
+    except FileNotFoundError as exc:
+        raise InvalidParameterError(f"config key {key!r} names a missing file: {exc}") from exc
+
+
 def _cmd_run(args):
     cfg = read_json(args.config)
     if args.out_dir:
@@ -255,21 +267,27 @@ def _cmd_run(args):
         try:
             if stage == "space":
                 spec = cfg.get("space", {"family": "interval", "length": 150})
-                space = load_space(spec["file"]) if "file" in spec else _gen_space(spec)
+                if "file" in spec:
+                    with _config_file("space.file"):
+                        space = load_space(spec["file"])
+                else:
+                    space = _gen_space(spec)
                 save_space(space, os.path.join(out, "space.json"))
                 artifacts["space"] = "space.json"
             elif stage == "cover":
                 spec = cfg.get("cover", "auto-brick")
                 if isinstance(spec, dict) and "file" in spec:
-                    cover = load_cover(spec["file"], space)
+                    with _config_file("cover.file"):
+                        cover = load_cover(spec["file"], space)
                 else:
                     side = spec.get("brick_side") if isinstance(spec, dict) else None
                     cover = brick_cover(space, *witness_brick(space, r, side))
                 save_cover(cover, space, os.path.join(out, "cover.json"))
                 artifacts["cover"] = "cover.json"
             elif stage == "witness":
-                witness = _build_witness(space, cover, r, fiber, cfg.get("test_scale"),
-                                         cfg.get("test_ops"), cfg.get("epsilon"))
+                with _config_file("test_ops"):
+                    witness = _build_witness(space, cover, r, fiber, cfg.get("test_scale"),
+                                             cfg.get("test_ops"), cfg.get("epsilon"))
                 save_witness(witness, os.path.join(out, "witness"))
                 artifacts["witness"] = "witness"
             elif stage == "check":

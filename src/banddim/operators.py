@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IncompatibilityError, InvalidParameterError, SizeLimitError
-from .space import (_fields, _is_int, _is_list_of, _point_indices,
+from .space import (DENSE_BYTES_LIMIT, _fields, _is_int, _is_list_of, _point_indices,
                     _read_object, canonical_json, check_int, check_real, write_text)
 
 PRUNE_REL = 1e-14
@@ -34,7 +34,6 @@ ENCLOSURE_REL = 1e-9
 LANCZOS_BREAKDOWN = 1e-13
 LANCZOS_STALL = 1e-15
 LANCZOS_SEED = 0
-DENSE_BYTES_LIMIT = 1 << 30
 
 
 def check_dense_size(rows, cols=None):

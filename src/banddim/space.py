@@ -21,9 +21,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, SizeLimitError
 
 FLOAT_TOL = 1e-12
+# The largest dense array, in bytes, that input sizes may ask for.
+DENSE_BYTES_LIMIT = 1 << 30
 
 
 def _is_int(value):
@@ -170,6 +172,17 @@ class FiniteMetricSpace:
         return f"FiniteMetricSpace({kind}, n={self.n})"
 
 
+def check_metric_size(n):
+    """Raise before the distance matrices of an n-point space, ``dist`` and
+    ``dist_int`` at 16 bytes per entry together, would exceed
+    DENSE_BYTES_LIMIT bytes."""
+    nbytes = n * n * 16
+    if nbytes > DENSE_BYTES_LIMIT:
+        raise SizeLimitError(
+            f"the distance matrices of {n} points need {nbytes} bytes, above the "
+            f"limit of {DENSE_BYTES_LIMIT} bytes")
+
+
 def generate_space(family, *, length=None, sides=None, metric="linf", spacing=1):
     """Generate an integer interval or box with an exact metric.
 
@@ -178,13 +191,16 @@ def generate_space(family, *, length=None, sides=None, metric="linf", spacing=1)
     tuple, one entry per dimension) and the ``l1`` or ``linf`` metric on
     integer coordinates, scaled by ``spacing``.  The length and every side
     must be an integer >= 1 that is not a bool (no float, however whole);
-    anything else raises ``InvalidParameterError``.
+    anything else raises ``InvalidParameterError``.  A space whose distance
+    matrices would pass DENSE_BYTES_LIMIT raises ``SizeLimitError`` before
+    anything of it is built.
     """
     spacing = check_positive(spacing, "spacing")
     if family == "interval":
         if length is None:
             raise InvalidParameterError("interval requires a length")
         n = check_int(length, "interval length", 1)
+        check_metric_size(n)
         points = list(range(n))
         idx = np.arange(n)
         dist_int = np.abs(idx[:, None] - idx[None, :])
@@ -198,6 +214,7 @@ def generate_space(family, *, length=None, sides=None, metric="linf", spacing=1)
         sides = tuple(check_int(s, "a grid side", 1) for s in sides)
         if metric not in ("l1", "linf"):
             raise InvalidParameterError(f"unknown metric {metric!r}")
+        check_metric_size(math.prod(sides))
         points = [tuple(p) for p in itertools.product(*(range(s) for s in sides))]
         n = len(points)
         coords = np.array(points, dtype=np.int64)

@@ -45,8 +45,8 @@ from .errors import (CoverGapError, IncompatibilityError, InvalidParameterError,
                      InvalidWitnessError, PreconditionError)
 from .fdalg import (FdElement, FiniteDimAlgebra, MonomialFactor, Summand, monomial_factors,
                     monomial_norm)
-from .operators import (BandOperator, Nearby, band_panels, fiber_unit, max_norm_enclosure,
-                        operator_norm)
+from .operators import (BandOperator, Nearby, band_panels, check_dense_size, fiber_unit,
+                        max_norm_enclosure, operator_norm)
 from .space import FiniteMetricSpace, _is_int, _is_list_of, check_int, check_real
 
 
@@ -443,17 +443,24 @@ class WindowDefects:
 
     which costs O(windows s^3 + N^2) against the O(N^3) of the dense
     products; ``left(x)`` and ``right(y)`` hold the factors, so each is
-    formed once per test element or sample.  Every block is added through
-    the flat positions of its entries in the N x N matrix, row by row; the
-    windows list distinct points, so no position repeats within a block.
+    formed once per test element or sample.
 
-    Every product with P_k, P_k X_k or A_k[:, O] goes through a
-    :class:`~banddim.fdalg.MonomialFactor`, read once: p's once per hat,
-    each left factor's once per test element.  A part with at most one
-    nonzero in each row and column, all real (p, the compressions of
-    partial translations by it, and the rows of A_k), is multiplied as one
-    gather and one real scaling, equal to the dense product bit for bit (a
-    zero's sign aside); any other part keeps the dense product.
+    ``left(x)`` compiles the defect into one flat plan, windows first and
+    then pairs, each block's rows in order.  Where a left factor (P_k X_k, or
+    the nonzero rows of A_k[:, O]) holds at most one nonzero in each row and
+    column, all real (p is a real monomial matrix, and so are the
+    compressions of the identity and of partial translations by it), each
+    entry of its product is one term: the plan holds, per entry, its flat
+    position in the N x N matrix, the position of the right factor's entry
+    in ``right(y)``'s raveled blocks, and the real coefficient that scales
+    it, which is the dense product bit for bit (a zero's sign aside).  A
+    block whose left factor is any other part keeps its dense product, put
+    in the same places.  ``defect`` then takes one gather, one scaling and
+    one ``np.add.at`` into a zero N x N matrix.  ``add.at`` adds repeated
+    positions in array order, so each entry is the floating-point sum it
+    would be if the blocks were added one after another, and a sum that
+    starts from +0.0 is never -0.0, so zero signs do not show.  Flat
+    positions are int32: the size checks keep them below 2**26.
 
     ``defect`` returns the sum and an a-priori bound ``gap`` on its spectral
     distance from the dense defect ``phi_hat(x y) - phi_hat(x) phi_hat(y)``
@@ -484,13 +491,19 @@ class WindowDefects:
 
     def __init__(self, phi, p, scale):
         m, n = phi.codomain.fiber_dim, phi.codomain.matrix_dim
-        coords = [np.array([x * m + a for x in w for a in range(m)]) for w in phi.windows]
+        coords = [np.array([x * m + a for x in w for a in range(m)], dtype=np.int32)
+                  for w in phi.windows]
+        sizes = [len(c) ** 2 for c in coords]
+        check_dense_size(n)
+        check_dense_size(1, 2 * sum(sizes))
         self.n = n
         self.scale = scale
         self.p = monomial_factors(p)
         self.p_fro2 = np.array([np.linalg.norm(part) ** 2 for part in p.parts])
         self.coords = coords
-        self.index = [(c[:, None] * n + c).reshape(-1) for c in coords]
+        # where the right's raveled blocks start and end: scale (Y_k P_k -
+        # P_k B_k) per window, then -B_k per window
+        self.bounds = np.cumsum([0] + sizes + sizes).tolist()
         owners = {}
         for k, c in enumerate(coords):
             for slot, x in enumerate(c.tolist()):
@@ -511,9 +524,9 @@ class WindowDefects:
         self.gamma = big_k * u / (1.0 - big_k * u)
 
     def left(self, x):
-        """P_k X_k and |X_k|_F per window; the nonzero rows of A_k[:, O] and
-        their flat positions per pair; and the certificate panels of every
-        defect with this left factor.
+        """The compiled plan of every defect with left factor x: flat
+        positions, right positions and coefficients, the blocks kept dense,
+        the x-side sums of the gap, and the certificate panels.
 
         A product's nonzero rows lie among those of its left factor, so each
         defect holds its nonzeros in the rectangles (nonzero rows of
@@ -524,49 +537,77 @@ class WindowDefects:
         a = [self.scale * (pxk @ pk) for pxk, pk in zip(px, self.p)]
         first = np.full(self.n, self.n)
         last = np.full(self.n, -1)
+        targets, sources, coefs, dense = [], [], [], []
+        size = 0
 
-        def holds(rows, cols):
-            if len(rows):
-                first[cols] = np.minimum(first[cols], rows.min())
-                last[cols] = np.maximum(last[cols], rows.max())
+        def block(rows, cols, part, start, right_rows):
+            """``part`` times rows ``right_rows`` of the right's square block
+            at ``start``, added at rows x cols of the defect."""
+            nonlocal size
+            width = len(cols)
+            scaling = MonomialFactor(part).scaling
+            if scaling is None:
+                dense.append((size, part, start, width, right_rows))
+                at, held = rows, rows[part.any(axis=1)]
+                sources.append(np.zeros(len(at) * width, dtype=np.int32))
+                coefs.append(np.zeros(len(at) * width))
+            else:
+                dst, src, coef = scaling
+                if dst is None:
+                    dst = src = np.arange(len(coef))
+                at = held = rows[dst]
+                head = (start + right_rows[src] * width).astype(np.int32)
+                sources.append((head[:, None] + np.arange(width, dtype=np.int32)).reshape(-1))
+                coefs.append(np.repeat(coef.real, width))
+            targets.append(((at * self.n)[:, None] + cols).reshape(-1))
+            size += len(at) * width
+            if len(held):
+                first[cols] = np.minimum(first[cols], held.min())
+                last[cols] = np.maximum(last[cols], held.max())
 
-        for c, pxk in zip(self.coords, px):
-            holds(c[pxk.any(axis=1)], c)
-        pairs = []
-        for k, l, rows, _ in self.pairs:
+        for k, (c, pxk) in enumerate(zip(self.coords, px)):
+            block(c, c, pxk, self.bounds[k], np.arange(len(c)))
+        count = len(self.coords)
+        for k, l, rows, cols in self.pairs:
             ak = a[k][:, rows]
             hit = np.flatnonzero(ak.any(axis=1))
-            at, cols = self.coords[k][hit], self.coords[l]
-            holds(at, cols)
-            pairs.append((MonomialFactor(ak[hit]),
-                          (at[:, None] * self.n + cols).reshape(-1)))
-        return ([MonomialFactor(pxk) for pxk in px], pairs,
-                np.array([np.linalg.norm(xk) for xk in x.parts]),
-                band_panels(first, last, self.n))
+            block(self.coords[k][hit], self.coords[l], ak[hit], self.bounds[count + l], cols)
+        x_fro = np.array([np.linalg.norm(xk) for xk in x.parts])
+        return (np.concatenate([np.zeros(0, dtype=np.int32)] + targets),
+                np.concatenate([np.zeros(0, dtype=np.int32)] + sources),
+                np.concatenate([np.zeros(0)] + coefs), dense,
+                self.p_fro2 * x_fro, float(self.p_fro2 @ x_fro), band_panels(first, last, self.n))
 
     def right(self, y):
-        """scale (Y_k P_k - P_k B_k) and |Y_k|_F per window; -B_l[O', :] per
-        pair."""
-        yp = [yk @ pk for yk, pk in zip(y.parts, self.p)]
-        b = [self.scale * (pk @ ypk) for ypk, pk in zip(yp, self.p)]
-        return ([self.scale * (ypk - pk @ bk) for ypk, pk, bk in zip(yp, self.p, b)],
-                [-b[l][cols, :] for _, l, _, cols in self.pairs],
-                np.array([np.linalg.norm(yk) for yk in y.parts]))
+        """scale (Y_k P_k - P_k B_k) and then -B_k, per window, raveled into
+        one array, each written in place; |Y_k|_F per window and the y-side
+        sum of the gap."""
+        blocks = np.empty(self.bounds[-1], dtype=complex)
+        views = [blocks[i:j] for i, j in zip(self.bounds, self.bounds[1:])]
+        count = len(self.p)
+        for k, (yk, pk) in enumerate(zip(y.parts, self.p)):
+            ypk = yk @ pk
+            bk = self.scale * (pk @ ypk)
+            np.multiply(self.scale, ypk - pk @ bk, out=views[k].reshape(ypk.shape))
+            np.negative(bk, out=views[count + k].reshape(bk.shape))
+        y_fro = np.array([np.linalg.norm(yk) for yk in y.parts])
+        return blocks, y_fro, float(self.p_fro2 @ y_fro)
 
     def defect(self, left, right):
         """The N x N defect matrix as a ``Nearby``: with its ``gap`` to the
         dense one and the left's certificate panels."""
-        diag_x, pair_x, x_fro, panels = left
-        diag_y, pair_y, y_fro = right
-        out = np.zeros((self.n, self.n), dtype=complex)
-        flat = out.reshape(-1)
-        for idx, lk, rk in zip(self.index, diag_x, diag_y):
-            flat[idx] += (lk @ rk).reshape(-1)
-        for (lk, idx), rk in zip(pair_x, pair_y):
-            flat[idx] += (lk @ rk).reshape(-1)
-        s1 = self.scale * float(np.sum(self.p_fro2 * x_fro * y_fro))
-        s2 = self.scale ** 2 * float(self.p_fro2 @ x_fro) * float(self.p_fro2 @ y_fro)
-        return Nearby(out, 2.0 * self.gamma * (s1 + s2), panels)
+        targets, sources, coefs, dense, px_fro, x_sum, panels = left
+        blocks, y_fro, y_sum = right
+        vals = blocks[sources]
+        vals *= coefs
+        for start, part, first, width, rows in dense:
+            product = part @ blocks[first:first + width * width].reshape(width, width)[rows]
+            vals[start:start + product.size] = product.reshape(-1)
+        flat = np.zeros(self.n * self.n, dtype=complex)
+        np.add.at(flat, targets, vals)
+        s1 = self.scale * float(np.sum(px_fro * y_fro))
+        s2 = self.scale ** 2 * x_sum * y_sum
+        return Nearby(flat.reshape(self.n, self.n), 2.0 * self.gamma * (s1 + s2), panels)
 
 
 def hat_normalize(witness, samples=50, seed=0, tol=1e-9):

@@ -433,13 +433,15 @@ class DenseFactor:
 
 class DenseWindowDefects(WindowDefects):
     """``WindowDefects`` with the dense window products it formed before
-    monomial factors: ``left``, ``right`` and ``defect`` multiply the raw parts
-    with ``@``, as the hat did, and keep the same sums, orders, flat
-    positions and panels."""
+    monomial factors and the compiled plan: ``left``, ``right`` and
+    ``defect`` multiply the raw parts with ``@``, as the hat did, and add
+    each window and pair block, one after another, through the flat
+    positions of its own index."""
 
     def __init__(self, phi, p, scale):
         super().__init__(phi, p, scale)
         self.p = p.parts
+        self.index = [(c[:, None] * self.n + c).reshape(-1) for c in self.coords]
 
     def left(self, x):
         px = [pk @ xk for pk, xk in zip(self.p, x.parts)]

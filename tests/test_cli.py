@@ -9,7 +9,8 @@ import pytest
 
 import banddim.cli
 from banddim.cli import main
-from banddim.space import read_json
+from banddim.errors import SizeLimitError
+from banddim.space import generate_space, read_json
 
 
 def write_config(tmp_path, **overrides):
@@ -427,6 +428,38 @@ def test_fiber_too_large_for_memory_exits_3(tmp_path, capsys):
     _assert_exit_3(["run", "--config", str(path)], capsys, "stage 'witness' failed: a dense",
                    out / "witness", out / "check_report.json")
     assert sorted(p.name for p in out.iterdir()) == ["cover.json", "space.json"]
+
+
+@pytest.mark.parametrize("space", [{"family": "interval", "length": 1000000},
+                                   {"family": "grid", "sides": [100000, 100000]}],
+                         ids=["interval", "grid"])
+def test_space_too_large_for_memory_exits_3(tmp_path, capsys, space):
+    """A generated space whose distance matrices would not fit in memory
+    fails the space stage with ``SizeLimitError`` before anything of it is
+    built; an interval of 10**6 points used to end in a MemoryError
+    traceback asking for 7.28 TiB."""
+    with pytest.raises(SizeLimitError, match="the distance matrices of"):
+        generate_space(**space)
+    path, cfg = write_config(tmp_path, space=space)
+    out = pathlib.Path(cfg["out_dir"])
+    _assert_exit_3(["run", "--config", str(path)], capsys,
+                   "stage 'space' failed: the distance matrices of", out / "space.json")
+
+
+@pytest.mark.parametrize("key, stage", [("space.file", "space"), ("cover.file", "cover"),
+                                        ("test_ops", "witness")])
+def test_run_names_the_key_of_a_missing_file(tmp_path, capsys, key, stage):
+    """A space, cover or test operator file that does not exist fails its
+    stage with exit 3, naming the stage and the config key; it used to exit
+    3 with the bare ``FileNotFoundError``, naming neither."""
+    missing = str(tmp_path / "nope.json")
+    value = [missing] if key == "test_ops" else {"file": missing}
+    path, cfg = write_config(tmp_path, **{key.split(".")[0]: value})
+    out = pathlib.Path(cfg["out_dir"])
+    _assert_exit_3(["run", "--config", str(path)], capsys,
+                   f"stage '{stage}' failed: config key '{key}' names a missing file: "
+                   f"[Errno 2] No such file or directory: {missing!r}",
+                   out / "witness", out / "check_report.json")
 
 
 def test_bad_space_spec_is_usage_error(tmp_path, capsys):
