@@ -192,7 +192,7 @@ def verify_cover(cover, space, r):
         for a in range(len(fam)):
             for b in range(a + 1, len(fam)):
                 block = np.ix_(list(fam[a]), list(fam[b]))
-                gap = min(gap, float(space.dist[block].min()))
+                gap = min(gap, float(space.distances(*block).min()))
                 if near[block].any():
                     separated = False
         gaps.append(gap)

@@ -218,12 +218,13 @@ class MonomialFactor:
     every nonzero is real, as in the compressions of the identity and of
     partial translations (a real scalar or real permutation m x m block in
     at most one slot of each slot row and slot column), the factor keeps the
-    places and values of the nonzeros in ``scaling``, and each product is
-    one gather of y's rows or columns and one real scaling: every entry of
-    the result is the one nonzero term of the dense sum, so it equals the
-    dense ``@`` bit for bit, but for the sign of a zero, which the BLAS
-    kernel decides and nothing downstream reads.  A whole real diagonal is a
-    scaling with no gather.  Any other part keeps the dense ``@``.
+    places and values of the nonzeros in ``scaling``, which the hat's defect
+    plan and ``monomial_norm`` read.  A whole real diagonal, as p, psi(1)
+    and the unit are (a Hermitian positive monomial matrix is diagonal), is
+    multiplied as one real scaling: every entry of the result is the one
+    nonzero term of the dense sum, so it equals the dense ``@`` bit for bit,
+    but for the sign of a zero, which the BLAS kernel decides and nothing
+    downstream reads.  Any other part keeps the dense ``@``.
     """
 
     # ndarray @ factor defers to __rmatmul__
@@ -243,24 +244,14 @@ class MonomialFactor:
         self.scaling = (dst, src, coef)
 
     def __matmul__(self, y):
-        if self.scaling is None:
+        if self.scaling is None or self.scaling[0] is not None:
             return self.part @ y
-        dst, src, coef = self.scaling
-        if dst is None:
-            return coef[:, None] * y
-        out = np.zeros((self.part.shape[0], y.shape[1]), dtype=np.result_type(self.part, y))
-        out[dst] = coef[:, None] * y[src]
-        return out
+        return self.scaling[2][:, None] * y
 
     def __rmatmul__(self, y):
-        if self.scaling is None:
+        if self.scaling is None or self.scaling[0] is not None:
             return y @ self.part
-        dst, src, coef = self.scaling
-        if dst is None:
-            return y * coef
-        out = np.zeros((y.shape[0], self.part.shape[1]), dtype=np.result_type(self.part, y))
-        out[:, src] = y[:, dst] * coef
-        return out
+        return y * self.scaling[2]
 
 
 def monomial_factors(x):

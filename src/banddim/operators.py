@@ -163,12 +163,6 @@ def _fiber_identities(m, count):
     return stack
 
 
-def _same_space(s1, s2):
-    if s1 is s2:
-        return True
-    return s1.points == s2.points and np.array_equal(s1.dist, s2.dist)
-
-
 def _block_norms(stack):
     """The largest entry modulus of each m x m block of a stack (..., m, m).
     The modulus is libm's ``hypot``, as Python's ``abs`` of a complex number
@@ -408,7 +402,7 @@ class BandOperator:
     def _check_compatible(self, other):
         if not isinstance(other, BandOperator):
             raise IncompatibilityError("expected a BandOperator")
-        if self.fiber_dim != other.fiber_dim or not _same_space(self.space, other.space):
+        if self.fiber_dim != other.fiber_dim or not self.space.same_metric(other.space):
             raise IncompatibilityError("operators live over different spaces or fibers")
 
     def _plus(self, keys, stack):
@@ -588,7 +582,7 @@ def prop_support(op):
     support = frozenset(map(tuple, op.keys.tolist()))
     if not support:
         return support, 0.0
-    return support, float(op.space.dist[op.keys[:, 0], op.keys[:, 1]].max())
+    return support, float(op.space.distances(op.keys[:, 0], op.keys[:, 1]).max())
 
 
 def spectral_norm(mat):

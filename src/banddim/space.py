@@ -1,13 +1,15 @@
 """Finite metric spaces with exact distance bookkeeping.
 
-A :class:`FiniteMetricSpace` is an ordered list of point ids together with a
-full symmetric distance matrix.  Spaces generated from integer boxes keep an
-integer distance matrix plus a rational spacing, so every comparison against a
-scale ``r`` is exact; spaces loaded from JSON fall back to doubles with a
-1e-12 comparison tolerance.  Every test of dist <= r in the package (cover
+A :class:`FiniteMetricSpace` is an ordered list of point ids together with
+one stored symmetric distance matrix.  Spaces generated from integer boxes
+store integer distances plus a rational spacing, so every comparison against
+a scale ``r`` is exact; spaces loaded from JSON store doubles with a 1e-12
+comparison tolerance.  Every test of dist <= r in the package (cover
 separation, enlargements, the r-neighbor relation, r-chains, ball counts)
-goes through :meth:`FiniteMetricSpace.within_mask`, the one place that rule
-lives.  All other modules reference points by their index into ``points``.
+goes through :meth:`FiniteMetricSpace.within_mask`, and every float distance
+through :meth:`FiniteMetricSpace.distances`; no other module reads the
+stored matrix.  All other modules reference points by their index into
+``points``.
 """
 
 from __future__ import annotations
@@ -91,21 +93,25 @@ class GridMeta:
 
 
 class FiniteMetricSpace:
-    """Point set with an exact nonnegative symmetric distance matrix.
+    """Point set with one stored nonnegative symmetric distance matrix
+    ``dist``: with a ``spacing``, an exact space, it is the integer distances
+    in units of the spacing, kept as ``dist_int``; without, the doubles of a
+    loaded space.  ``distances`` reads either as doubles.
 
     Instances are immutable after construction and safe to share across
     threads.
     """
 
-    def __init__(self, points, dist, *, dist_int=None, spacing=None, grid_meta=None,
-                 validate=True):
+    def __init__(self, points, dist, *, spacing=None, grid_meta=None, validate=True):
         self.points = list(points)
         self._index = {p: i for i, p in enumerate(self.points)}
         if len(self._index) != len(self.points):
             raise InvalidParameterError("duplicate point ids")
-        self.dist = np.asarray(dist, dtype=float)
-        self.dist_int = None if dist_int is None else np.asarray(dist_int)
         self.spacing = None if spacing is None else Fraction(spacing)
+        self.dist_int = None if spacing is None else np.asarray(dist)
+        self._dist = np.asarray(dist, dtype=float) if spacing is None else None
+        if self.exact:
+            self._unit = _float_unit(self.spacing, self.dist_int)
         self.grid_meta = grid_meta
         if validate:
             self._validate_axioms()
@@ -123,6 +129,15 @@ class FiniteMetricSpace:
     def index(self, point):
         return self._index[point]
 
+    def distances(self, rows=slice(None), cols=slice(None)):
+        """The doubles ``d[rows, cols]``, indexed as numpy indexes an n x n
+        array: ``distances()`` whole, ``distances(*np.ix_(a, b))`` a block,
+        ``distances(i, j)`` the pairs (i[k], j[k]).  An exact space derives
+        them by the one rule ``dist_int * float(spacing)``."""
+        if self.exact:
+            return self.dist_int[rows, cols].astype(float) * self._unit
+        return self._dist[rows, cols]
+
     def within_mask(self, radius):
         """Boolean n x n matrix of dist(i, j) <= radius.
 
@@ -134,19 +149,22 @@ class FiniteMetricSpace:
         check_scale(radius)
         if self.exact:
             return self.dist_int <= math.floor(Fraction(radius) / self.spacing)
-        return self.dist <= float(radius) + FLOAT_TOL
+        return self._dist <= float(radius) + FLOAT_TOL
+
+    def same_metric(self, other):
+        """True for this very space, or one with the same point ids and the
+        same float distances."""
+        return self is other or (self.points == other.points
+                                 and np.array_equal(self.distances(), other.distances()))
 
     def diameter(self, subset=None):
         idx = list(subset) if subset is not None else range(self.n)
-        if len(idx) < 2:
-            return 0.0
-        sub = self.dist[np.ix_(idx, idx)]
-        return float(sub.max())
+        return float(self.distances(*np.ix_(idx, idx)).max(initial=0.0))
 
     # -- validation ----------------------------------------------------
 
     def _validate_axioms(self):
-        d = self.dist
+        d = self.distances()
         if d.shape != (self.n, self.n):
             raise InvalidParameterError("distance matrix shape mismatch")
         if not np.all(np.isfinite(d)):
@@ -173,14 +191,27 @@ class FiniteMetricSpace:
 
 
 def check_metric_size(n):
-    """Raise before the distance matrices of an n-point space, ``dist`` and
-    ``dist_int`` at 16 bytes per entry together, would exceed
-    DENSE_BYTES_LIMIT bytes."""
+    """Raise before the distances of an n-point space would exceed
+    DENSE_BYTES_LIMIT bytes: 16 bytes per point pair, its one stored
+    matrix of 8-byte integers and a matrix of doubles derived from it."""
     nbytes = n * n * 16
     if nbytes > DENSE_BYTES_LIMIT:
         raise SizeLimitError(
             f"the distance matrices of {n} points need {nbytes} bytes, above the "
             f"limit of {DENSE_BYTES_LIMIT} bytes")
+
+
+def _float_unit(spacing, dist_int):
+    """``float(spacing)``, the factor of an exact space's doubles; raises
+    ``InvalidParameterError`` if it is 0 or the largest distance overflows."""
+    try:
+        unit = float(spacing)
+    except OverflowError:
+        unit = math.inf
+    if not 0.0 < unit * max(int(dist_int.max(initial=0)), 1) < math.inf:
+        raise InvalidParameterError(
+            f"spacing {unit:g} as a double makes distances 0 or past the largest double")
+    return unit
 
 
 def generate_space(family, *, length=None, sides=None, metric="linf", spacing=1):
@@ -191,9 +222,10 @@ def generate_space(family, *, length=None, sides=None, metric="linf", spacing=1)
     tuple, one entry per dimension) and the ``l1`` or ``linf`` metric on
     integer coordinates, scaled by ``spacing``.  The length and every side
     must be an integer >= 1 that is not a bool (no float, however whole);
-    anything else raises ``InvalidParameterError``.  A space whose distance
-    matrices would pass DENSE_BYTES_LIMIT raises ``SizeLimitError`` before
-    anything of it is built.
+    anything else raises ``InvalidParameterError``, as does a spacing whose
+    distances are 0 or overflow as doubles.  A space whose distances would
+    pass DENSE_BYTES_LIMIT (``check_metric_size``) raises ``SizeLimitError``
+    before anything of it is built.
     """
     spacing = check_positive(spacing, "spacing")
     if family == "interval":
@@ -218,24 +250,35 @@ def generate_space(family, *, length=None, sides=None, metric="linf", spacing=1)
         points = [tuple(p) for p in itertools.product(*(range(s) for s in sides))]
         n = len(points)
         coords = np.array(points, dtype=np.int64)
-        if metric == "l1":
-            dist_int = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
-        else:
-            dist_int = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
+        diffs = np.abs(coords[:, None, :] - coords[None, :, :])
+        dist_int = diffs.sum(axis=2) if metric == "l1" else diffs.max(axis=2)
         meta = GridMeta("grid", sides, metric, spacing)
     else:
         raise InvalidParameterError(f"unknown space family {family!r}")
-    dist = dist_int.astype(float) * float(spacing)
-    return FiniteMetricSpace(points, dist, dist_int=dist_int, spacing=spacing,
-                             grid_meta=meta, validate=False)
+    return FiniteMetricSpace(points, dist_int, spacing=spacing, grid_meta=meta, validate=False)
+
+
+def glue(s1, s2, gap):
+    """The disjoint union of two spaces, the points ("A", p) of s1 then
+    ("C", p) of s2, with every cross distance more than ``gap``:
+    ``ceil(gap / spacing) + 1`` spacings when both are exact at one spacing,
+    and ``gap + 1.0`` otherwise."""
+    points = [("A", p) for p in s1.points] + [("C", p) for p in s2.points]
+    n1, n = s1.n, s1.n + s2.n
+    exact = s1.exact and s2.exact and s1.spacing == s2.spacing
+    if exact:
+        cross, blocks = math.ceil(Fraction(gap) / s1.spacing + 1), (s1.dist_int, s2.dist_int)
+    else:
+        cross, blocks = gap + 1.0, (s1.distances(), s2.distances())
+    matrix = np.full((n, n), cross, dtype=np.int64 if exact else float)
+    matrix[:n1, :n1], matrix[n1:, n1:] = blocks
+    return FiniteMetricSpace(points, matrix, spacing=s1.spacing if exact else None,
+                             validate=False)
 
 
 def ulf_profile(space, radii):
     """The dict r -> max_x |{y : dist(x, y) <= r}| over the given radii."""
-    profile = {}
-    for r in radii:
-        profile[r] = int(space.within_mask(r).sum(axis=1).max(initial=0))
-    return profile
+    return {r: int(space.within_mask(r).sum(axis=1).max(initial=0)) for r in radii}
 
 
 def enlarge(space, subset, r):
@@ -323,7 +366,7 @@ def save_space(space, path):
         doc["generator"] = {"family": meta.family, "sides": list(meta.sides),
                             "metric": meta.metric, "spacing": str(meta.spacing)}
     else:
-        doc["dist"] = [[float(v) for v in row] for row in space.dist]
+        doc["dist"] = [[float(v) for v in row] for row in space.distances()]
     write_json(doc, path)
 
 
@@ -377,7 +420,7 @@ def load_space(path):
         raise InvalidParameterError(f"{path}: 'dist' must be a matrix of numbers") from None
     if fits:
         regen = _regenerate(gen, path)
-        if regen.points == points and regen.dist.shape == dist.shape and \
-                np.allclose(regen.dist, dist, atol=FLOAT_TOL, rtol=0.0):
+        if regen.points == points and dist.shape == (regen.n, regen.n) and \
+                np.allclose(regen.distances(), dist, atol=FLOAT_TOL, rtol=0.0):
             return regen
     return FiniteMetricSpace(points, dist)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -47,7 +46,7 @@ from .fdalg import (FdElement, FiniteDimAlgebra, MonomialFactor, Summand, monomi
                     monomial_norm)
 from .operators import (BandOperator, Nearby, band_panels, check_dense_size, fiber_unit,
                         max_norm_enclosure, operator_norm)
-from .space import FiniteMetricSpace, _is_int, _is_list_of, check_int, check_real
+from .space import _is_int, _is_list_of, check_int, check_real, glue
 
 
 @dataclass
@@ -745,25 +744,6 @@ def _kron_operator(op, new_space, n):
                                    m * n, op.keys, stack)
 
 
-def _direct_sum_space(s1, s2, gap_len):
-    points = [("A", p) for p in s1.points] + [("C", p) for p in s2.points]
-    n1, n2 = s1.n, s2.n
-    dist = np.full((n1 + n2, n1 + n2), float(gap_len))
-    dist[:n1, :n1] = s1.dist
-    dist[n1:, n1:] = s2.dist
-    exact = s1.exact and s2.exact and s1.spacing == s2.spacing
-    dist_int = None
-    spacing = None
-    if exact:
-        spacing = s1.spacing
-        gap_units = int(Fraction(gap_len) / spacing)
-        dist_int = np.full((n1 + n2, n1 + n2), gap_units, dtype=np.int64)
-        dist_int[:n1, :n1] = s1.dist_int
-        dist_int[n1:, n1:] = s2.dist_int
-    return FiniteMetricSpace(points, dist, dist_int=dist_int, spacing=spacing,
-                             validate=False)
-
-
 def permanence_combine(kind, w1, other):
     """Direct sums of witnesses and matrix amplifications.
 
@@ -777,17 +757,9 @@ def permanence_combine(kind, w1, other):
         if w1.fiber_dim != w2.fiber_dim:
             raise IncompatibilityError("direct sum requires equal fiber dimensions")
         m = w1.fiber_dim
-        r1 = w1.meta.get("r", 1)
-        r2 = w2.meta.get("r", 1)
-        gap = max(w1.space.diameter(), w2.space.diameter(), float(3 * r1),
-                  float(3 * r2), 1.0)
-        spacing = w1.space.spacing if (w1.space.exact and w2.space.exact
-                                       and w1.space.spacing == w2.space.spacing) else None
-        if spacing is not None:
-            gap = float(math.ceil(Fraction(gap) / spacing + 1) * spacing)
-        else:
-            gap = gap + 1.0
-        space = _direct_sum_space(w1.space, w2.space, gap)
+        r1, r2 = w1.meta.get("r", 1), w2.meta.get("r", 1)
+        gap = max(w1.space.diameter(), w2.space.diameter(), float(3 * r1), float(3 * r2), 1.0)
+        space = glue(w1.space, w2.space, gap)
         band = BandAlgebra(space, m)
         n1 = w1.space.n
 

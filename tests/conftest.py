@@ -6,8 +6,11 @@ from this checkout's ``src`` otherwise."""
 
 import importlib.util
 import json
+import math
 import pathlib
 import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -191,6 +194,38 @@ SMALL_WITNESS_POOL = [
     ("grid", {"sides": [4, 5], "metric": "l1"}, 1, 12, 1),
     ("grid", {"sides": [3, 6], "metric": "linf"}, 1, 12, 2),
 ]
+
+
+def ref_glue_gap(s1, s2, gap):
+    """The cross distance ``permanence_combine`` rounded ``gap`` to before
+    spaces were glued in ``space.glue``: the float of ceil(gap / spacing) + 1
+    spacings at a common exact spacing, ``gap + 1.0`` otherwise."""
+    spacing = s1.spacing if (s1.exact and s2.exact and s1.spacing == s2.spacing) else None
+    if spacing is not None:
+        return float(math.ceil(Fraction(gap) / spacing + 1) * spacing)
+    return gap + 1.0
+
+
+def ref_direct_sum_space(s1, s2, gap_len):
+    """The glued space as the witness module built it, both of its
+    matrices by hand: the doubles ``dist`` with ``gap_len`` across, and at a
+    common exact spacing ``dist_int`` with ``int(gap_len / spacing)`` units
+    across.  The reference ``space.glue`` is tested against."""
+    points = [("A", p) for p in s1.points] + [("C", p) for p in s2.points]
+    n1, n2 = s1.n, s2.n
+    dist = np.full((n1 + n2, n1 + n2), float(gap_len))
+    dist[:n1, :n1] = s1.distances()
+    dist[n1:, n1:] = s2.distances()
+    exact = s1.exact and s2.exact and s1.spacing == s2.spacing
+    dist_int = None
+    spacing = None
+    if exact:
+        spacing = s1.spacing
+        gap_units = int(Fraction(gap_len) / spacing)
+        dist_int = np.full((n1 + n2, n1 + n2), gap_units, dtype=np.int64)
+        dist_int[:n1, :n1] = s1.dist_int
+        dist_int[n1:, n1:] = s2.dist_int
+    return SimpleNamespace(points=points, dist=dist, dist_int=dist_int, spacing=spacing)
 
 
 def build_small_witness(index, rng):

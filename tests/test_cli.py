@@ -446,6 +446,23 @@ def test_space_too_large_for_memory_exits_3(tmp_path, capsys, space):
                    "stage 'space' failed: the distance matrices of", out / "space.json")
 
 
+@pytest.mark.parametrize("spacing", [1e308, "1e-400"])
+def test_spacing_outside_the_doubles_exits_3(tmp_path, capsys, spacing):
+    """A spacing whose distances overflow a double, or that is 0 as one,
+    fails the space stage and ``space gen`` with exit 3, writing no space
+    file; at 1e308 both used to exit 0 and write inf distances."""
+    path, cfg = write_config(tmp_path, space={"family": "interval", "length": 10,
+                                               "spacing": spacing})
+    out = pathlib.Path(cfg["out_dir"])
+    _assert_exit_3(["run", "--config", str(path)], capsys,
+                   "stage 'space' failed: spacing", out / "space.json")
+    if isinstance(spacing, float):
+        target = tmp_path / "space.json"
+        _assert_exit_3(["space", "gen", "--family", "interval", "--length", "10",
+                        "--spacing", str(spacing), "--out", str(target)], capsys,
+                       "makes distances 0 or past the largest double", target)
+
+
 @pytest.mark.parametrize("key, stage", [("space.file", "space"), ("cover.file", "cover"),
                                         ("test_ops", "witness")])
 def test_run_names_the_key_of_a_missing_file(tmp_path, capsys, key, stage):

@@ -22,7 +22,7 @@ def exhaustive_pair_check(space, cover, r):
             for b in range(a + 1, len(fam)):
                 for x in fam[a]:
                     for y in fam[b]:
-                        if space.dist[x, y] <= r + 1e-12:
+                        if space.distances(x, y) <= r + 1e-12:
                             return False
     return True
 
@@ -64,7 +64,7 @@ def test_brick_cover_requires_generated_space():
     import json
     sp = generate_space("interval", length=4)
     from banddim.space import FiniteMetricSpace
-    plain = FiniteMetricSpace(sp.points, sp.dist)
+    plain = FiniteMetricSpace(sp.points, sp.distances())
     with pytest.raises(InvalidParameterError):
         brick_cover(plain, 1, 3)
 

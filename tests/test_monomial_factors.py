@@ -1,12 +1,13 @@
 """Differential tests: ``fdalg.MonomialFactor`` products against the dense ``@``.
 
-A monomial factor multiplies a part with at most one nonzero in each row
-and column, all real, as one gather and one real scaling, and any other
-part with the dense ``@``.  Parts made of real multiples of the identity
-and real fiber permutations as m x m blocks, at most one in each slot row
-and slot column (the parts compressions of the identity and of partial
-translations give), must take the scaling; every product must equal the
-dense one bit for bit (a zero's sign aside).  ``monomial_norm`` must give
+A monomial factor keeps the nonzeros of a part with at most one nonzero in
+each row and column, all real, as its ``scaling``; it multiplies a whole
+real diagonal as one real scaling and any other part with the dense ``@``.
+Parts made of real multiples of the identity and real fiber permutations
+as m x m blocks, at most one in each slot row and slot column (the parts
+compressions of the identity and of partial translations give), must take
+the scaling; every product must equal the dense one bit for bit (a zero's
+sign aside).  ``monomial_norm`` must give
 ``FdElement.norm`` bit for bit on real diagonal elements, and the hat's
 report must equal, byte for byte, that of the dense window products kept
 in ``conftest``.

@@ -27,7 +27,7 @@ def within_ref(space, i, j, radius):
     """The per-pair rule: exact Fraction comparison, or doubles within 1e-12."""
     if space.exact:
         return Fraction(int(space.dist_int[i, j])) * space.spacing <= Fraction(radius)
-    return space.dist[i, j] <= float(radius) + FLOAT_TOL
+    return space.distances(i, j) <= float(radius) + FLOAT_TOL
 
 
 SPACINGS = st.one_of(
@@ -52,7 +52,7 @@ def loaded_spaces(draw):
     points on a line at drawn float coordinates."""
     if draw(st.booleans()):
         sp = draw(exact_spaces())
-        return FiniteMetricSpace(sp.points, sp.dist)
+        return FiniteMetricSpace(sp.points, sp.distances())
     xs = draw(st.lists(st.floats(0, 10, allow_nan=False), min_size=1, max_size=10,
                        unique=True))
     x = np.array(xs)
@@ -74,7 +74,7 @@ def space_and_radius(draw):
     if sp.exact:
         tie = Fraction(int(sp.dist_int[i, j]) + k) * sp.spacing
     else:
-        tie = Fraction(float(sp.dist[i, j]))
+        tie = Fraction(float(sp.distances(i, j)))
     near = float(tie)
     radius = draw(st.one_of(
         st.sampled_from([tie, near, float(np.nextafter(near, -np.inf)),

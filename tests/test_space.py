@@ -22,29 +22,29 @@ def brute_force_dist(points, metric):
 def test_interval_distances():
     sp = generate_space("interval", length=5)
     assert sp.points == [0, 1, 2, 3, 4]
-    assert sp.dist[0, 4] == 4
+    assert sp.distances(0, 4) == 4
 
 
 def test_grid_l1_distance():
     sp = generate_space("grid", sides=[2, 2], metric="l1")
-    assert sp.dist[sp.index((0, 0)), sp.index((1, 1))] == 2
+    assert sp.distances(sp.index((0, 0)), sp.index((1, 1))) == 2
 
 
 def test_grid_linf_matches_brute_force():
     sp = generate_space("grid", sides=[3, 3], metric="linf")
     expected = brute_force_dist(sp.points, "linf")
-    assert np.array_equal(sp.dist, expected)
-    assert sp.dist[sp.index((0, 0)), sp.index((2, 2))] == 2
+    assert np.array_equal(sp.distances(), expected)
+    assert sp.distances(sp.index((0, 0)), sp.index((2, 2))) == 2
 
 
 def test_grid_l1_matches_brute_force():
     sp = generate_space("grid", sides=[4, 3], metric="l1")
-    assert np.array_equal(sp.dist, brute_force_dist(sp.points, "l1"))
+    assert np.array_equal(sp.distances(), brute_force_dist(sp.points, "l1"))
 
 
 def test_spacing_scales_distances():
     sp = generate_space("interval", length=4, spacing="1/2")
-    assert sp.dist[0, 3] == 1.5
+    assert sp.distances(0, 3) == 1.5
     assert sp.within_mask(1.5)[0, 3] and not sp.within_mask(1.4999999)[0, 3]
 
 
@@ -57,10 +57,30 @@ def test_zero_size_dimension_rejected():
         generate_space("interval", length=5, spacing=0)
 
 
+@pytest.mark.parametrize("family, size, spacing", [
+    ("interval", 5, "1e-400"), ("interval", 10, 1e308), ("interval", 3, 1e308),
+    ("interval", 1, "1e400"), ("grid", [3, 3], 1e308)])
+def test_spacing_outside_the_doubles_rejected(family, size, spacing):
+    """A spacing that is 0 as a double, or whose largest distance overflows
+    one, raises; at 1e-400 every distance used to read 0.0, and at 1e308
+    the distances of 10 points were inf with a RuntimeWarning."""
+    key = "length" if family == "interval" else "sides"
+    with pytest.raises(InvalidParameterError, match="0 or past the largest double"):
+        generate_space(family, **{key: size}, spacing=spacing)
+
+
+def test_spacing_at_the_edges_of_the_doubles():
+    """The largest distance may be the largest double's order, and the
+    spacing the smallest subnormal."""
+    assert generate_space("interval", length=2, spacing=1e308).diameter() == 1e308
+    tiny = generate_space("interval", length=3, spacing="5e-324")
+    assert tiny.diameter() == 2 * 5e-324 > 0
+
+
 def brute_force_ball_max(sp, r):
     best = 0
     for i in range(sp.n):
-        best = max(best, sum(1 for j in range(sp.n) if sp.dist[i, j] <= r + 1e-12))
+        best = max(best, sum(1 for j in range(sp.n) if sp.distances(i, j) <= r + 1e-12))
     return best
 
 
@@ -87,7 +107,7 @@ def test_ulf_profile_nondecreasing_and_relabel_invariant():
     perm = rng.permutation(sp.n)
     from banddim.space import FiniteMetricSpace
     shuffled = FiniteMetricSpace([sp.points[i] for i in perm],
-                                 sp.dist[np.ix_(perm, perm)])
+                                 sp.distances(*np.ix_(perm, perm)))
     prof2 = ulf_profile(shuffled, radii)
     assert all(prof[r] == prof2[r] for r in radii)
 
@@ -101,7 +121,7 @@ def test_enlarge_examples():
     seeds = {grid.index((0, 0)), grid.index((3, 0))}
     got = enlarge(grid, seeds, 1)
     expected = {j for j in range(grid.n)
-                if min(grid.dist[j, i] for i in seeds) <= 1}
+                if min(grid.distances(j, i) for i in seeds) <= 1}
     assert got == expected
 
 
@@ -122,7 +142,7 @@ def test_triangle_inequality_on_generated_spaces():
                generate_space("grid", sides=[5, 6], metric="l1"),
                generate_space("grid", sides=[4, 4, 3], metric="linf")):
         assert sp.n <= 200
-        d = sp.dist
+        d = sp.distances()
         for i, j, k in itertools.product(range(sp.n), repeat=3):
             assert d[i, k] <= d[i, j] + d[j, k] + 1e-12
 
@@ -133,7 +153,7 @@ def test_json_round_trip(tmp_path):
     save_space(sp, path)
     back = load_space(path)
     assert back.points == sp.points
-    assert np.allclose(back.dist, sp.dist)
+    assert np.allclose(back.distances(), sp.distances())
     assert back.exact  # generator block restores the integer representation
 
 
@@ -189,7 +209,7 @@ def test_generator_of_another_size_is_not_regenerated(tmp_path, monkeypatch):
     back = load_space(path)
     assert calls == []
     assert back.points == [0, 1] and not back.exact
-    assert back.dist[0, 1] == 1.0
+    assert back.distances(0, 1) == 1.0
 
 
 def test_generated_space_saved_by_generator(tmp_path):
@@ -203,7 +223,7 @@ def test_generated_space_saved_by_generator(tmp_path):
     back = load_space(path)
     assert back.points == sp.points and back.spacing == sp.spacing
     assert np.array_equal(back.dist_int, sp.dist_int)
-    assert np.array_equal(back.dist, sp.dist)
+    assert np.array_equal(back.distances(), sp.distances())
 
 
 def test_space_without_generator_saved_by_matrix(tmp_path):
@@ -215,7 +235,7 @@ def test_space_without_generator_saved_by_matrix(tmp_path):
     assert doc["dist"] == dist and "generator" not in doc
     back = load_space(path)
     assert back.points == sp.points and not back.exact
-    assert np.array_equal(back.dist, sp.dist)
+    assert np.array_equal(back.distances(), sp.distances())
 
 
 @pytest.mark.parametrize("doc", [

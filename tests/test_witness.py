@@ -756,7 +756,7 @@ def round_trip_elements(w, seed):
     most 2, the zero operator, and a raw operator with a block of NaN."""
     rng = np.random.default_rng(seed)
     sp, m = w.space, w.fiber_dim
-    near = [(x, y) for x in range(sp.n) for y in range(sp.n) if sp.dist[x, y] <= 2]
+    near = [(x, y) for x in range(sp.n) for y in range(sp.n) if sp.distances(x, y) <= 2]
     keys = [near[i] for i in np.flatnonzero(rng.random(len(near)) < 0.5)]
     blocks = {k: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for k in keys}
     nan = dict(w.test_set[-1].blocks)
